@@ -17,5 +17,5 @@ Subpackages by concern:
 __version__ = "0.1.0"
 
 from .freegroup import FreeContext, reduce_word, multiply, invert, distance  # noqa: F401
-from .stallings import SubgroupAutomaton, Trace  # noqa: F401
+from .stallings import SubgroupAutomaton  # noqa: F401
 from .walks import StepMeasure, sample_walk, drift_estimate  # noqa: F401

@@ -152,9 +152,6 @@ class ConePermutation:
                 mapping[i] = free_targets.pop(0)
         return cls(tuple(mapping[i] for i in range(18)))
 
-    def image_label(self, u: Word) -> Word:
-        return OMEGA[self.mapping[OMEGA_INDEX[u]]]
-
     def inverse(self) -> "ConePermutation":
         inv = [0] * 18
         for i, j in enumerate(self.mapping):
@@ -242,24 +239,9 @@ def xi(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> Word:
 # --- the action ---------------------------------------------------------------
 
 
-class NeedsRefinement:
-    """Returned when an action is not determined at the current label depth."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NEEDS_REFINEMENT"
-
-    def __bool__(self):
-        return False
-
-
-NEEDS_REFINEMENT = NeedsRefinement()
+# Returned when an action is not determined at the current label depth.
+# Labels are nonempty tuples, so None cannot be mistaken for one.
+NEEDS_REFINEMENT = None
 
 
 def _apply_atom(atom, label: Word):

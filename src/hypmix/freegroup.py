@@ -82,10 +82,6 @@ def reduce_word(raw: Iterable[int], rank: int | None = None) -> Word:
     return tuple(stack)
 
 
-def is_reduced(word: Word) -> bool:
-    return all(word[i] != -word[i + 1] for i in range(len(word) - 1))
-
-
 def invert(word: Word) -> Word:
     return tuple(-x for x in reversed(word))
 
@@ -97,13 +93,6 @@ def multiply(u: Word, v: Word) -> Word:
     while cut < max_cut and u[len(u) - 1 - cut] == -v[cut]:
         cut += 1
     return u[: len(u) - cut] + v[cut:]
-
-
-def multiply_all(words: Iterable[Word]) -> Word:
-    out: Word = ()
-    for w in words:
-        out = multiply(out, w)
-    return out
 
 
 def power(word: Word, n: int) -> Word:
@@ -143,10 +132,6 @@ def cyclic_reduce(word: Word) -> tuple[Word, Word]:
         i += 1
         j -= 1
     return word[i:j], word[:i]
-
-
-def is_cyclically_reduced(word: Word) -> bool:
-    return len(word) < 2 or word[0] != -word[-1]
 
 
 def root(word: Word) -> tuple[Word, int]:

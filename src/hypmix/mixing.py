@@ -35,6 +35,10 @@ class MixingSetupError(ValueError):
     """Preconditions on measures or marker subgroups violated."""
 
 
+class WitnessCertificationError(RuntimeError):
+    """A trial's witness flags and its open-set certification disagree."""
+
+
 @dataclass(frozen=True)
 class BasicOpenSet:
     """The open set {L : L ∩ window = marker ∩ window}."""
@@ -47,8 +51,7 @@ class BasicOpenSet:
         return cls(marker, frozenset(tuple(w) for w in window))
 
     def holds_for(self, subgroup: SubgroupAutomaton) -> bool:
-        pattern = {w for w in self.window if self.marker.contains(w)}
-        return {w for w in self.window if subgroup.contains(w)} == pattern
+        return subgroup.trace(self.window) == self.marker.trace(self.window)
 
 
 @dataclass(frozen=True)
@@ -107,11 +110,17 @@ def check_witness(
     window,
     w: Sequence[int],
 ) -> WitnessOutcome:
-    """Evaluate all four witness flags exactly."""
+    """Evaluate all four witness flags exactly.
+
+    Flag (b) is read through the word route: f lies in w L w^-1 exactly when
+    the reduced word w^-1 f w lies in L, so no conjugate is folded.
+    """
     w = reduce_word(w, h.rank)
+    w_inv = invert(w)
     window = frozenset(tuple(f) for f in window)
-    trace_k = l_sub.trace(window).hits == k.trace(window).hits
-    trace_h = l_sub.conjugate(w).trace(window).hits == h.trace(window).hits
+    trace_k = l_sub.trace(window) == k.trace(window)
+    conjugated = frozenset(f for f in window if l_sub.contains(multiply(multiply(w_inv, f), w)))
+    trace_h = conjugated == h.trace(window)
     infinite_index = l_sub.index() == math.inf
     free_rank = l_sub.rank_of_subgroup() == h.rank_of_subgroup() + k.rank_of_subgroup()
     return WitnessOutcome(w, l_sub, trace_k, trace_h, infinite_index, free_rank)
@@ -132,6 +141,13 @@ def _require_infinite_index(*subs: SubgroupAutomaton):
 
 
 def _witness_trial(pairs, measure, n, seed, trial) -> list[WitnessOutcome]:
+    """Witness outcomes of one walk endpoint for each (H, K, window) pair.
+
+    A success is certified independently of the flags: by the automaton
+    route, L must lie in the open set around K and the folded conjugate
+    w L w^-1 in the open set around H. A disagreement raises
+    WitnessCertificationError, also under python -O.
+    """
     gen = rng.substream(seed, trial)
     w = measure.final_position(n, gen)
     outcomes = []
@@ -139,10 +155,12 @@ def _witness_trial(pairs, measure, n, seed, trial) -> list[WitnessOutcome]:
         l_sub = witness_subgroup(h, k, w)
         outcome = check_witness(l_sub, h, k, window, w)
         if outcome.success:
-            # Certify the open-set semantics independently of the flags.
             u_set = BasicOpenSet.around(k, window)
             v_set = BasicOpenSet.around(h, window)
-            assert u_set.holds_for(l_sub) and v_set.holds_for(l_sub.conjugate(w))
+            if not (u_set.holds_for(l_sub) and v_set.holds_for(l_sub.conjugate(w))):
+                raise WitnessCertificationError(
+                    f"trial {trial}: witness flags succeed but the open-set check fails"
+                )
         outcomes.append(outcome)
     return outcomes
 

@@ -14,6 +14,10 @@ with the fixed letter order a < a^-1 < b < b^-1 < ...), which makes equality
 of subgroups equality of objects. All instances are immutable; construction
 folds once and every operation returns a fresh automaton.
 
+One fold builder makes every automaton from words and automata: generators
+are loops at the base, a join wedges two automata at the base, and g H g^-1
+hangs H's automaton from a new base by a stem spelling g.
+
 Basepoint convention: all orbit computations measure distances from the
 identity vertex. Moving the basepoint to another vertex t changes the
 quasi-convexity constant of an orbit by at most 2*d(s,t) (plus the
@@ -24,28 +28,20 @@ this as an identity rather than an operation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .freegroup import (
-    Word,
-    WordError,
-    invert,
-    multiply,
-    reduce_word,
-    shortlex_key,
-)
+from .freegroup import Word, WordError, invert, reduce_word
 
 
 class AutomatonError(ValueError):
     """Malformed automaton input or serialization."""
 
 
-def _fold(rank: int, edges: list[tuple[int, int, int]], n_states: int) -> tuple[list[dict[int, int]], list[int]]:
+def _fold(edges: list[tuple[int, int, int]], n_states: int) -> tuple[list[dict[int, int] | None], int]:
     """Fold a labeled graph given as (state, letter, state) edges.
 
-    Returns the folded adjacency (dict letter -> target per live state) and
-    the union-find parent table used to resolve stale targets.
+    Returns the folded adjacency (dict letter -> target per surviving state,
+    None for merged-away states) and the state that state 0 folded into.
     """
     parent = list(range(n_states))
     size = [1] * n_states
@@ -98,7 +94,41 @@ def _fold(rank: int, edges: list[tuple[int, int, int]], n_states: int) -> tuple[
     for s in range(n_states):
         if find(s) == s:
             resolved[s] = {letter: find(t) for letter, t in adj[s].items()}
-    return resolved, parent  # type: ignore[return-value]
+    return resolved, find(0)
+
+
+class _FoldGraph:
+    """Edges of a labeled graph with base state 0, folded once by fold()."""
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        self.edges: list[tuple[int, int, int]] = []
+        self.n_states = 1
+
+    def attach_path(self, word: Sequence[int], src: int, dst: int | None = None) -> int:
+        """Add a path spelling the word from src to dst (a fresh state when
+        None) and return its end; an empty word adds nothing, ending at src."""
+        word = reduce_word(word, self.rank)
+        if not word:
+            return src
+        if dst is None:
+            dst = self.n_states
+            self.n_states += 1
+        path = [src, *range(self.n_states, self.n_states + len(word) - 1), dst]
+        self.n_states += len(word) - 1
+        self.edges.extend(zip(path, word, path[1:]))
+        return dst
+
+    def attach(self, automaton: "SubgroupAutomaton", at: int):
+        """Add a copy of the automaton with its base glued to state at."""
+        number = [at, *range(self.n_states, self.n_states + automaton.n_states - 1)]
+        self.n_states += automaton.n_states - 1
+        for s, d in enumerate(automaton.transitions):
+            self.edges.extend((number[s], letter, number[t]) for letter, t in d.items() if letter > 0)
+
+    def fold(self) -> "SubgroupAutomaton":
+        adj, base = _fold(self.edges, self.n_states)
+        return SubgroupAutomaton._from_folded(self.rank, adj, base)
 
 
 class SubgroupAutomaton:
@@ -140,31 +170,10 @@ class SubgroupAutomaton:
         """
         if rank < 2:
             raise AutomatonError("rank must be >= 2")
-        edges: list[tuple[int, int, int]] = []
-        n_states = 1
+        graph = _FoldGraph(rank)
         for gen in generators:
-            word = reduce_word(gen, rank)
-            if not word:
-                continue
-            prev = 0
-            for i, letter in enumerate(word):
-                target = 0 if i == len(word) - 1 else n_states
-                if target != 0:
-                    n_states += 1
-                edges.append((prev, letter, target))
-                prev = target
-        adj, parent = _fold(rank, edges, n_states)
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        return cls._from_folded(rank, adj, find(0))
-
-    @classmethod
-    def trivial(cls, rank: int) -> "SubgroupAutomaton":
-        return cls.from_generators(rank, [])
+            graph.attach_path(gen, 0, 0)
+        return graph.fold()
 
     @classmethod
     def _from_folded(cls, rank: int, adj: list[dict[int, int] | None], base: int) -> "SubgroupAutomaton":
@@ -181,16 +190,16 @@ class SubgroupAutomaton:
         live = {s: dict(adj[s]) for s in reach}  # type: ignore[arg-type]
 
         # Core trim: drop non-base states of degree <= 1 until none remain.
-        changed = True
-        while changed:
-            changed = False
-            for s in list(live):
-                if s != base and len(live[s]) <= 1:
-                    for letter, t in live[s].items():
-                        if t != s:
-                            del live[t][-letter]
-                    del live[s]
-                    changed = True
+        # Dropping a state lowers only its neighbour's degree, so a worklist
+        # of such states visits each edge once.
+        hairs = [s for s in live if s != base and len(live[s]) <= 1]
+        while hairs:
+            s = hairs.pop()
+            for letter, t in live.pop(s).items():
+                out = live[t]
+                del out[-letter]
+                if t != base and len(out) == 1:
+                    hairs.append(t)
 
         # Canonical BFS numbering from the base, letters in fixed order.
         letter_order = []
@@ -354,22 +363,28 @@ class SubgroupAutomaton:
 
     # --- algebra ------------------------------------------------------------
 
-    def conjugate(self, g: Word) -> "SubgroupAutomaton":
-        """Automaton of g H g^-1."""
-        g = tuple(g)
-        gens = [multiply(multiply(g, b), invert(g)) for b in self.basis()]
-        return SubgroupAutomaton.from_generators(self.rank, gens)
+    def conjugate(self, g: Sequence[int]) -> "SubgroupAutomaton":
+        """Automaton of g H g^-1: a stem spelling g from a new base to H's."""
+        graph = _FoldGraph(self.rank)
+        graph.attach(self, graph.attach_path(g, 0))
+        return graph.fold()
 
     def join(self, other: "SubgroupAutomaton") -> "SubgroupAutomaton":
-        """Automaton of <H, K>."""
+        """Automaton of <H, K>: both automata wedged at the base."""
         if other.rank != self.rank:
             raise AutomatonError("rank mismatch in join")
-        return SubgroupAutomaton.from_generators(self.rank, self.basis() + other.basis())
+        graph = _FoldGraph(self.rank)
+        graph.attach(self, 0)
+        graph.attach(other, 0)
+        return graph.fold()
 
     def join_words(self, words: Iterable[Sequence[int]]) -> "SubgroupAutomaton":
-        """Automaton of <H, words>."""
-        gens = self.basis() + [reduce_word(w, self.rank) for w in words]
-        return SubgroupAutomaton.from_generators(self.rank, gens)
+        """Automaton of <H, words>: one loop per word wedged onto H."""
+        graph = _FoldGraph(self.rank)
+        graph.attach(self, 0)
+        for word in words:
+            graph.attach_path(word, 0, 0)
+        return graph.fold()
 
     def intersect(self, other: "SubgroupAutomaton") -> "SubgroupAutomaton":
         """Automaton of H intersect K via the pairing of the two automata."""
@@ -407,10 +422,9 @@ class SubgroupAutomaton:
             raise WordError("the identity generates no free factor")
         return self.join_words([word]).rank_of_subgroup() == self.rank_of_subgroup() + 1
 
-    def trace(self, window: Iterable[Word]) -> "Trace":
-        window = frozenset(tuple(w) for w in window)
-        hits = frozenset(w for w in window if self.contains(w))
-        return Trace(self, window, hits)
+    def trace(self, window: Iterable[Sequence[int]]) -> frozenset:
+        """Membership pattern on a window: the window words in the subgroup."""
+        return frozenset(w for w in map(tuple, window) if self.contains(w))
 
     # --- serialization ------------------------------------------------------
 
@@ -458,20 +472,3 @@ class SubgroupAutomaton:
             adj[t][-letter] = s  # type: ignore[index]
         return cls._from_folded(rank, adj, 0)
 
-
-@dataclass(frozen=True)
-class Trace:
-    """Membership pattern of a subgroup on a finite window of words."""
-
-    subgroup: SubgroupAutomaton
-    window: frozenset
-    hits: frozenset
-
-    def agrees_with(self, other: "Trace") -> bool:
-        if self.window != other.window:
-            raise AutomatonError("traces over different windows are incomparable")
-        return self.hits == other.hits
-
-
-def sorted_words(words: Iterable[Word]) -> list[Word]:
-    return sorted((tuple(w) for w in words), key=shortlex_key)

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from hypmix import rng
+import hypmix
+from hypmix import mixing, rng
 from hypmix.freegroup import invert, multiply
 from hypmix.mixing import (
     BasicOpenSet,
     MixingSetupError,
+    WitnessCertificationError,
     check_witness,
     estimate_mixing,
     free_product_experiment,
@@ -78,6 +84,47 @@ class TestBasicOpenSet:
     def test_distinguishes(self):
         s = BasicOpenSet.around(sub("a"), F2.ball(2))
         assert not s.holds_for(sub("b"))
+
+
+class TestWitnessCertification:
+    # Trial 0 of seed 11 at n = 80 passes every witness flag, so the
+    # open-set certification runs; patching it to fail must raise.
+
+    def test_disagreement_raises(self, monkeypatch):
+        pairs = [(sub("a"), sub("b"), frozenset(F2.ball(2)))]
+        monkeypatch.setattr(BasicOpenSet, "holds_for", lambda self, subgroup: False)
+        with pytest.raises(WitnessCertificationError):
+            mixing._witness_trial(pairs, UNIFORM, 80, 11, 0)
+
+    def test_disagreement_raises_under_optimize_flag(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from hypmix import mixing
+            from hypmix.freegroup import FreeContext
+            from hypmix.stallings import SubgroupAutomaton
+            from hypmix.walks import StepMeasure
+
+            if __debug__:
+                sys.exit("not running under -O")
+            F2 = FreeContext(2)
+            UNIFORM = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
+            sub = lambda t: SubgroupAutomaton.from_generators(2, [F2.parse(t)])
+            pairs = [(sub("a"), sub("b"), frozenset(F2.ball(2)))]
+            mixing.BasicOpenSet.holds_for = lambda self, subgroup: False
+            try:
+                mixing._witness_trial(pairs, UNIFORM, 80, 11, 0)
+            except mixing.WitnessCertificationError:
+                sys.exit(0)
+            sys.exit("no WitnessCertificationError raised")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(hypmix.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEstimateMixing:

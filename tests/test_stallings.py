@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from hypmix import rng
 from hypmix.freegroup import invert, multiply, power
-from hypmix.stallings import AutomatonError, SubgroupAutomaton, sorted_words
+from hypmix.stallings import AutomatonError, SubgroupAutomaton
 
-from conftest import F2, words
+from conftest import F2, F3, words
 
 A, B = (1,), (2,)
 
@@ -237,16 +237,16 @@ class TestDistanceToOrbit:
 class TestTrace:
     def test_cyclic_ball1(self):
         t = sub("a").trace(F2.ball(1))
-        assert t.hits == {(), A, (-1,)}
+        assert t == {(), A, (-1,)}
 
     def test_parity_kernel_ball2(self):
         t = sub("aa", "ab", "bb").trace(F2.ball(2))
-        assert t.hits == {w for w in F2.ball(2) if len(w) % 2 == 0}
-        assert len(t.hits) == 13
+        assert t == {w for w in F2.ball(2) if len(w) % 2 == 0}
+        assert len(t) == 13
 
     def test_trivial(self):
         t = sub().trace(F2.ball(2))
-        assert t.hits == {()}
+        assert t == {()}
 
     def test_respects_conjugation(self):
         gen = rng.substream(41)
@@ -256,7 +256,7 @@ class TestTrace:
                 2, [F2.random_word(gen, int(gen.integers(1, 5))) for _ in range(2)]
             )
             g = F2.random_word(gen, int(gen.integers(0, 4)))
-            lhs = h.conjugate(g).trace(window).hits
+            lhs = h.conjugate(g).trace(window)
             rhs = {f for f in window if h.contains(multiply(multiply(invert(g), f), g))}
             assert lhs == rhs
 
@@ -326,6 +326,69 @@ class TestSerialization:
         assert text.splitlines()[2] == "0 a 0"
 
 
-def test_sorted_words_shortlex():
-    got = sorted_words([(2,), (1,), (), (1, 1), (-1,)])
-    assert got == [(), (1,), (-1,), (2,), (1, 1)]
+def refolded_conjugate(h, g):
+    """Reference for conjugate: fold g b g^-1 for every basis word b of H."""
+    return SubgroupAutomaton.from_generators(h.rank, [multiply(multiply(g, b), invert(g)) for b in h.basis()])
+
+
+def random_subgroup(ctx, gen, max_gens=3):
+    gens = [ctx.random_word(gen, int(gen.integers(1, 7))) for _ in range(int(gen.integers(0, max_gens + 1)))]
+    return SubgroupAutomaton.from_generators(ctx.rank, gens)
+
+
+class TestFoldBuilder:
+    """conjugate, join and join_words against refolding basis words."""
+
+    @pytest.mark.parametrize("ctx", [F2, F3], ids=["F2", "F3"])
+    def test_against_refolded_basis(self, ctx):
+        gen = rng.substream(43, ctx.rank)
+        for _ in range(80):
+            h = random_subgroup(ctx, gen)
+            k = random_subgroup(ctx, gen)
+            g = ctx.random_word(gen, int(gen.integers(0, 8)))
+            words = [ctx.random_word(gen, int(gen.integers(0, 6))) for _ in range(int(gen.integers(0, 3)))]
+            assert h.conjugate(g) == refolded_conjugate(h, g)
+            assert h.join(k) == SubgroupAutomaton.from_generators(ctx.rank, h.basis() + k.basis())
+            assert h.join_words(words) == SubgroupAutomaton.from_generators(ctx.rank, h.basis() + words)
+
+    def test_trivial_h(self):
+        g = F2.parse("abA")
+        assert sub().conjugate(g) == sub() == refolded_conjugate(sub(), g)
+        assert sub().join(sub()) == sub()
+        assert sub().join(sub("ab")) == sub("ab")
+        assert sub().join_words([F2.parse("ab"), ()]) == sub("ab")
+
+    def test_empty_g(self):
+        gen = rng.substream(47)
+        for ctx in (F2, F3):
+            for _ in range(20):
+                h = random_subgroup(ctx, gen)
+                assert h.conjugate(()) == h == refolded_conjugate(h, ())
+
+    def test_tail_cancels_into_h(self):
+        # g = u x with x in H: the stem's x-part folds into H, so g H g^-1
+        # equals u H u^-1.
+        gen = rng.substream(53)
+        for ctx in (F2, F3):
+            for _ in range(20):
+                h = random_subgroup(ctx, gen)
+                u = ctx.random_word(gen, int(gen.integers(0, 6)))
+                for x in h.basis():
+                    g = multiply(u, x)
+                    assert h.conjugate(g) == h.conjugate(u) == refolded_conjugate(h, g)
+
+    def test_long_stems_intersect_trivially(self):
+        u = F2.random_word(rng.substream(59), 2000)
+        h = SubgroupAutomaton.from_generators(2, [multiply(multiply(u, A), invert(u))])
+        k = SubgroupAutomaton.from_generators(2, [multiply(multiply(u, B), invert(u))])
+        assert h.intersect(k) == sub()
+
+    def test_dangling_path_is_trimmed(self):
+        h = sub("ab", "ba")
+        adj = [dict(d) for d in h.transitions]
+        state, letter = next((s, x) for s, d in enumerate(adj) for x in (1, -1, 2, -2) if x not in d)
+        for _ in range(2000):
+            adj.append({-letter: state})
+            adj[state][letter] = len(adj) - 1
+            state = len(adj) - 1
+        assert SubgroupAutomaton._from_folded(2, adj, 0) == h
