@@ -279,6 +279,8 @@ def _run_walk(config: ExperimentConfig) -> list[ResultRow]:
     ctx = FreeContext(rank)
     measure = parse_measure(config.params, ctx)
     n = _get_int(config.params, "n", required=True)
+    if n < 0:
+        raise ConfigError("params.n", f"walk length must be >= 0, got {n}")
     trajectory = sample_walk(measure, n, config.seed)
     echo = f"rank={rank};n={n}"
     return [
@@ -293,6 +295,10 @@ def _run_drift(config: ExperimentConfig) -> list[ResultRow]:
     measure = parse_measure(config.params, ctx)
     n = _get_int(config.params, "n", required=True)
     trials = _get_int(config.params, "trials", required=True)
+    if n <= 0:
+        raise ConfigError("params.n", f"walk length must be >= 1, got {n}")
+    if trials <= 0:
+        raise ConfigError("params.trials", f"must be >= 1, got {trials}")
     est = drift_estimate(measure, n, trials, config.seed, threads=config.threads)
     echo = f"rank={rank};n={n};trials={trials}"
     return [

@@ -15,6 +15,13 @@ Sampling is exact: increments are drawn by scaling the probabilities to a
 common denominator D and drawing unbiased integers below D from the trial's
 Philox substream, so trajectories are reproducible bit for bit from
 (measure, n, seed) alone.
+
+Walk endpoints are reduced without the trajectory. A long walk (at least
+SHORT_WALK letters) is reduced by whole-array numpy passes, each deleting
+the first adjacent inverse pair of every run of them, for at most
+MAX_PASSES passes; a short walk, or what is left when the passes run out,
+finishes on a Python stack. Free reduction is confluent, so the endpoint is
+the same either way, and the draws are one call per walk as before.
 """
 
 from __future__ import annotations
@@ -36,8 +43,17 @@ class MeasureError(ValueError):
     """Invalid step measure or sampling request."""
 
 
+class DriftRangeError(RuntimeError):
+    """An estimated drift lies outside [0, longest step length]."""
+
+
 CONVOLUTION_CAP = 8
 SUPPORT_CAP = 8
+# Walk endpoints: below SHORT_WALK letters the stack beats a numpy pass
+# (measured crossover between 512 and 2,048 letters); MAX_PASSES bounds
+# the passes before the stack takes over.
+SHORT_WALK = 1024
+MAX_PASSES = 32
 
 
 class StepMeasure:
@@ -70,6 +86,10 @@ class StepMeasure:
             cum += int(p * denom)
             thresholds.append(cum)
         self._thresholds = np.array(thresholds, dtype=np.uint64)
+        # One row per support word, padded with 0 (no letter); int64 holds any rank.
+        self._letters = np.zeros((len(self._words), self.max_step_length()), dtype=np.int64)
+        for row, word in zip(self._letters, self._words):
+            row[: len(word)] = word
 
     @classmethod
     def uniform_on(
@@ -172,18 +192,41 @@ class StepMeasure:
         return self._words
 
     def final_position(self, n: int, gen: np.random.Generator) -> Word:
-        """Endpoint of an n-step walk, without storing the trajectory."""
+        """Endpoint of an n-step walk, without storing the trajectory.
+
+        The increments are spelled out through the padded letter table.
+        While the word has at least SHORT_WALK letters, for at most
+        MAX_PASSES passes, one numpy pass deletes the first adjacent inverse
+        pair of every run of them; a pass that finds none has a reduced
+        word. A short walk, or a word still unreduced when the passes run
+        out, finishes on a stack. Free reduction is confluent, so deleting
+        any disjoint set of adjacent inverse pairs keeps the reduced word:
+        the endpoint is the stack's, after at most MAX_PASSES + 1 linear
+        passes.
+        """
         idx = self.draw_indices(gen, n)
-        words = self._words
+        a = self._letters[idx].ravel()
+        a = a[a != 0]
+        for _ in range(MAX_PASSES):
+            if len(a) < SHORT_WALK:
+                break
+            cancel = a[:-1] == -a[1:]
+            if not cancel.any():
+                return tuple(a.tolist())
+            first = cancel.copy()
+            first[1:] &= ~cancel[:-1]
+            keep = np.ones(len(a), dtype=bool)
+            keep[:-1] &= ~first
+            keep[1:] &= ~first
+            a = a[keep]
         stack: list[int] = []
         push = stack.append
         pop = stack.pop
-        for i in idx.tolist():
-            for x in words[i]:
-                if stack and stack[-1] == -x:
-                    pop()
-                else:
-                    push(x)
+        for x in a.tolist():
+            if stack and stack[-1] == -x:
+                pop()
+            else:
+                push(x)
         return tuple(stack)
 
 
@@ -291,5 +334,8 @@ def drift_estimate(
     values = rng.map_trials(one, trials, threads)
     mean, half = mean_ci95(values)
     est = DriftEstimate(mean, n, trials, half, seed)
-    assert 0.0 <= est.d_hat <= measure.max_step_length() + 1e-12
+    if not 0.0 <= est.d_hat <= measure.max_step_length() + 1e-12:
+        raise DriftRangeError(
+            f"drift {est.d_hat} outside [0, {measure.max_step_length()}]"
+        )
     return est

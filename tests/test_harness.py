@@ -150,6 +150,24 @@ class TestRun:
         assert rows[0].metric == "endpoint_distance"
         assert rows[0].value == 3.0  # golden endpoint BBa has length 3
 
+    @pytest.mark.parametrize(
+        "kind, params, field",
+        [
+            ("drift", "n = 0\ntrials = 5", "params.n"),
+            ("drift", "n = -3\ntrials = 5", "params.n"),
+            ("drift", "n = 10\ntrials = 0", "params.trials"),
+            ("walk", "n = -3", "params.n"),
+        ],
+    )
+    def test_bad_walk_input_names_field(self, kind, params, field):
+        cfg = ExperimentConfig.from_text(
+            f"[experiment]\nkind = {kind}\nseed = 1\n"
+            f"[params]\nrank = 2\nmeasure = uniform: a A b B\n{params}\n"
+        )
+        with pytest.raises(ConfigError) as info:
+            run(cfg)
+        assert info.value.field_name == field
+
     def test_transverse_kind(self):
         cfg = ExperimentConfig.from_text(
             "[experiment]\nkind = transverse\nseed = 1\n"

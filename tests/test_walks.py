@@ -1,18 +1,41 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import hypmix
 from hypmix import rng
 from hypmix.freegroup import invert
-from hypmix.walks import MeasureError, StepMeasure, drift_estimate, sample_walk
+from hypmix.walks import (
+    MAX_PASSES,
+    SHORT_WALK,
+    DriftRangeError,
+    MeasureError,
+    StepMeasure,
+    drift_estimate,
+    sample_walk,
+)
 
-from conftest import F2, F3
+from conftest import F2, F3, letters
 
 # Frozen golden endpoint for sample_walk(uniform F2, n=3, seed=42).
 GOLDEN_WALK_42 = (-2, -2, 1)
 
 UNIFORM_F2 = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
 UNIFORM_F3 = StepMeasure.uniform_on(3, [(i,) for i in (1, -1, 2, -2, 3, -3)])
+UNIFORM_F4 = StepMeasure.uniform_on(4, [(x,) for x in letters(4)])
+# Multi-letter steps and identity steps (blank rows of the letter table).
+LAZY_PAIRS = StepMeasure.uniform_on(
+    2, [F2.parse(t) for t in ("a", "A", "b", "B", "ab", "BA")], identity_mass=Fraction(1, 2)
+)
+# a^40 A^40 cancels one pair per pass, so long walks outlast MAX_PASSES
+# and finish on the stack.
+POWERS_40 = StepMeasure.uniform_on(2, [(1,) * 40, (-1,) * 40, (2,), (-2,)])
 
 
 class TestConstruction:
@@ -138,6 +161,29 @@ class TestSampling:
             assert abs(counts.get(w, 0) - mean) <= 3.5 * sigma
 
 
+class TestFinalPosition:
+    # sample_walk multiplies the increments one by one, independently of
+    # the pass reduction in final_position; both read the same draws.
+
+    @given(
+        measure=st.sampled_from([UNIFORM_F2, UNIFORM_F3, UNIFORM_F4, LAZY_PAIRS, POWERS_40]),
+        n=st.one_of(
+            st.sampled_from([0, 1, SHORT_WALK - 1, SHORT_WALK, SHORT_WALK + 1]),
+            st.integers(0, 3 * SHORT_WALK),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_multiply(self, measure, n, seed):
+        assert measure.final_position(n, rng.substream(seed)) == sample_walk(measure, n, seed).final
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pass_budget_exhausted(self, seed):
+        # About 4,100 letters; dozens of a^40 A^40 meetings need 40 passes each.
+        assert MAX_PASSES < 40
+        n = 200
+        assert POWERS_40.final_position(n, rng.substream(seed)) == sample_walk(POWERS_40, n, seed).final
+
+
 class TestDrift:
     def test_point_mass_drift_one(self):
         point = StepMeasure(2, {(1,): Fraction(1)})
@@ -153,6 +199,35 @@ class TestDrift:
     def test_zero_trials(self):
         with pytest.raises(MeasureError):
             drift_estimate(UNIFORM_F2, 10, 0, 3)
+
+    def test_out_of_range_raises(self, monkeypatch):
+        monkeypatch.setattr(StepMeasure, "final_position", lambda self, n, gen: (1,) * (2 * n))
+        with pytest.raises(DriftRangeError):
+            drift_estimate(UNIFORM_F2, 10, 5, 3)
+
+    def test_out_of_range_raises_under_optimize_flag(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from hypmix import walks
+
+            if __debug__:
+                sys.exit("not running under -O")
+            uniform = walks.StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
+            walks.StepMeasure.final_position = lambda self, n, gen: (1,) * (2 * n)
+            try:
+                walks.drift_estimate(uniform, 10, 5, 3)
+            except walks.DriftRangeError:
+                sys.exit(0)
+            sys.exit("no DriftRangeError raised")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(hypmix.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_uniform_f2_short(self):
         est = drift_estimate(UNIFORM_F2, 2000, 200, 11)
