@@ -3,7 +3,7 @@ dynamics under random walks.
 
 Subpackages by concern:
 
-- freegroup: reduced words, the Cayley-tree metric, quasi-geodesic checks
+- freegroup: reduced words, the Cayley-tree metric, Gromov products
 - stallings: finitely generated subgroups as folded core automata
 - walks: step measures, exact convolutions, seeded trajectories, drift
 - transverse: power-conjugacy decisions, overlap statistics, and the

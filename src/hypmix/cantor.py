@@ -129,10 +129,6 @@ class ConePermutation:
             raise ConeError("not a permutation of the 18 cone labels")
 
     @classmethod
-    def identity(cls) -> "ConePermutation":
-        return cls(tuple(range(18)))
-
-    @classmethod
     def from_assignments(cls, assignments: dict) -> "ConePermutation":
         """The permutation realizing the given label assignments, completed
         deterministically (remaining sources to remaining targets in order)."""
@@ -176,17 +172,6 @@ def invert_element(g: GElement) -> GElement:
     out = []
     for atom in reversed(g):
         out.append(-atom if isinstance(atom, int) else atom.inverse())
-    return tuple(out)
-
-
-def element_from_text(text: str) -> GElement:
-    """Parse x/X/y/Y letters; permutation atoms are not text-parseable."""
-    out = []
-    for ch in text.strip():
-        letter = _NAME_LETTERS.get(ch)
-        if letter is None or abs(letter) == Z:
-            raise ConeError(f"group letters are x, y only; got {ch!r}")
-        out.append(letter)
     return tuple(out)
 
 

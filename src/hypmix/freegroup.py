@@ -4,9 +4,8 @@ A word is a tuple of nonzero ints: +i stands for the i-th generator (1-based),
 -i for its inverse. Freely reduced words are in bijection with the vertices of
 the Cayley tree of F_k, a (2k)-regular tree with edge-path metric
 d(u, v) = |reduce(u^-1 v)|. The tree is 0-hyperbolic, so the coarse-geometry
-toolkit (Gromov products, quasi-geodesics, broken geodesics) becomes exact
-here; Gromov products are half-integers and are kept as Fractions, never
-floats.
+toolkit (Gromov products, broken geodesics) becomes exact here; Gromov
+products are half-integers and are kept as Fractions, never floats.
 
 Serialization: generators are the ASCII letters a, b, c, ... and inverses the
 corresponding uppercase letters; the empty word prints as "1".
@@ -21,19 +20,13 @@ general theory specialize at delta = 0:
   broken_geodesic_c1_factor  12   (need C1 > 12*(C0 + 12*delta) = 12*C0)
   broken_geodesic_bound      2    (conclusion: d(x_i, [x_0, x_m]) <= 2*C0)
 
-kappa = 2*c is a valid stability constant for (1, c)-quasi-geodesics in a
-tree: a path point at distance d from the geodesic forces a detour of
-excess 2d, so d <= c/2, and the geodesic stays comparably close to the
-path. Recorded in docs only; kappa is never computed as a function.
-
-All geometry is vertex-based: Gromov products, geodesics and paths are
-evaluated at vertices of the tree only, which is where they are exact;
-midpoints of edges are never materialized.
+All geometry is vertex-based: Gromov products and geodesics are evaluated
+at vertices of the tree only, which is where they are exact; midpoints of
+edges are never materialized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -185,82 +178,6 @@ def geodesic_vertices(x: Word, y: Word) -> list[Word]:
 def distance_to_geodesic(s: Word, x: Word, y: Word) -> int:
     """min over vertices v of [x, y] of d(s, v), by explicit enumeration."""
     return min(distance(s, v) for v in geodesic_vertices(x, y))
-
-
-@dataclass(frozen=True)
-class TreePath:
-    """A concatenation of geodesic segments, one per label.
-
-    vertices[i+1] = vertices[i] * labels[i]; the path length is the sum of
-    the label lengths because each segment is traversed geodesically.
-    """
-
-    vertices: tuple[Word, ...]
-    labels: tuple[Word, ...]
-
-    def __post_init__(self):
-        assert len(self.vertices) == len(self.labels) + 1
-
-    @property
-    def norm(self) -> int:
-        return sum(len(g) for g in self.labels)
-
-    @property
-    def start(self) -> Word:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> Word:
-        return self.vertices[-1]
-
-
-def labeled_path(labels: Sequence[Word], base: Word = ()) -> TreePath:
-    """Path based at base reading the labels in order.
-
-    Each label contributes the geodesic [p, p*label]; labels must be
-    nontrivial.
-    """
-    vertices = [base]
-    for g in labels:
-        if not g:
-            raise WordError("path labels must be nontrivial")
-        vertices.append(multiply(vertices[-1], g))
-    return TreePath(tuple(vertices), tuple(tuple(g) for g in labels))
-
-
-def _segment_prefix_sums(path: TreePath) -> list[int]:
-    sums = [0]
-    for g in path.labels:
-        sums.append(sums[-1] + len(g))
-    return sums
-
-
-def minimal_c(path: TreePath, lam: Fraction | int) -> Fraction:
-    """Least c >= 0 making the path a (lam, c)-quasi-geodesic.
-
-    Checks the defining inequality ||q|| <= lam * d(q_-, q_+) + c over all
-    vertex-to-vertex subpaths q.
-    """
-    lam = Fraction(lam)
-    if lam < 1:
-        raise WordError("quasi-geodesic parameter lambda must be >= 1")
-    sums = _segment_prefix_sums(path)
-    worst = Fraction(0)
-    n = len(path.vertices)
-    for i in range(n):
-        for j in range(i + 1, n):
-            excess = (sums[j] - sums[i]) - lam * distance(path.vertices[i], path.vertices[j])
-            if excess > worst:
-                worst = excess
-    return worst
-
-
-def is_quasi_geodesic(path: TreePath, lam: Fraction | int, c: Fraction | int) -> bool:
-    """Whether every vertex-to-vertex subpath q satisfies ||q|| <= lam*d + c."""
-    c = Fraction(c)
-    if c < 0:
-        raise WordError("quasi-geodesic parameter c must be >= 0")
-    return minimal_c(path, lam) <= c
 
 
 def broken_geodesic_check(

@@ -4,10 +4,9 @@ Configs are INI files with an [experiment] section (kind, seed, out,
 threads) and a [params] section of kind-specific keys. Every run is a pure
 function of its config: trial substreams are keyed by (seed, trial index),
 aggregation is ordered by trial index, and the emitted CSV/JSON bytes are
-identical across reruns and thread counts. Wall-clock time is measured but
-quarantined away from the data: emit() never writes it, and the CLI only
-prints it to stderr (or as a comment header on request), so output files
-stay byte-stable.
+identical across reruns and thread counts. Rows carry no wall-clock time;
+the CLI times a run itself and prints that to stderr (or as a comment header
+on request), so output files stay byte-stable.
 """
 
 from __future__ import annotations
@@ -15,15 +14,14 @@ from __future__ import annotations
 import configparser
 import io
 import json
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .freegroup import FreeContext, Word, WordError
 from .stallings import SubgroupAutomaton
-from .walks import StepMeasure, drift_estimate, sample_walk
-from . import cantor, mixing, transverse
+from .walks import StepMeasure, drift_estimate
+from . import cantor, mixing, rng, transverse
 
 KINDS = ("walk", "drift", "mix", "freeprod", "transverse", "cantor", "selftest")
 
@@ -97,7 +95,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One metric of one experiment; wall_time never enters the data bytes."""
+    """One metric of one experiment."""
 
     experiment: str
     params: str
@@ -106,7 +104,6 @@ class ResultRow:
     ci_low: float | None
     ci_high: float | None
     seed: int
-    wall_time: float = 0.0
 
 
 CSV_COLUMNS = ("experiment", "params", "metric", "value", "ci_low", "ci_high", "seed")
@@ -121,7 +118,7 @@ def _format_value(v) -> str:
 
 
 def emit(rows: Sequence[ResultRow], fmt: str = "csv") -> bytes:
-    """Serialize rows deterministically (UTF-8, LF). wall_time is omitted."""
+    """Serialize rows deterministically (UTF-8, LF)."""
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
         for r in rows:
@@ -146,7 +143,7 @@ def config_header(config: ExperimentConfig) -> bytes:
 
 
 def parse_rows(data: bytes) -> list[ResultRow]:
-    """Inverse of emit(..., 'csv') up to the quarantined wall_time.
+    """Inverse of emit(..., 'csv').
 
     Comment lines (the embedded config, optional timing) are skipped."""
     lines = [
@@ -251,7 +248,6 @@ def parse_subgroup(ctx: FreeContext, raw: str, key: str) -> SubgroupAutomaton:
 
 def run(config: ExperimentConfig) -> list[ResultRow]:
     """Execute the experiment; deterministic given the config."""
-    started = time.perf_counter()
     if config.kind == "walk":
         rows = _run_walk(config)
     elif config.kind == "drift":
@@ -270,8 +266,7 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
         rows = selftest_rows(threads=config.threads)
     else:  # pragma: no cover - guarded by config validation
         raise ConfigError("experiment.kind", config.kind)
-    elapsed = time.perf_counter() - started
-    return [replace(r, wall_time=elapsed) for r in rows]
+    return rows
 
 
 def _run_walk(config: ExperimentConfig) -> list[ResultRow]:
@@ -281,11 +276,11 @@ def _run_walk(config: ExperimentConfig) -> list[ResultRow]:
     n = _get_int(config.params, "n", required=True)
     if n < 0:
         raise ConfigError("params.n", f"walk length must be >= 0, got {n}")
-    trajectory = sample_walk(measure, n, config.seed)
+    final = measure.final_position(n, rng.substream(config.seed))
     echo = f"rank={rank};n={n}"
     return [
-        ResultRow("walk", echo, "endpoint_distance", float(len(trajectory.final)), None, None, config.seed),
-        ResultRow("walk", echo + f";word={ctx.format(trajectory.final)}", "endpoint_recorded", 1.0, None, None, config.seed),
+        ResultRow("walk", echo, "endpoint_distance", float(len(final)), None, None, config.seed),
+        ResultRow("walk", echo + f";word={ctx.format(final)}", "endpoint_recorded", 1.0, None, None, config.seed),
     ]
 
 

@@ -35,7 +35,6 @@ from .freegroup import (
     Word,
     cyclic_reduce,
     elementary_closure_contains,
-    gromov_product,
     invert,
     multiply,
     power,
@@ -95,22 +94,6 @@ class ForbiddenSet:
     representatives: tuple
     root_core: Word
     conjugator: Word
-
-
-@dataclass(frozen=True)
-class AptReport:
-    """Stabilized coset data for the bounded-displacement filter of (H, g).
-
-    For exponent N, the filter keeps the ball elements u with |u| <= C and
-    d(u g^N, H) <= C; the report groups the filtered set into right
-    H-cosets. verified means the coset set was identical over a run of
-    consecutive exponents.
-    """
-
-    n_exponent: int
-    cosets: tuple
-    verified: bool
-    c_bound: int
 
 
 @dataclass(frozen=True)
@@ -185,11 +168,6 @@ def minimal_power_in(h: SubgroupAutomaton, g: Sequence[int]) -> int | None:
         if cur == q0:
             return m
     return None
-
-
-def is_transverse(h: SubgroupAutomaton, f: Sequence[int]) -> bool:
-    """Whether no conjugate of H meets <f> nontrivially."""
-    return power_conjugate_into(h, f) is None
 
 
 def certificate(h: SubgroupAutomaton, f: Sequence[int]) -> TransversalityCertificate:
@@ -304,45 +282,6 @@ def compute_u0(h: SubgroupAutomaton, g: Sequence[int]) -> ForbiddenSet:
     return ForbiddenSet(tuple(reps), root_core=root_core, conjugator=conj)
 
 
-def apt_check(
-    h: SubgroupAutomaton,
-    g: Sequence[int],
-    c_bound: int,
-    n_cap: int = 12,
-    stable_window: int = 3,
-) -> AptReport:
-    """Search for the exponent at which the bounded-displacement filter
-    settles into finitely many right H-cosets.
-
-    For N = 1, 2, ... the filter set is {u : |u| <= C, d(u g^N, H) <= C},
-    grouped into cosets by shortlex-least representatives. verified reports
-    whether the coset set was constant over stable_window consecutive
-    exponents; cap exhaustion returns verified=False rather than raising.
-    """
-    g = reduce_word(g, h.rank)
-    if not g:
-        raise TransversalityError("apt filter undefined for the identity")
-    if c_bound < 0:
-        raise TransversalityError("displacement bound must be >= 0")
-    ctx = FreeContext(h.rank)
-    ball = ctx.ball(c_bound)
-    history: list[frozenset] = []
-    g_power: Word = ()
-    for n_exp in range(1, n_cap + 1):
-        g_power = multiply(g_power, g)
-        reps: list[Word] = []
-        for u in ball:
-            if h.distance_to_orbit(multiply(u, g_power)) > c_bound:
-                continue
-            if not any(h.contains(multiply(u, invert(r))) for r in reps):
-                reps.append(u)
-        history.append(frozenset(reps))
-        if len(history) >= stable_window and len(set(history[-stable_window:])) == 1:
-            first_stable = n_exp - stable_window + 1
-            return AptReport(first_stable, tuple(sorted(reps, key=shortlex_key)), True, c_bound)
-    return AptReport(n_cap, tuple(sorted(history[-1], key=shortlex_key)), False, c_bound)
-
-
 def construct_transverse(
     targets: Sequence[SubgroupAutomaton],
     g: Sequence[int],
@@ -409,49 +348,3 @@ def construct_transverse(
     raise TransversalityError(
         f"no certified transverse element up to exponent {exponent_cap}"
     )
-
-
-def gromov_stabilization(
-    h: SubgroupAutomaton,
-    g: Sequence[int],
-    k_half: int,
-    orbit_length_cap: int,
-) -> tuple:
-    """Max Gromov product (g^k | h)_1 over |k| <= k_half and orbit elements.
-
-    Returns (max over |k| <= k_half/2, max over the full window); when
-    H meets <g> trivially and g is transverse the two agree, witnessing the
-    uniform bound on the products.
-    """
-    g = reduce_word(g, h.rank)
-    elements = _orbit_elements(h, orbit_length_cap)
-    half = full = None
-    for k, word in _powers_over(g, list(range(-k_half, k_half + 1))):
-        for e in elements:
-            value = gromov_product(word, e)
-            if full is None or value > full:
-                full = value
-            if abs(k) <= k_half // 2 and (half is None or value > half):
-                half = value
-    return half, full
-
-
-def _orbit_elements(h: SubgroupAutomaton, length_cap: int) -> list[Word]:
-    """All subgroup elements of length <= cap, via loops in the automaton."""
-    out = []
-    stack: list[tuple[int, Word]] = [(0, ())]
-    seen = {(0, ())}
-    while stack:
-        state, word = stack.pop()
-        if state == 0:
-            out.append(word)
-        if len(word) == length_cap:
-            continue
-        for letter, target in h.transitions[state].items():
-            if word and letter == -word[-1]:
-                continue
-            key = (target, word + (letter,))
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return out

@@ -1,6 +1,9 @@
+import os
+
 import hypothesis
 from hypothesis import strategies as st
 
+import hypmix
 from hypmix.freegroup import FreeContext, reduce_word
 
 hypothesis.settings.register_profile(
@@ -28,3 +31,9 @@ def words(rank=2, max_len=8):
 
 def nontrivial_words(rank=2, max_len=8):
     return words(rank, max_len).filter(lambda w: len(w) > 0)
+
+
+def src_env():
+    """The environment for a subprocess that must import this checkout's hypmix."""
+    src = os.path.dirname(os.path.dirname(hypmix.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -154,7 +154,7 @@ class TestApply:
         assert apply_element((X,), lab("X")) is None
 
     def test_permutation_on_shallow_label(self):
-        sigma = ConePermutation.identity()
+        sigma = ConePermutation(tuple(range(18)))
         assert apply_element((sigma,), lab("z")) is None
 
     def test_permutation_moves_cone(self):
@@ -423,17 +423,9 @@ class TestInverse:
 
 class TestElementText:
     def test_letter_roundtrip(self):
-        from hypmix.cantor import element_from_text, format_element
+        from hypmix.cantor import format_element
 
-        g = element_from_text("xYXy")
-        assert g == (1, -2, -1, 2)
-        assert format_element(g) == "x Y X y"
-
-    def test_rejects_z(self):
-        from hypmix.cantor import element_from_text
-
-        with pytest.raises(ConeError):
-            element_from_text("xz")
+        assert format_element((1, -2, -1, 2)) == "x Y X y"
 
     def test_identity_formats_as_one(self):
         from hypmix.cantor import format_element

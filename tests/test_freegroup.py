@@ -15,9 +15,6 @@ from hypmix.freegroup import (
     geodesic_vertices,
     gromov_product,
     invert,
-    is_quasi_geodesic,
-    labeled_path,
-    minimal_c,
     multiply,
     power,
     reduce_word,
@@ -167,54 +164,6 @@ class TestGromovProduct:
     @given(words(max_len=5), words(max_len=5), words(max_len=5))
     def test_equals_distance_to_geodesic(self, x, y, s):
         assert gromov_product(x, y, s) == distance_to_geodesic(s, x, y)
-
-
-class TestPaths:
-    def test_vertices(self):
-        p = labeled_path([A, B])
-        assert p.vertices == ((), A, w("ab"))
-
-    def test_backtracking(self):
-        p = labeled_path([A, Ai])
-        assert p.vertices == ((), A, ())
-        assert p.norm == 2
-        assert distance(p.start, p.end) == 0
-
-    def test_based_elsewhere(self):
-        p = labeled_path([w("ab"), w("ba")], base=B)
-        assert p.vertices == (B, w("bab"), w("babba"))
-
-    def test_empty_label_rejected(self):
-        with pytest.raises(WordError):
-            labeled_path([A, ()])
-
-    def test_geodesic_segment(self):
-        p = labeled_path([w("ab")])
-        assert is_quasi_geodesic(p, 1, 0)
-
-    def test_backtrack_not_geodesic(self):
-        p = labeled_path([A, Ai])
-        assert not is_quasi_geodesic(p, 1, 0)
-        assert minimal_c(p, 1) == 2
-
-    def test_powers_of_cyclically_reduced_are_geodesic(self):
-        p = labeled_path([w("ab")] * 3)
-        assert is_quasi_geodesic(p, 1, 0)
-
-    @given(nontrivial_words(max_len=6))
-    def test_conjugate_power_paths(self, word):
-        # The n-repeat path of w = c g c^-1 deviates from a geodesic by
-        # exactly 2|c| per interior return through the conjugator, and is a
-        # genuine quasi-geodesic once the slope accounts for |w| vs |g|.
-        core, conj = cyclic_reduce(word)
-        n = 4
-        p = labeled_path([word] * n)
-        assert minimal_c(p, 1) == 2 * len(conj) * (n - 1)
-        assert is_quasi_geodesic(p, Fraction(len(word), len(core)), 0)
-
-    def test_lambda_below_one_rejected(self):
-        with pytest.raises(WordError):
-            minimal_c(labeled_path([A]), Fraction(1, 2))
 
 
 class TestBrokenGeodesic:

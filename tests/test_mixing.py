@@ -1,13 +1,11 @@
 import math
-import os
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
-import hypmix
-from hypmix import mixing, rng
+from hypmix import mixing
 from hypmix.freegroup import invert, multiply
 from hypmix.mixing import (
     BasicOpenSet,
@@ -17,15 +15,12 @@ from hypmix.mixing import (
     estimate_mixing,
     free_product_experiment,
     joint_mixing,
-    quasigeodesic_constant_stat,
-    random_subgroup,
-    shortest_witness_word_length,
     witness_subgroup,
 )
 from hypmix.stallings import SubgroupAutomaton
 from hypmix.walks import StepMeasure, sample_walk
 
-from conftest import F2
+from conftest import F2, src_env
 
 UNIFORM = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
 A, B = (1,), (2,)
@@ -119,10 +114,8 @@ class TestWitnessCertification:
             sys.exit("no WitnessCertificationError raised")
             """
         )
-        src = os.path.dirname(os.path.dirname(hypmix.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
 
@@ -203,39 +196,3 @@ class TestFreeProduct:
     def test_moderate_n_high_rate(self):
         est = free_product_experiment(sub("a"), UNIFORM, 60, 80, 29)
         assert est.p_hat > 0.85
-
-
-class TestRandomSubgroup:
-    def test_k1_flag_iff_nontrivial(self):
-        s, flag = random_subgroup([UNIFORM], 20, 31)
-        assert flag == (s.rank_of_subgroup() == 1)
-
-    def test_k2_rank2_typical(self):
-        flags = []
-        for t in range(500):
-            _, flag = random_subgroup([UNIFORM, UNIFORM], 50, rng.substream_key(33, t) % 2**63)
-            flags.append(flag)
-        assert sum(flags) / len(flags) > 0.9
-
-    def test_rank_deficit_detected(self):
-        # Force both walks equal by using the same seed for both measures.
-        s, flag = random_subgroup([UNIFORM], 1, 37)
-        w = sample_walk(UNIFORM, 1, 37).final
-        assert s.contains(w)
-
-
-class TestTrendStatistics:
-    def test_witness_length_grows(self):
-        lengths = []
-        for n in (10, 80):
-            w = sample_walk(UNIFORM, n, 41).final
-            lengths.append(
-                shortest_witness_word_length(sub("a"), sub("b"), w, seed=43)
-            )
-        assert lengths[1] > lengths[0]
-
-    def test_quasigeodesic_constant_sublinear(self):
-        n = 160
-        w = sample_walk(UNIFORM, n, 47).final
-        c = quasigeodesic_constant_stat(sub("a"), sub("b"), w, seed=49)
-        assert c / n <= 0.5

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 import textwrap
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import hypmix
 from hypmix import rng
 from hypmix.freegroup import invert
 from hypmix.walks import (
@@ -21,7 +19,7 @@ from hypmix.walks import (
     sample_walk,
 )
 
-from conftest import F2, F3, letters
+from conftest import F2, F3, letters, src_env
 
 # Frozen golden endpoint for sample_walk(uniform F2, n=3, seed=42).
 GOLDEN_WALK_42 = (-2, -2, 1)
@@ -222,10 +220,8 @@ class TestDrift:
             sys.exit("no DriftRangeError raised")
             """
         )
-        src = os.path.dirname(os.path.dirname(hypmix.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
 
