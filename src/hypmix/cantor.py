@@ -16,9 +16,13 @@ Both generators preserve the "same order-position" structure: restricted to
 any cone they realize the positional bijection xi between source and target
 cones, which is what makes exact open-set computations possible. Images of
 finite cone unions are tracked as antichains of labels (no label a prefix of
-another); when an action is not yet determined at the current depth (a
-permutation needs two letters, a letter may cancel a length-1 label), the
-label splits into its five children and the computation refines.
+another). Atoms act right to left on an intermediate label; when the next
+atom is not yet determined at its depth (a permutation needs two letters, a
+letter may cancel a length-1 label), the intermediate label splits into its
+five children and the computation resumes at that same atom. The atoms
+already applied act on the source cone as the positional bijection onto the
+intermediate cone, so these children are exactly the images of the source
+label's children. A depth cap counts the depth of the source label.
 
 The non-mixing mechanism: permutations fix all points with F(x, y)-prefixes
 of length 2, so the cone of x^2 can only be entered through the F(x, y)
@@ -59,9 +63,18 @@ class ConeError(ValueError):
     """Malformed cone label or illegal constructor input."""
 
 
+class ConeCertificationError(AssertionError):
+    """A constructed element or an exact constant failed its verification.
+
+    Raised explicitly, so the check also runs under python -O. It is an
+    AssertionError so that callers counting failed constructions (criterion
+    11) still catch it.
+    """
+
+
 class DepthCapExceeded(RuntimeError):
     def __init__(self, depth: int):
-        super().__init__(f"intermediate cone label reached depth {depth}")
+        super().__init__(f"a source cone label of depth {depth} needs refinement")
         self.depth = depth
 
 
@@ -211,6 +224,11 @@ def xi(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> Word:
     u, v, w = _check_label(u), _check_label(v), _check_label(w)
     if w[: len(u)] != u:
         raise ConeError("u must be a prefix of w")
+    return _xi(u, v, w)
+
+
+def _xi(u: Word, v: Word, w: Word) -> Word:
+    """xi on labels already known to be valid, with u a prefix of w."""
     out = list(v)
     last_src, last_dst = u[-1], v[-1]
     for letter in w[len(u):]:
@@ -229,41 +247,45 @@ def xi(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> Word:
 NEEDS_REFINEMENT = None
 
 
-def _apply_atom(atom, label: Word):
-    if isinstance(atom, int):
-        if label[0] == -atom:
-            if len(label) == 1:
-                return NEEDS_REFINEMENT  # full cancellation: image is not a cone
-            return label[1:]
-        return (atom,) + label
-    # permutation atom
-    if len(label) < 2:
-        return NEEDS_REFINEMENT
-    prefix = label[:2]
-    idx = OMEGA_INDEX.get(prefix)
-    if idx is None:
-        return label  # two-letter prefix inside F(x,y): fixed pointwise
-    target = OMEGA[atom.mapping[idx]]
-    if target == prefix:
-        return label
-    return xi(prefix, target, label)
+def _advance(g: GElement, label: Word, i: int) -> tuple[Word, int]:
+    """Apply the atoms g[i-1], ..., g[0] (right to left) to Cone(label).
+
+    Stops at the first atom that is not determined at the label's depth and
+    returns (label, atoms left), with 0 atoms left once every atom has acted.
+    """
+    while i:
+        atom = g[i - 1]
+        if isinstance(atom, int):
+            if label[0] != -atom:
+                label = (atom,) + label
+            elif len(label) > 1:
+                label = label[1:]
+            else:
+                return label, i  # full cancellation: the image is not a cone
+        elif len(label) < 2:
+            return label, i  # a permutation reads two letters
+        else:
+            prefix = label[:2]
+            idx = OMEGA_INDEX.get(prefix)
+            # A two-letter prefix inside F(x, y) is fixed pointwise.
+            if idx is not None:
+                target = OMEGA[atom.mapping[idx]]
+                if target != prefix:
+                    label = _xi(prefix, target, label)
+        i -= 1
+    return label, 0
 
 
-def apply_element(g: GElement, label: Sequence[int], min_depth: int = 1):
+def apply_element(g: GElement, label: Sequence[int]):
     """Image label of Cone(label) under g, or NEEDS_REFINEMENT.
 
     Atoms act right to left. The image is exact whenever every intermediate
-    label is deep enough for the next atom (two letters for permutations,
-    no full cancellation for letters) and never shorter than min_depth.
-    Restricted to the cone, g acts as the positional bijection onto the
-    returned cone.
+    label is deep enough for the next atom: two letters for a permutation,
+    no full cancellation for a letter. Restricted to the cone, g acts as the
+    positional bijection onto the returned cone.
     """
-    label = _check_label(label)
-    for atom in reversed(g):
-        label = _apply_atom(atom, label)
-        if label is NEEDS_REFINEMENT or len(label) < min_depth:
-            return NEEDS_REFINEMENT
-    return label
+    label, left = _advance(g, _check_label(label), len(g))
+    return NEEDS_REFINEMENT if left else label
 
 
 def _children(label: Word) -> list[Word]:
@@ -299,20 +321,25 @@ def image_antichain(
 ) -> tuple[Word, ...]:
     """Exact image of a disjoint union of cones under g, as an antichain.
 
-    Labels that cannot be moved at their current depth split into their five
-    children and retry; the cap bounds the depth of intermediate labels.
+    Atoms act right to left. When the next atom cannot act on the current
+    intermediate label, that label splits into its five children and each
+    resumes at the same atom: the atoms already applied map the source cone
+    positionally onto the intermediate one, so the children are the images
+    of the source label's children. The cap counts source depth:
+    DepthCapExceeded is raised when a source label of depth >= depth_cap
+    would have to split.
     """
-    work = [_check_label(l) for l in labels]
+    work = [(label, len(g), len(label)) for label in map(_check_label, labels)]
     out = []
     while work:
-        label = work.pop()
-        image = apply_element(g, label)
-        if image is NEEDS_REFINEMENT:
-            if len(label) >= depth_cap:
-                raise DepthCapExceeded(len(label))
-            work.extend(_children(label))
+        label, left, depth = work.pop()
+        label, left = _advance(g, label, left)
+        if not left:
+            out.append(_check_label(label))
+        elif depth >= depth_cap:
+            raise DepthCapExceeded(depth)
         else:
-            out.append(image)
+            work.extend((child, left, depth + 1) for child in _children(label))
     return _merge_antichain(out)
 
 
@@ -367,7 +394,8 @@ def standardizing_element(u: Sequence[int]) -> GElement:
         a, sigma = _case_step(u)
         step: GElement = (-a, sigma)
         u_next = apply_element(step, u)
-        assert u_next is not NEEDS_REFINEMENT and len(u_next) == n - 1
+        if u_next is NEEDS_REFINEMENT or len(u_next) != n - 1:
+            raise ConeCertificationError("recursion step did not shorten the label by one")
         element = standardizing_element(u_next) + step
     _verify_standardizing(element, u)
     return element
@@ -377,14 +405,16 @@ def _verify_standardizing(element: GElement, u: Word):
     n = len(u)
     zmn = (-Z,) * n
     if image_antichain(element, [u]) != (CONE_Z2,):
-        raise AssertionError("cone equation for u failed")
+        raise ConeCertificationError("cone equation for u failed")
     if image_antichain(element, [zmn]) != (CONE_ZM2,):
-        raise AssertionError("cone equation for z^-n failed")
+        raise ConeCertificationError("cone equation for z^-n failed")
     # Pointwise, two levels deeper: the action must be the positional map.
-    for w in order_cones(u, 2):
-        assert apply_element(element, w) == xi(u, CONE_Z2, w)
-    for w in order_cones(zmn, 2):
-        assert apply_element(element, w) == xi(zmn, CONE_ZM2, w)
+    for source, target in ((u, CONE_Z2), (zmn, CONE_ZM2)):
+        for w in order_cones(source, 2):
+            if apply_element(element, w) != xi(source, target, w):
+                raise ConeCertificationError(
+                    f"action on Cone({format_label(source)}) is not positional at {format_label(w)}"
+                )
 
 
 def cone_transposition(u: Sequence[int]) -> GElement:
@@ -464,7 +494,7 @@ def cone_routing_element(pairs: Sequence[tuple], depth: int) -> GElement:
         element = cone_transposition(label) + element
     for u, v in zip(us, vs):
         if image_antichain(element, [u]) != (v,):
-            raise AssertionError("pair verification failed")
+            raise ConeCertificationError("pair verification failed")
     return element
 
 
@@ -496,7 +526,8 @@ def hit_probability_exact() -> HitProbability:
     a, b, c = 3, -4, 1
     disc = b * b - 4 * a * c
     sq = math.isqrt(disc)
-    assert sq * sq == disc
+    if sq * sq != disc:
+        raise ConeCertificationError("the discriminant of the first-passage equation is not a square")
     roots = sorted((Fraction(-b - sq, 2 * a), Fraction(-b + sq, 2 * a)))
     return HitProbability(minimal_root=roots[0], roots=tuple(roots))
 
@@ -627,7 +658,7 @@ def estimate_qn(
             if r < 4 * num:
                 atoms.append(letters[r // num])
             else:
-                atoms.append(ConePermutation(tuple(int(i) for i in gen.permutation(18))))
+                atoms.append(ConePermutation(tuple(gen.permutation(18).tolist())))
         try:
             image = image_antichain(tuple(atoms), [CONE_Z], depth_cap)
         except DepthCapExceeded:

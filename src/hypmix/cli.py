@@ -48,14 +48,17 @@ def _timed_run(config):
     return rows, time.perf_counter() - started
 
 
+def _timing_header(elapsed, args) -> bytes:
+    """The wall-time comment line that --timing prepends to the output."""
+    return f"# wall_time_s: {elapsed:.3f}\n".encode() if args.timing else b""
+
+
 def _write_output(rows, elapsed, args, config):
     fmt = getattr(args, "format", "csv")
     data = emit(rows, fmt)
     if fmt == "csv":
         data = config_header(config) + data
-    if getattr(args, "timing", False):
-        header = f"# wall_time_s: {elapsed:.3f}\n".encode()
-        data = header + data
+    data = _timing_header(elapsed, args) + data
     out = getattr(args, "out", None)
     if out:
         with open(out, "wb") as fh:
@@ -274,6 +277,7 @@ def _cmd_cantor(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import CRITERIA, criterion_14, run_all
 
+    started = time.perf_counter()
     if args.criteria:
         wanted = sorted({int(x) for x in args.criteria.replace(",", " ").split()})
         results = []
@@ -308,7 +312,7 @@ def _cmd_selftest(args) -> int:
         )
         rows.extend(result.rows)
     if args.out:
-        data = emit(rows, args.format)
+        data = _timing_header(time.perf_counter() - started, args) + emit(rows, args.format)
         with open(args.out, "wb") as fh:
             fh.write(data)
         print(f"wrote {args.out}", file=sys.stderr)

@@ -399,6 +399,10 @@ def _run_cantor(config: ExperimentConfig) -> list[ResultRow]:
         trials = _get_int(config.params, "trials", required=True)
         n_list = _get_int_list(config.params, "n_list", required=True)
         depth_cap = _get_int(config.params, "depth_cap", None)
+        if trials <= 0:
+            raise ConfigError("params.trials", f"must be >= 1, got {trials}")
+        if any(n < 0 for n in n_list):
+            raise ConfigError("params.n_list", f"walk lengths must be >= 0, got {n_list}")
         rows = []
         for n in n_list:
             est = cantor.estimate_qn(p_letter, n, trials, config.seed, depth_cap, config.threads)

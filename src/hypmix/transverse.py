@@ -49,6 +49,13 @@ class TransversalityError(ValueError):
     """Bad input (identity element, finite-index target) or exhausted search."""
 
 
+class CertificateError(RuntimeError):
+    """A transversality certificate is inconsistent or its witness fails.
+
+    Raised explicitly, so the check also runs under python -O.
+    """
+
+
 @dataclass(frozen=True)
 class TransversalityCertificate:
     """Outcome of the power-conjugacy decision for (H, f).
@@ -65,7 +72,8 @@ class TransversalityCertificate:
     pigeonhole_bound: int
 
     def __post_init__(self):
-        assert self.transverse == (self.power is None)
+        if self.transverse != (self.power is None):
+            raise CertificateError("a certificate is transverse exactly when it has no power")
 
 
 @dataclass(frozen=True)
@@ -177,7 +185,8 @@ def certificate(h: SubgroupAutomaton, f: Sequence[int]) -> TransversalityCertifi
         return TransversalityCertificate(f, True, None, None, h.n_states)
     m, v = found
     witness = multiply(multiply(invert(v), power(f, m)), v)
-    assert h.contains(witness), "witness verification failed"
+    if not h.contains(witness):
+        raise CertificateError("witness verification failed")
     return TransversalityCertificate(f, False, m, v, h.n_states)
 
 

@@ -1,8 +1,11 @@
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-from hypmix import rng
+from hypmix import cantor, rng
 from hypmix.cantor import (
     CONE_Z,
     CONE_Z2,
@@ -10,8 +13,10 @@ from hypmix.cantor import (
     NEEDS_REFINEMENT,
     OMEGA,
     SIGMA,
+    ConeCertificationError,
     ConeError,
     ConePermutation,
+    DepthCapExceeded,
     antichain_meets_cone,
     apply_element,
     standardizing_element,
@@ -28,6 +33,8 @@ from hypmix.cantor import (
     superharmonic_check,
     xi,
 )
+
+from conftest import src_env
 
 X, Y, Z = 1, 2, 3
 ALL_LETTERS = (1, -1, 2, -2, 3, -3)
@@ -208,6 +215,63 @@ class TestImageAntichain:
         assert image_antichain(g, [lab("X")]) == (lab("X"),)
 
 
+def restart_image_antichain(g, labels, depth_cap):
+    """Reference refinement: a label g cannot move splits into its children,
+    and each child runs the whole element again from the rightmost atom."""
+    work = list(labels)
+    out = []
+    while work:
+        label = work.pop()
+        image = apply_element(g, label)
+        if image is None:
+            if len(label) >= depth_cap:
+                raise DepthCapExceeded(len(label))
+            work.extend(order_cones(label, 1))
+        else:
+            out.append(image)
+    return cantor._merge_antichain(out)
+
+
+def random_element(gen, n, p_letter):
+    """n atoms drawn as estimate_qn draws them."""
+    atoms = []
+    for r in gen.integers(0, p_letter.denominator, size=n).tolist():
+        if r < 4 * p_letter.numerator:
+            atoms.append((X, -X, Y, -Y)[r // p_letter.numerator])
+        else:
+            atoms.append(ConePermutation(tuple(gen.permutation(18).tolist())))
+    return tuple(atoms)
+
+
+class TestImageAntichainReference:
+    # Resuming a split at the atom that could not act must give exactly what
+    # restarting each child from the rightmost atom gives, cap outcome included.
+
+    def test_matches_restart_refinement(self):
+        outcomes = set()
+        for n in (10, 100, 300):
+            for p_letter in (Fraction(1, 8), Fraction(1, 4)):
+                for trial in range(6):
+                    gen = rng.substream(17, n, p_letter.denominator, trial)
+                    g = random_element(gen, n, p_letter)
+                    sources = [CONE_Z] if trial % 2 == 0 else [lab("X"), lab("yz")]
+                    for cap in (n // 4, n + 8):
+                        outcomes.add(self.compare(g, sources, cap))
+        assert outcomes == {"direct", "refined", "capped"}
+
+    @staticmethod
+    def compare(g, sources, cap):
+        try:
+            want = restart_image_antichain(g, sources, cap)
+        except DepthCapExceeded as exc:
+            with pytest.raises(DepthCapExceeded) as info:
+                image_antichain(g, sources, cap)
+            assert info.value.depth == exc.depth
+            return "capped"
+        assert image_antichain(g, sources, cap) == want
+        return "refined" if any(apply_element(g, u) is None for u in sources) else "direct"
+
+
 class TestClaimOne:
     def test_base_case_zx(self):
         f = standardizing_element(lab("zx"))
@@ -249,6 +313,50 @@ class TestClaimOne:
     def test_word_length_linear(self):
         f = standardizing_element(lab("xzxzx"))
         assert len(f) <= 10
+
+
+class TestCertification:
+    def test_non_positional_action_raises(self, monkeypatch):
+        monkeypatch.setattr(cantor, "xi", lambda u, v, w: v)
+        with pytest.raises(ConeCertificationError):
+            standardizing_element(lab("xzx"))
+
+    def test_failed_recursion_step_raises(self, monkeypatch):
+        monkeypatch.setattr(cantor, "apply_element", lambda g, label: NEEDS_REFINEMENT)
+        with pytest.raises(ConeCertificationError):
+            standardizing_element(lab("xzx"))
+
+    def test_non_square_discriminant_raises(self, monkeypatch):
+        monkeypatch.setattr(cantor.math, "isqrt", lambda value: 1)
+        with pytest.raises(ConeCertificationError):
+            hit_probability_exact()
+
+    def test_checks_run_under_optimize_flag(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from hypmix import cantor
+
+            if __debug__:
+                sys.exit("not running under -O")
+            cantor.xi = lambda u, v, w: v
+            try:
+                cantor.standardizing_element((1, 3, 1))
+                sys.exit("non-positional action accepted")
+            except cantor.ConeCertificationError:
+                pass
+            cantor.math.isqrt = lambda value: 1
+            try:
+                cantor.hit_probability_exact()
+            except cantor.ConeCertificationError:
+                sys.exit(0)
+            sys.exit("no ConeCertificationError raised")
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestClaimTwo:
@@ -450,7 +558,7 @@ class TestPositionalActionLaw:
                     )
             g = tuple(atoms)
             u = random_z_label(gen, int(gen.integers(2, 5)))
-            image = apply_element(g, u, min_depth=1)
+            image = apply_element(g, u)
             if image is NEEDS_REFINEMENT:
                 continue
             for w in order_cones(u, 2):

@@ -184,6 +184,21 @@ class TestRun:
             run(cfg)
         assert info.value.field_name == field
 
+    @pytest.mark.parametrize(
+        "params, field",
+        [
+            ("trials = 0\nn_list = 10", "params.trials"),
+            ("trials = 5\nn_list = 10,-1", "params.n_list"),
+        ],
+    )
+    def test_bad_qn_input_names_field(self, params, field):
+        cfg = ExperimentConfig.from_text(
+            f"[experiment]\nkind = cantor\nseed = 1\n[params]\nmode = qn\n{params}\n"
+        )
+        with pytest.raises(ConfigError) as info:
+            run(cfg)
+        assert info.value.field_name == field
+
     def test_transverse_kind(self):
         cfg = ExperimentConfig.from_text(
             "[experiment]\nkind = transverse\nseed = 1\n"
@@ -265,6 +280,15 @@ class TestCli:
         res = self._hypmix("selftest", "--criteria", "2")
         assert res.returncode == 0
         assert "criterion  2 [PASS]" in res.stdout
+
+    def test_selftest_timing(self, tmp_path):
+        out = tmp_path / "report.csv"
+        res = self._hypmix("selftest", "--criteria", "2", "--timing", "--out", str(out))
+        assert res.returncode == 0
+        first, rest = out.read_bytes().split(b"\n", 1)
+        assert first.startswith(b"# wall_time_s: ")
+        float(first.split(b": ")[1])
+        assert rest.startswith(b"experiment,params,metric")
 
     def test_module_error_exit_code(self):
         # finite-index marker surfaces as a clean validation failure

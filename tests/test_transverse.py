@@ -1,9 +1,15 @@
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from hypmix import rng
 from hypmix.freegroup import invert, multiply, power
 from hypmix.stallings import SubgroupAutomaton
 from hypmix.transverse import (
+    CertificateError,
+    TransversalityCertificate,
     TransversalityError,
     certificate,
     compute_u0,
@@ -14,7 +20,7 @@ from hypmix.transverse import (
     power_conjugate_into,
 )
 
-from conftest import F2
+from conftest import F2, src_env
 
 A, B = (1,), (2,)
 
@@ -99,6 +105,49 @@ class TestIsTransverse:
         assert cert.transverse and cert.power is None
         cert = certificate(sub("a"), F2.parse("baB"))
         assert not cert.transverse and cert.power == 1 and cert.conjugator == B
+
+
+class TestCertification:
+    def test_inconsistent_certificate_rejected(self):
+        with pytest.raises(CertificateError):
+            TransversalityCertificate(A, True, 1, None, 1)
+        with pytest.raises(CertificateError):
+            TransversalityCertificate(A, False, None, (), 1)
+
+    def test_failing_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(SubgroupAutomaton, "contains", lambda self, word: False)
+        with pytest.raises(CertificateError):
+            certificate(sub("a"), F2.parse("baB"))
+
+    def test_checks_run_under_optimize_flag(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from hypmix import transverse
+            from hypmix.freegroup import FreeContext
+            from hypmix.stallings import SubgroupAutomaton
+
+            if __debug__:
+                sys.exit("not running under -O")
+            F2 = FreeContext(2)
+            h = SubgroupAutomaton.from_generators(2, [F2.parse("a")])
+            try:
+                transverse.TransversalityCertificate((1,), True, 1, None, 1)
+                sys.exit("inconsistent certificate accepted")
+            except transverse.CertificateError:
+                pass
+            SubgroupAutomaton.contains = lambda self, word: False
+            try:
+                transverse.certificate(h, F2.parse("baB"))
+            except transverse.CertificateError:
+                sys.exit(0)
+            sys.exit("no CertificateError raised")
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOverlap:
