@@ -508,10 +508,6 @@ class HitProbability:
     minimal_root: Fraction
     roots: tuple
 
-    @property
-    def value(self) -> Fraction:
-        return self.minimal_root
-
 
 def hit_probability_exact() -> HitProbability:
     """Probability that the projected uniform walk ever hits the vertex x.

@@ -7,6 +7,14 @@
 Exit codes: 0 success, 1 configuration/validation error, 2 acceptance
 failure in selftest mode. Data outputs are byte-deterministic; wall time
 goes to stderr (or a leading comment block with --timing).
+
+Every subcommand makes one run: the experiment subcommands through
+harness.run_with_report, whose report text (a transverse certificate, a
+cantor claim transcript) comes from the same construction as the rows, and
+`selftest` through selftest.selftest, the runner kind = selftest uses too,
+with rows from the same selftest.report_rows. The CLI times each call as a
+whole for --timing and the `elapsed:` line; each criterion's own time is
+taken where selftest registers it.
 """
 
 from __future__ import annotations
@@ -15,17 +23,8 @@ import argparse
 import sys
 import time
 
-from .freegroup import FreeContext, WordError
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    ResultRow,
-    certificate_text,
-    config_header,
-    emit,
-    parse_subgroup,
-    run,
-)
+from .freegroup import WordError
+from .harness import ConfigError, ExperimentConfig, config_header, emit, run_with_report
 from .cantor import ConeError
 from .mixing import MixingSetupError
 from .stallings import AutomatonError
@@ -42,10 +41,10 @@ def _default_measure(rank: int) -> str:
 
 
 def _timed_run(config):
-    """Run the experiment; returns its rows and its wall time in seconds."""
+    """Run the experiment; returns its rows, its report and its wall time in seconds."""
     started = time.perf_counter()
-    rows = run(config)
-    return rows, time.perf_counter() - started
+    rows, report = run_with_report(config)
+    return rows, report, time.perf_counter() - started
 
 
 def _timing_header(elapsed, args) -> bytes:
@@ -53,17 +52,19 @@ def _timing_header(elapsed, args) -> bytes:
     return f"# wall_time_s: {elapsed:.3f}\n".encode() if args.timing else b""
 
 
+def _write(path, data: bytes, what: str = "") -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+    print(f"wrote {what}{path}", file=sys.stderr)
+
+
 def _write_output(rows, elapsed, args, config):
-    fmt = getattr(args, "format", "csv")
-    data = emit(rows, fmt)
-    if fmt == "csv":
+    data = emit(rows, args.format)
+    if args.format == "csv":
         data = config_header(config) + data
     data = _timing_header(elapsed, args) + data
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
-        print(f"wrote {out}", file=sys.stderr)
+    if args.out:
+        _write(args.out, data)
     else:
         sys.stdout.write(data.decode())
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    rows, elapsed = _timed_run(config)
+    rows, _, elapsed = _timed_run(config)
     if config.out and not args.out:
         args.out = config.out
     _write_output(rows, elapsed, args, config)
@@ -179,13 +180,12 @@ def _cmd_simple(args, kind, param_names) -> int:
     if "measure" in params and params["measure"] is None:
         params["measure"] = _default_measure(params.get("rank", 2))
     config = _config_from_args(args, kind, params)
-    rows, elapsed = _timed_run(config)
+    rows, _, elapsed = _timed_run(config)
     _write_output(rows, elapsed, args, config)
     return 0
 
 
 def _cmd_transverse(args) -> int:
-    ctx = FreeContext(args.rank)
     if args.subgroups:
         with open(args.subgroups) as fh:
             parts = [line.strip() for line in fh if line.strip()]
@@ -195,53 +195,11 @@ def _cmd_transverse(args) -> int:
     else:
         raise ConfigError("targets", "pass --subgroups or --targets")
     config = _config_from_args(args, "transverse", {"rank": args.rank, "targets": targets, "g": args.g})
-    rows, elapsed = _timed_run(config)
+    rows, certificate, elapsed = _timed_run(config)
     if args.emit_certificate:
-        from . import transverse as tv
-
-        target_autos = [
-            parse_subgroup(ctx, part.strip(), "targets") for part in targets.split("|")
-        ]
-        construction = tv.construct_transverse(target_autos, ctx.parse(args.g))
-        with open(args.emit_certificate, "w") as fh:
-            fh.write(certificate_text(ctx, construction))
-        print(f"wrote certificate {args.emit_certificate}", file=sys.stderr)
+        _write(args.emit_certificate, certificate.encode(), "certificate ")
     _write_output(rows, elapsed, args, config)
     return 0
-
-
-def _claim_transcript(args) -> str:
-    from . import cantor
-
-    if args.claim in (1, 2):
-        u = cantor.parse_label(args.u)
-        build = cantor.standardizing_element if args.claim == 1 else cantor.cone_transposition
-        element = build(u)
-        n = len(u)
-        if args.claim == 1:
-            checks = [
-                f"image of Cone({cantor.format_label(u)}) is Cone(zz)",
-                f"image of Cone({'Z' * n}) is Cone(ZZ)",
-                f"positional action verified pointwise at depth {n + 2}",
-            ]
-        else:
-            checks = [
-                f"swaps Cone({cantor.format_label(u)}) with Cone({'Z' * n})",
-                "fixes every other cone of that depth pointwise",
-            ]
-        lines = [f"group word: {cantor.format_element(element)}"] + checks
-        return "\n".join(lines) + "\n"
-    pairs = []
-    for tok in args.pairs.split():
-        s, _, d = tok.partition(":")
-        pairs.append((cantor.parse_label(s), cantor.parse_label(d)))
-    element = cantor.cone_routing_element(pairs, len(pairs[0][0]))
-    lines = [f"group word: {cantor.format_element(element)}"]
-    for s, d in pairs:
-        lines.append(
-            f"maps Cone({cantor.format_label(s)}) onto Cone({cantor.format_label(d)})"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_cantor(args) -> int:
@@ -267,55 +225,35 @@ def _cmd_cantor(args) -> int:
     else:
         raise ConfigError("mode", "pass --claim, --qn or --transience")
     config = _config_from_args(args, "cantor", params)
-    rows, elapsed = _timed_run(config)
-    if args.claim:
-        sys.stderr.write(_claim_transcript(args))
+    rows, transcript, elapsed = _timed_run(config)
+    sys.stderr.write(transcript)
     _write_output(rows, elapsed, args, config)
     return 0
 
 
+def _criteria_ids(args):
+    """The criterion ids to run: --criteria, else 1-13 or all 14."""
+    if not args.criteria:
+        return range(1, 14) if args.skip_determinism else range(1, 15)
+    try:
+        ids = {int(x) for x in args.criteria.replace(",", " ").split()}
+    except ValueError:
+        raise ConfigError("criteria", f"not an integer list: {args.criteria!r}")
+    if not ids:
+        raise ConfigError("criteria", f"no criterion ids in {args.criteria!r}")
+    return ids
+
+
 def _cmd_selftest(args) -> int:
-    from .selftest import CRITERIA, criterion_14, run_all
+    from .selftest import report_rows, selftest
 
     started = time.perf_counter()
-    if args.criteria:
-        wanted = sorted({int(x) for x in args.criteria.replace(",", " ").split()})
-        results = []
-        first = {}
-        for cid in wanted:
-            if cid == 14:
-                continue
-            if cid not in CRITERIA:
-                raise ConfigError("criteria", f"unknown criterion {cid}")
-            first[cid] = CRITERIA[cid](threads=args.threads)
-            results.append(first[cid])
-        if 14 in wanted:
-            if not first:
-                first = {cid: fn(threads=args.threads) for cid, fn in CRITERIA.items()}
-                results = [first[cid] for cid in sorted(first)]
-            results.append(criterion_14(first))
-    else:
-        results = run_all(threads=args.threads, skip_determinism=args.skip_determinism)
-    rows = []
+    results = selftest(_criteria_ids(args), args.threads)
     for result in results:
         print(result.line())
-        rows.append(
-            ResultRow(
-                f"criterion_{result.cid}",
-                result.name.replace(",", ";"),
-                "passed",
-                1.0 if result.passed else 0.0,
-                None,
-                None,
-                0,
-            )
-        )
-        rows.extend(result.rows)
     if args.out:
-        data = _timing_header(time.perf_counter() - started, args) + emit(rows, args.format)
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-        print(f"wrote {args.out}", file=sys.stderr)
+        data = emit(report_rows(results, seed=0), args.format)
+        _write(args.out, _timing_header(time.perf_counter() - started, args) + data)
     return 0 if all(r.passed for r in results) else 2
 
 

@@ -32,8 +32,6 @@ from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 
-IDENTITY: Word = ()
-
 TREE_CONSTANTS = {
     "delta": 0,
     "quadrangle_slim": 0,
@@ -127,26 +125,6 @@ def cyclic_reduce(word: Word) -> tuple[Word, Word]:
     return word[i:j], word[:i]
 
 
-def root(word: Word) -> tuple[Word, int]:
-    """Largest m and r with word = r^m.
-
-    In a free group the maximal elementary (here: maximal cyclic) subgroup
-    containing a nontrivial w is generated by this root. Raises on the
-    identity.
-    """
-    if not word:
-        raise WordError("the identity has no primitive root")
-    core, conj = cyclic_reduce(word)
-    n = len(core)
-    for period in range(1, n + 1):
-        if n % period == 0 and core[:period] * (n // period) == core:
-            # conj * core[:period] * conj^-1 is reduced as written because the
-            # junction letters coincide with those of the input word.
-            r = conj + core[:period] + invert(conj)
-            return r, n // period
-    raise AssertionError("unreachable: period n always works")
-
-
 def elementary_closure_contains(g: Word, a: Word) -> bool:
     """Whether a lies in the maximal cyclic subgroup containing g (g != 1).
 
@@ -218,7 +196,7 @@ def broken_geodesic_check(
 
 
 class FreeContext:
-    """A free group F_k (k >= 2) together with its basepoint, the identity.
+    """A free group F_k (k >= 2); the identity, the empty word, is its basepoint.
 
     Handles parsing/formatting of words and enumeration of metric balls; the
     word operations themselves are the module-level functions on plain
@@ -231,7 +209,6 @@ class FreeContext:
         if rank > 26:
             raise WordError("rank limited to 26 by the a..z serialization")
         self.rank = rank
-        self.basepoint: Word = ()
 
     def __repr__(self):
         return f"FreeContext(rank={self.rank})"

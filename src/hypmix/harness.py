@@ -7,12 +7,18 @@ aggregation is ordered by trial index, and the emitted CSV/JSON bytes are
 identical across reruns and thread counts. Rows carry no wall-clock time;
 the CLI times a run itself and prints that to stderr (or as a comment header
 on request), so output files stay byte-stable.
+
+run_with_report() returns the rows together with the report text rendered
+from the same construction: the certificate of a transverse run and the
+transcript of a cantor claim. Nothing is built twice to be shown.
 """
 
 from __future__ import annotations
 
 import configparser
+import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,9 +28,6 @@ from .freegroup import FreeContext, Word, WordError
 from .stallings import SubgroupAutomaton
 from .walks import StepMeasure, drift_estimate
 from . import cantor, mixing, rng, transverse
-
-KINDS = ("walk", "drift", "mix", "freeprod", "transverse", "cantor", "selftest")
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
@@ -62,8 +65,8 @@ class ExperimentConfig:
             raise ConfigError("experiment", "missing [experiment] section")
         section = parser["experiment"]
         kind = section.get("kind", "").strip()
-        if kind not in KINDS:
-            raise ConfigError("experiment.kind", f"unknown kind {kind!r}, expected one of {KINDS}")
+        if kind not in _RUNNERS:
+            raise ConfigError("experiment.kind", f"unknown kind {kind!r}, expected one of {tuple(_RUNNERS)}")
         try:
             seed = int(section.get("seed", "0"))
         except ValueError:
@@ -106,6 +109,9 @@ class ResultRow:
     seed: int
 
 
+# The rows of one run and the report text rendered from the same construction.
+_Outcome = tuple[list[ResultRow], str]
+
 CSV_COLUMNS = ("experiment", "params", "metric", "value", "ci_low", "ci_high", "seed")
 
 
@@ -118,16 +124,16 @@ def _format_value(v) -> str:
 
 
 def emit(rows: Sequence[ResultRow], fmt: str = "csv") -> bytes:
-    """Serialize rows deterministically (UTF-8, LF)."""
+    """Serialize rows deterministically (UTF-8, LF).
+
+    CSV quotes a field only when it holds a comma, a quote or a line break,
+    so parse_rows() reads back exactly the rows written."""
     if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    _format_value(getattr(r, col)).replace(",", ";") for col in CSV_COLUMNS
-                )
-            )
-        return ("\n".join(lines) + "\n").encode()
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([_format_value(getattr(r, col)) for col in CSV_COLUMNS] for r in rows)
+        return buf.getvalue().encode()
     if fmt == "json":
         payload = [
             {col: getattr(r, col) for col in CSV_COLUMNS} for r in rows
@@ -145,17 +151,16 @@ def config_header(config: ExperimentConfig) -> bytes:
 def parse_rows(data: bytes) -> list[ResultRow]:
     """Inverse of emit(..., 'csv').
 
-    Comment lines (the embedded config, optional timing) are skipped."""
-    lines = [
-        ln for ln in data.decode().strip().splitlines() if not ln.startswith("#")
-    ]
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
+    The leading comment lines (the embedded config, optional timing) are
+    skipped."""
+    lines = itertools.dropwhile(lambda line: line.startswith("#"), io.StringIO(data.decode(), newline=""))
+    records = [record for record in csv.reader(lines) if record]
+    if not records or tuple(records[0]) != CSV_COLUMNS:
         raise ConfigError("csv", "missing or wrong header")
     rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
+    for parts in records[1:]:
         if len(parts) != len(CSV_COLUMNS):
-            raise ConfigError("csv", f"bad row {line!r}")
+            raise ConfigError("csv", f"bad row {parts!r}")
         experiment, params, metric, value, ci_low, ci_high, seed = parts
         rows.append(
             ResultRow(
@@ -207,9 +212,17 @@ def _get_int_list(params: dict, key: str, required=False) -> list[int]:
     if raw is None:
         return []
     try:
-        return [int(x) for x in raw.replace(",", " ").split()]
+        values = [int(x) for x in raw.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"params.{key}", f"not an integer list: {raw!r}")
+    if required and not values:
+        raise ConfigError(f"params.{key}", f"no entries in {raw!r}")
+    return values
+
+
+def _require_at_least(key: str, value: int, least: int) -> None:
+    if value < least:
+        raise ConfigError(f"params.{key}", f"must be >= {least}, got {value}")
 
 
 def parse_words(ctx: FreeContext, raw: str, key: str) -> list[Word]:
@@ -248,60 +261,48 @@ def parse_subgroup(ctx: FreeContext, raw: str, key: str) -> SubgroupAutomaton:
 
 def run(config: ExperimentConfig) -> list[ResultRow]:
     """Execute the experiment; deterministic given the config."""
-    if config.kind == "walk":
-        rows = _run_walk(config)
-    elif config.kind == "drift":
-        rows = _run_drift(config)
-    elif config.kind == "mix":
-        rows = _run_mix(config)
-    elif config.kind == "freeprod":
-        rows = _run_freeprod(config)
-    elif config.kind == "transverse":
-        rows = _run_transverse(config)
-    elif config.kind == "cantor":
-        rows = _run_cantor(config)
-    elif config.kind == "selftest":
-        from .selftest import selftest_rows
-
-        rows = selftest_rows(threads=config.threads)
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError("experiment.kind", config.kind)
-    return rows
+    return run_with_report(config)[0]
 
 
-def _run_walk(config: ExperimentConfig) -> list[ResultRow]:
+def run_with_report(config: ExperimentConfig) -> _Outcome:
+    """The rows of the experiment and the report text of the same run.
+
+    The report is the certificate of a transverse run or the transcript of a
+    cantor claim, rendered from the construction the rows describe; it is
+    empty for every other run."""
+    return _RUNNERS[config.kind](config)
+
+
+def _run_walk(config: ExperimentConfig) -> _Outcome:
     rank = _get_int(config.params, "rank", 2)
     ctx = FreeContext(rank)
     measure = parse_measure(config.params, ctx)
     n = _get_int(config.params, "n", required=True)
-    if n < 0:
-        raise ConfigError("params.n", f"walk length must be >= 0, got {n}")
+    _require_at_least("n", n, 0)
     final = measure.final_position(n, rng.substream(config.seed))
     echo = f"rank={rank};n={n}"
     return [
         ResultRow("walk", echo, "endpoint_distance", float(len(final)), None, None, config.seed),
         ResultRow("walk", echo + f";word={ctx.format(final)}", "endpoint_recorded", 1.0, None, None, config.seed),
-    ]
+    ], ""
 
 
-def _run_drift(config: ExperimentConfig) -> list[ResultRow]:
+def _run_drift(config: ExperimentConfig) -> _Outcome:
     rank = _get_int(config.params, "rank", 2)
     ctx = FreeContext(rank)
     measure = parse_measure(config.params, ctx)
     n = _get_int(config.params, "n", required=True)
     trials = _get_int(config.params, "trials", required=True)
-    if n <= 0:
-        raise ConfigError("params.n", f"walk length must be >= 1, got {n}")
-    if trials <= 0:
-        raise ConfigError("params.trials", f"must be >= 1, got {trials}")
+    _require_at_least("n", n, 1)
+    _require_at_least("trials", trials, 1)
     est = drift_estimate(measure, n, trials, config.seed, threads=config.threads)
     echo = f"rank={rank};n={n};trials={trials}"
     return [
         ResultRow("drift", echo, "drift", est.d_hat, est.ci_low, est.ci_high, config.seed)
-    ]
+    ], ""
 
 
-def _run_mix(config: ExperimentConfig) -> list[ResultRow]:
+def _run_mix(config: ExperimentConfig) -> _Outcome:
     rank = _get_int(config.params, "rank", 2)
     ctx = FreeContext(rank)
     measure = parse_measure(config.params, ctx)
@@ -310,6 +311,9 @@ def _run_mix(config: ExperimentConfig) -> list[ResultRow]:
     radius = _get_int(config.params, "window_radius", 2)
     trials = _get_int(config.params, "trials", required=True)
     n_list = _get_int_list(config.params, "n_list", required=True)
+    _require_at_least("window_radius", radius, 0)
+    _require_at_least("trials", trials, 1)
+    _require_at_least("n_list", min(n_list), 0)
     window = ctx.ball(radius)
     rows = []
     for n in n_list:
@@ -318,24 +322,26 @@ def _run_mix(config: ExperimentConfig) -> list[ResultRow]:
         rows.append(
             ResultRow("mix", echo, "p_hat", est.p_hat, est.ci_low, est.ci_high, config.seed)
         )
-    return rows
+    return rows, ""
 
 
-def _run_freeprod(config: ExperimentConfig) -> list[ResultRow]:
+def _run_freeprod(config: ExperimentConfig) -> _Outcome:
     rank = _get_int(config.params, "rank", 2)
     ctx = FreeContext(rank)
     measure = parse_measure(config.params, ctx)
     h = parse_subgroup(ctx, _get(config.params, "h", required=True), "h")
     n = _get_int(config.params, "n", required=True)
     trials = _get_int(config.params, "trials", required=True)
+    _require_at_least("n", n, 0)
+    _require_at_least("trials", trials, 1)
     est = mixing.free_product_experiment(h, measure, n, trials, config.seed, config.threads)
     echo = f"rank={rank};n={n};trials={trials}"
     return [
         ResultRow("freeprod", echo, "certified_fraction", est.p_hat, est.ci_low, est.ci_high, config.seed)
-    ]
+    ], ""
 
 
-def _run_transverse(config: ExperimentConfig) -> list[ResultRow]:
+def _run_transverse(config: ExperimentConfig) -> _Outcome:
     rank = _get_int(config.params, "rank", 2)
     ctx = FreeContext(rank)
     targets_raw = _get(config.params, "targets", required=True)
@@ -369,10 +375,10 @@ def _run_transverse(config: ExperimentConfig) -> list[ResultRow]:
                 config.seed,
             )
         )
-    return rows
+    return rows, _certificate_text(ctx, got)
 
 
-def certificate_text(ctx: FreeContext, construction) -> str:
+def _certificate_text(ctx: FreeContext, construction) -> str:
     """Human-readable certificate for the transverse constructor output."""
     lines = [
         f"element {ctx.format(construction.element)}",
@@ -392,17 +398,23 @@ def certificate_text(ctx: FreeContext, construction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_cantor(config: ExperimentConfig) -> list[ResultRow]:
+def _claim_transcript(element, checks: list[str]) -> str:
+    """The group word of a verified cantor claim, then what was verified."""
+    return "\n".join([f"group word: {cantor.format_element(element)}", *checks]) + "\n"
+
+
+def _run_cantor(config: ExperimentConfig) -> _Outcome:
     mode = _get(config.params, "mode", required=True)
     if mode == "qn":
         p_letter = _get_fraction(config.params, "p_letter", Fraction(1, 8))
         trials = _get_int(config.params, "trials", required=True)
         n_list = _get_int_list(config.params, "n_list", required=True)
         depth_cap = _get_int(config.params, "depth_cap", None)
-        if trials <= 0:
-            raise ConfigError("params.trials", f"must be >= 1, got {trials}")
-        if any(n < 0 for n in n_list):
-            raise ConfigError("params.n_list", f"walk lengths must be >= 0, got {n_list}")
+        _require_at_least("trials", trials, 1)
+        _require_at_least("n_list", min(n_list), 0)
+        if depth_cap is not None:
+            # The source cone z has depth 1; a cap at or below it forbids every split.
+            _require_at_least("depth_cap", depth_cap, 2)
         rows = []
         for n in n_list:
             est = cantor.estimate_qn(p_letter, n, trials, config.seed, depth_cap, config.threads)
@@ -413,7 +425,7 @@ def _run_cantor(config: ExperimentConfig) -> list[ResultRow]:
             rows.append(
                 ResultRow("cantor_qn", echo, "depth_cap_exceeded", float(est.depth_cap_exceeded), None, None, config.seed)
             )
-        return rows
+        return rows, ""
     if mode == "transience":
         trials = _get_int(config.params, "trials", 100_000)
         horizon = _get_int(config.params, "horizon", 10_000)
@@ -426,33 +438,65 @@ def _run_cantor(config: ExperimentConfig) -> list[ResultRow]:
             ResultRow("cantor_transience", echo, "hit_exact", float(exact.minimal_root), None, None, config.seed),
             ResultRow("cantor_transience", echo, "hit_mc", p, lo, hi, config.seed),
             ResultRow("cantor_transience", echo, "superharmonic", 1.0 if ok else 0.0, None, None, config.seed),
-        ]
+        ], ""
     if mode in ("claim1", "claim2"):
-        u = cantor.parse_label(_get(config.params, "u", required=True))
         build = cantor.standardizing_element if mode == "claim1" else cantor.cone_transposition
         try:
+            u = cantor.parse_label(_get(config.params, "u", required=True))
             element = build(u)
         except cantor.ConeError as exc:
             raise ConfigError("params.u", str(exc))
-        echo = f"u={cantor.format_label(u)};letters={len(element)}"
+        label, pivot = cantor.format_label(u), "Z" * len(u)
+        if mode == "claim1":
+            checks = [
+                f"image of Cone({label}) is Cone(zz)",
+                f"image of Cone({pivot}) is Cone(ZZ)",
+                f"positional action verified pointwise at depth {len(u) + 2}",
+            ]
+        else:
+            checks = [
+                f"swaps Cone({label}) with Cone({pivot})",
+                "fixes every other cone of that depth pointwise",
+            ]
+        echo = f"u={label};letters={len(element)}"
         return [
             ResultRow(f"cantor_{mode}", echo, "verified", 1.0, None, None, config.seed)
-        ]
+        ], _claim_transcript(element, checks)
     if mode == "claim3":
         raw = _get(config.params, "pairs", required=True)
         pairs = []
-        for tok in raw.split():
-            src, _, dst = tok.partition(":")
-            if not dst:
-                raise ConfigError("params.pairs", f"expected u:v, got {tok!r}")
-            pairs.append((cantor.parse_label(src), cantor.parse_label(dst)))
-        depth = len(pairs[0][0])
         try:
-            element = cantor.cone_routing_element(pairs, depth)
+            for tok in raw.split():
+                src, _, dst = tok.partition(":")
+                if not dst:
+                    raise ConfigError("params.pairs", f"expected u:v, got {tok!r}")
+                pairs.append((cantor.parse_label(src), cantor.parse_label(dst)))
+            element = cantor.cone_routing_element(pairs, len(pairs[0][0]))
         except cantor.ConeError as exc:
             raise ConfigError("params.pairs", str(exc))
+        checks = [
+            f"maps Cone({cantor.format_label(s)}) onto Cone({cantor.format_label(d)})"
+            for s, d in pairs
+        ]
         echo = f"pairs={raw};letters={len(element)}"
         return [
             ResultRow("cantor_claim3", echo, "verified", 1.0, None, None, config.seed)
-        ]
+        ], _claim_transcript(element, checks)
     raise ConfigError("params.mode", f"unknown cantor mode {mode!r}")
+
+
+def _run_selftest(config: ExperimentConfig) -> _Outcome:
+    from .selftest import report_rows, selftest
+
+    return report_rows(selftest(threads=config.threads), config.seed), ""
+
+
+_RUNNERS = {
+    "walk": _run_walk,
+    "drift": _run_drift,
+    "mix": _run_mix,
+    "freeprod": _run_freeprod,
+    "transverse": _run_transverse,
+    "cantor": _run_cantor,
+    "selftest": _run_selftest,
+}

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import rng
-from .freegroup import Word, invert, multiply, reduce_word
+from .freegroup import invert, multiply, reduce_word
 from .stallings import SubgroupAutomaton
 from .stats import proportion_ci95
 from .walks import StepMeasure
@@ -58,8 +58,6 @@ class BasicOpenSet:
 class WitnessOutcome:
     """Exact flags for one walk endpoint."""
 
-    walk_word: Word
-    witness: SubgroupAutomaton
     trace_k: bool
     trace_h: bool
     infinite_index: bool
@@ -81,12 +79,11 @@ class MixingEstimate:
     ci_low: float
     ci_high: float
     seed: int
-    interpretation: str
 
     @classmethod
-    def from_counts(cls, n, trials, successes, seed, interpretation) -> "MixingEstimate":
+    def from_counts(cls, n, trials, successes, seed) -> "MixingEstimate":
         p, lo, hi = proportion_ci95(successes, trials)
-        return cls(n, trials, successes, p, lo, hi, seed, interpretation)
+        return cls(n, trials, successes, p, lo, hi, seed)
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ def check_witness(
     trace_h = conjugated == h.trace(window)
     infinite_index = l_sub.index() == math.inf
     free_rank = l_sub.rank_of_subgroup() == h.rank_of_subgroup() + k.rank_of_subgroup()
-    return WitnessOutcome(w, l_sub, trace_k, trace_h, infinite_index, free_rank)
+    return WitnessOutcome(trace_k, trace_h, infinite_index, free_rank)
 
 
 def _require_permissible(measure: StepMeasure):
@@ -189,9 +186,7 @@ def estimate_mixing(
         trials,
         threads,
     )
-    return MixingEstimate.from_counts(
-        n, trials, sum(results), seed, "lower bound on n-step mass of N(U,V)"
-    )
+    return MixingEstimate.from_counts(n, trials, sum(results), seed)
 
 
 def joint_mixing(
@@ -224,19 +219,10 @@ def joint_mixing(
     )
     joint = sum(all(flags) for flags in per_trial)
     marginals = tuple(
-        MixingEstimate.from_counts(
-            n,
-            trials,
-            sum(flags[i] for flags in per_trial),
-            seed,
-            f"marginal witness success, pair {i}",
-        )
+        MixingEstimate.from_counts(n, trials, sum(flags[i] for flags in per_trial), seed)
         for i in range(len(norm_pairs))
     )
-    return JointMixingResult(
-        MixingEstimate.from_counts(n, trials, joint, seed, "joint witness success"),
-        marginals,
-    )
+    return JointMixingResult(MixingEstimate.from_counts(n, trials, joint, seed), marginals)
 
 
 def free_product_experiment(
@@ -268,6 +254,4 @@ def free_product_experiment(
         return h.certify_free_product(w)
 
     results = rng.map_trials(one, trials, threads)
-    return MixingEstimate.from_counts(
-        n, trials, sum(results), seed, "free-product absorption success"
-    )
+    return MixingEstimate.from_counts(n, trials, sum(results), seed)

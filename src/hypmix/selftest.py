@@ -1,22 +1,29 @@
-"""The acceptance suite: one runner per criterion, exact where possible.
+"""The acceptance suite: fourteen criteria and the one runner behind them.
 
-Each criterion returns a CriterionResult carrying pass/fail, a human detail
-line, and deterministic result rows. Seeds are frozen here; golden values
-were produced by a pilot run of this very code and are regression-checked
-bit for bit. Stated time budgets are reported in the detail lines, not
-asserted, since wall clocks vary across machines.
+Each criterion is a check returning (passed, detail, rows): pass/fail, a
+human detail line and deterministic result rows. The @_criterion decorator
+registers a check under its id and name in CRITERIA, times the call and
+packs the outcome into a CriterionResult; no check reads the clock itself.
+Seeds are frozen here; golden values were produced by a pilot run of this
+very code and are regression-checked bit for bit. Stated time budgets are
+reported in the detail lines, not asserted, since wall clocks vary across
+machines.
 
-The determinism criterion reruns every other criterion with a different
-worker count and compares the emitted CSV bytes.
+selftest() is the only runner: the CLI subcommand and kind = selftest both
+call it, and report_rows() turns its results into rows for either. The
+determinism criterion (14) reruns the other criteria of the run with a
+different worker count and compares the emitted CSV bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -30,14 +37,13 @@ from .freegroup import (
     invert,
     multiply,
 )
-from .harness import ResultRow, emit
+from .harness import ConfigError, ResultRow, emit
 from .stallings import SubgroupAutomaton
 from .walks import StepMeasure, drift_estimate
 
 MASTER_SEED = 20260808
 
 F2 = FreeContext(2)
-F3 = FreeContext(3)
 UNIFORM_F2 = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
 UNIFORM_F3 = StepMeasure.uniform_on(3, [(i,) for i in (1, -1, 2, -2, 3, -3)])
 
@@ -66,6 +72,63 @@ def _row(cid, params, metric, value, ci=(None, None), seed=MASTER_SEED):
     return ResultRow(f"criterion_{cid}", params, metric, float(value), ci[0], ci[1], seed)
 
 
+CRITERIA: dict[int, Callable[..., CriterionResult]] = {}
+
+
+def _timed(cid: int, name: str):
+    """Turn a check returning (passed, detail, rows) into a timed CriterionResult."""
+
+    def wrap(check):
+        @functools.wraps(check)
+        def timed(*args, **kwargs) -> CriterionResult:
+            started = time.perf_counter()
+            passed, detail, rows = check(*args, **kwargs)
+            return CriterionResult(cid, name, passed, detail, rows, time.perf_counter() - started)
+
+        return timed
+
+    return wrap
+
+
+def _criterion(cid: int, name: str):
+    """Register a first-pass check, timed, as CRITERIA[cid]."""
+
+    def register(check):
+        CRITERIA[cid] = _timed(cid, name)(check)
+        return CRITERIA[cid]
+
+    return register
+
+
+# --- shared oracle set-up --------------------------------------------------------
+
+
+def _two_letter_graph(pa, pb) -> list[dict[int, int]]:
+    """Adjacency of the graph with a-edges s -> pa[s] and b-edges s -> pb[s].
+
+    pa and pb are (partial) permutations of range(n); None means no edge.
+    """
+    adj = [dict() for _ in pa]
+    for letter, perm in ((1, pa), (2, pb)):
+        for s, t in enumerate(perm):
+            if t is not None:
+                adj[s][letter] = t
+                adj[t][-letter] = s
+    return adj
+
+
+def _ball_distances(radius: int):
+    """The F2 ball of this radius, its word index and its distance matrix."""
+    ball = F2.ball(radius)
+    size = len(ball)
+    dist = np.zeros((size, size), dtype=np.int32)
+    for i, u in enumerate(ball):
+        for j in range(i + 1, size):
+            c = common_prefix_length(u, ball[j])
+            dist[i, j] = dist[j, i] = (len(u) - c) + (len(ball[j]) - c)
+    return ball, {w: i for i, w in enumerate(ball)}, dist
+
+
 # --- 1: membership vs closure enumeration -----------------------------------
 
 
@@ -86,8 +149,8 @@ def _closure_membership(generators, word_cap, prefix_cap, budget=50_000):
     return {w for w in seen if len(w) <= word_cap}
 
 
-def criterion_1(threads: int = 1) -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(1, "membership vs closure enumeration")
+def _criterion_1(threads: int = 1):
     gen = rng.substream(MASTER_SEED, 1)
     ball8 = F2.ball(8)
     instances = 0
@@ -108,97 +171,72 @@ def criterion_1(threads: int = 1) -> CriterionResult:
             if sub.contains(w) != (w in oracle):
                 mismatches += 1
     passed = mismatches == 0
-    elapsed = time.perf_counter() - started
     rows = [
         _row(1, "instances=200;word_cap=8", "mismatches", mismatches),
         _row(1, "instances=200;word_cap=8", "oracle_resamples", resampled),
     ]
-    return CriterionResult(
-        1,
-        "membership vs closure enumeration",
+    return (
         passed,
         f"200 subgroups x {len(ball8)} words, {mismatches} mismatches "
         f"({resampled} dense draws resampled); budget 60s",
         rows,
-        elapsed,
     )
 
 
 # --- 2: rank-index law on finite covers ---------------------------------------
 
 
-def criterion_2(threads: int = 1) -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(2, "rank-index law on finite covers")
+def _criterion_2(threads: int = 1):
     gen = rng.substream(MASTER_SEED, 2)
     built = failures = 0
     while built < 50:
         n = int(gen.integers(1, 6))
         pa = list(gen.permutation(n))
         pb = list(gen.permutation(n))
-        adj = [dict() for _ in range(n)]
-        for s in range(n):
-            adj[s][1] = pa[s]
-            adj[pa[s]][-1] = s
-            adj[s][2] = pb[s]
-            adj[pb[s]][-2] = s
-        sub = SubgroupAutomaton._from_folded(2, adj, 0)
+        sub = SubgroupAutomaton._from_folded(2, _two_letter_graph(pa, pb), 0)
         if sub.index() != n:
             continue
         built += 1
         if sub.rank_of_subgroup() - 1 != n * (2 - 1):
             failures += 1
     passed = failures == 0
-    elapsed = time.perf_counter() - started
     rows = [_row(2, "covers=50;max_states=5", "violations", failures)]
-    return CriterionResult(
-        2,
-        "rank-index law on finite covers",
+    return (
         passed,
         f"50 covers, {failures} violations of rank-1 = index*(k-1); budget 5s",
         rows,
-        elapsed,
     )
 
 
 # --- 3: drift ------------------------------------------------------------------
 
 
-def criterion_3(threads: int = 1) -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(3, "escape rate of the uniform walks")
+def _criterion_3(threads: int = 1):
     est2 = drift_estimate(UNIFORM_F2, 10_000, 2000, MASTER_SEED, threads=threads)
     est3 = drift_estimate(UNIFORM_F3, 10_000, 2000, MASTER_SEED, threads=threads)
     err2 = abs(est2.d_hat - 0.5)
     err3 = abs(est3.d_hat - 2 / 3)
     passed = err2 <= 0.01 and err3 <= 0.01
-    elapsed = time.perf_counter() - started
     rows = [
         _row(3, "rank=2;n=10000;trials=2000", "drift", est2.d_hat, (est2.ci_low, est2.ci_high)),
         _row(3, "rank=3;n=10000;trials=2000", "drift", est3.d_hat, (est3.ci_low, est3.ci_high)),
     ]
-    return CriterionResult(
-        3,
-        "escape rate of the uniform walks",
+    return (
         passed,
         f"|D2-1/2|={err2:.4f}, |D3-2/3|={err3:.4f}, tolerance 0.01; budget 60s",
         rows,
-        elapsed,
     )
 
 
 # --- 4: Gromov product identity, exhaustive -----------------------------------
 
 
-def criterion_4(threads: int = 1) -> CriterionResult:
-    started = time.perf_counter()
-    ball = F2.ball(4)
+@_criterion(4, "Gromov product equals distance to the geodesic")
+def _criterion_4(threads: int = 1):
+    ball, index, dist = _ball_distances(4)
     size = len(ball)
-    index = {w: i for i, w in enumerate(ball)}
-    dist = np.zeros((size, size), dtype=np.int16)
-    for i, u in enumerate(ball):
-        for j in range(i + 1, size):
-            v = ball[j]
-            c = common_prefix_length(u, v)
-            dist[i, j] = dist[j, i] = (len(u) - c) + (len(v) - c)
     bad = 0
     for i, u in enumerate(ball):
         for j in range(i, size):
@@ -210,31 +248,21 @@ def criterion_4(threads: int = 1) -> CriterionResult:
             formula = dist[i, :] + dist[j, :] - dist[i, j]
             bad += int(np.count_nonzero(formula != 2 * explicit))
     passed = bad == 0
-    elapsed = time.perf_counter() - started
     rows = [_row(4, f"ball_radius=4;points={size}", "violations", bad)]
-    return CriterionResult(
-        4,
-        "Gromov product equals distance to the geodesic",
+    return (
         passed,
         f"all {size}^3 ordered triples, {bad} violations; budget 30s",
         rows,
-        elapsed,
     )
 
 
 # --- 5: broken geodesics at zero slack -----------------------------------------
 
 
-def criterion_5(threads: int = 1) -> CriterionResult:
-    started = time.perf_counter()
-    ball = F2.ball(4)
+@_criterion(5, "broken geodesic chains lie on geodesics")
+def _criterion_5(threads: int = 1):
+    ball, index, dist = _ball_distances(4)
     size = len(ball)
-    index = {w: i for i, w in enumerate(ball)}
-    dist = np.zeros((size, size), dtype=np.int32)
-    for i, u in enumerate(ball):
-        for j in range(i + 1, size):
-            c = common_prefix_length(u, ball[j])
-            dist[i, j] = dist[j, i] = (len(u) - c) + (len(ball[j]) - c)
     # Hypothesis side: the Gromov tensor. zero_triple[j][i, k] says the
     # product of x_i and x_k at x_j vanishes and the chain steps are >= 1.
     zero_triple: dict[int, np.ndarray] = {}
@@ -284,20 +312,16 @@ def criterion_5(threads: int = 1) -> CriterionResult:
         if hyp != expected_hyp or (hyp and not concl):
             op_disagreements += 1
     passed = bad3 == 0 and bad4 == 0 and op_disagreements == 0
-    elapsed = time.perf_counter() - started
     rows = [
         _row(5, "ball_radius=4;chains<=4", "violations_len3", bad3),
         _row(5, "ball_radius=4;chains<=4", "violations_len4", bad4),
         _row(5, "ball_radius=4;chains<=4", "operation_disagreements", op_disagreements),
     ]
-    return CriterionResult(
-        5,
-        "broken geodesic chains lie on geodesics",
+    return (
         passed,
         f"exhaustive chains of length <= 4 in the radius-4 ball: "
         f"{bad3}+{bad4} violations, {op_disagreements} operation disagreements",
         rows,
-        elapsed,
     )
 
 
@@ -323,14 +347,7 @@ def _all_core_automata(max_states: int) -> list[SubgroupAutomaton]:
         pis = _partial_injections(n)
         for pa in pis:
             for pb in pis:
-                adj = [dict() for _ in range(n)]
-                for s in range(n):
-                    if pa[s] is not None:
-                        adj[s][1] = pa[s]
-                        adj[pa[s]][-1] = s
-                    if pb[s] is not None:
-                        adj[s][2] = pb[s]
-                        adj[pb[s]][-2] = s
+                adj = _two_letter_graph(pa, pb)
                 seen = {0}
                 stack = [0]
                 while stack:
@@ -348,8 +365,8 @@ def _all_core_automata(max_states: int) -> list[SubgroupAutomaton]:
     return list(canon.values())
 
 
-def criterion_6(threads: int = 1) -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(6, "power-conjugacy decision vs exhaustive search")
+def _criterion_6(threads: int = 1):
     subs = _all_core_automata(4)
     fs = [w for w in F2.ball(4) if w]
     vs = F2.ball(4)
@@ -394,27 +411,23 @@ def criterion_6(threads: int = 1) -> CriterionResult:
             elif ours is not None and ours[0] != brute:
                 mismatches += 1
     passed = mismatches == 0
-    elapsed = time.perf_counter() - started
     rows = [
         _row(6, f"subgroups={len(subs)};elements={len(fs)}", "mismatches", mismatches),
         _row(6, f"subgroups={len(subs)};elements={len(fs)}", "pairs_checked", pairs),
     ]
-    return CriterionResult(
-        6,
-        "power-conjugacy decision vs exhaustive search",
+    return (
         passed,
         f"all {len(subs)} core automata with <= 4 states x {len(fs)} elements, "
         f"{mismatches} mismatches (m <= 8, conjugators in the radius-4 ball); budget 120s",
         rows,
-        elapsed,
     )
 
 
 # --- 7: transverse constructor and bounded overlap ------------------------------
 
 
-def criterion_7(threads: int = 1) -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(7, "transverse constructor with stable overlap")
+def _criterion_7(threads: int = 1):
     configs = [
         ([["a"]], "a"),
         ([["a"], ["b"]], "ab"),
@@ -446,14 +459,10 @@ def criterion_7(threads: int = 1) -> CriterionResult:
         rows.append(
             _row(7, f"targets={label};g={g_text}", "overlap_stable", 1.0 if stable else 0.0)
         )
-    elapsed = time.perf_counter() - started
-    return CriterionResult(
-        7,
-        "transverse constructor with stable overlap",
+    return (
         all_ok,
         "; ".join(details) + " (counts constant from window 200 to 400)",
         rows,
-        elapsed,
     )
 
 
@@ -466,8 +475,8 @@ def _standard_instance():
     return h, k, F2.ball(2)
 
 
-def criterion_8(threads: int = 1) -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(8, "mixing witness curve on the standard instance")
+def _criterion_8(threads: int = 1):
     h, k, window = _standard_instance()
     estimates = []
     for n in GOLDEN_MIXING_SCHEDULE:
@@ -482,7 +491,6 @@ def criterion_8(threads: int = 1) -> CriterionResult:
     )
     final_ok = estimates[-1].p_hat >= 0.9
     passed = golden_ok and monotone and final_ok
-    elapsed = time.perf_counter() - started
     rows = [
         _row(
             8,
@@ -493,46 +501,39 @@ def criterion_8(threads: int = 1) -> CriterionResult:
         )
         for e in estimates
     ]
-    return CriterionResult(
-        8,
-        "mixing witness curve on the standard instance",
+    return (
         passed,
         f"p_hat over n={GOLDEN_MIXING_SCHEDULE}: "
         + ", ".join(f"{e.p_hat:.3f}" for e in estimates)
         + f"; golden={'ok' if golden_ok else 'DRIFTED'}, final >= 0.9: {final_ok}; budget 300s",
         rows,
-        elapsed,
     )
 
 
 # --- 9: free-product absorption ---------------------------------------------------
 
 
-def criterion_9(threads: int = 1) -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(9, "free-product absorption of walk endpoints")
+def _criterion_9(threads: int = 1):
     h = SubgroupAutomaton.from_generators(2, [F2.parse("a")])
     est = mixing.free_product_experiment(h, UNIFORM_F2, 100, 500, MASTER_SEED, threads)
     golden_ok = est.successes == GOLDEN_FREEPROD_SUCCESSES
     passed = est.p_hat >= 0.95 and golden_ok
-    elapsed = time.perf_counter() - started
     rows = [
         _row(9, "H=a;n=100;trials=500", "certified_fraction", est.p_hat, (est.ci_low, est.ci_high))
     ]
-    return CriterionResult(
-        9,
-        "free-product absorption of walk endpoints",
+    return (
         passed,
         f"certified fraction {est.p_hat:.3f} >= 0.95, golden={'ok' if golden_ok else 'DRIFTED'}; budget 120s",
         rows,
-        elapsed,
     )
 
 
 # --- 10: joint transitivity via the union bound -----------------------------------
 
 
-def criterion_10(threads: int = 1) -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(10, "joint witness success obeys the union bound")
+def _criterion_10(threads: int = 1):
     pairs = [
         (
             SubgroupAutomaton.from_generators(2, [F2.parse("a")]),
@@ -570,22 +571,18 @@ def criterion_10(threads: int = 1) -> CriterionResult:
             rows.append(
                 _row(10, f"pairs=2;trials=500;n={n};pair={i}", "marginal_p_hat", m.p_hat)
             )
-    elapsed = time.perf_counter() - started
-    return CriterionResult(
-        10,
-        "joint witness success obeys the union bound",
+    return (
         ok,
         "; ".join(summary),
         rows,
-        elapsed,
     )
 
 
 # --- 11: boundary-action constructors ----------------------------------------------
 
 
-def criterion_11(threads: int = 1) -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(11, "boundary-action element constructors verify")
+def _criterion_11(threads: int = 1):
     gen = rng.substream(MASTER_SEED, 11)
     failures = 0
 
@@ -648,23 +645,19 @@ def criterion_11(threads: int = 1) -> CriterionResult:
             failures += 1
 
     passed = failures == 0
-    elapsed = time.perf_counter() - started
     rows = [_row(11, "instances=50x3", "failures", failures)]
-    return CriterionResult(
-        11,
-        "boundary-action element constructors verify",
+    return (
         passed,
         f"50 random instances per constructor, {failures} failures; budget 120s",
         rows,
-        elapsed,
     )
 
 
 # --- 12: transience constants --------------------------------------------------------
 
 
-def criterion_12(threads: int = 1) -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(12, "transience constants of the projected walk")
+def _criterion_12(threads: int = 1):
     exact = cantor.hit_probability_exact()
     exact_ok = exact.minimal_root == Fraction(1, 3) and exact.roots == (
         Fraction(1, 3),
@@ -674,28 +667,24 @@ def criterion_12(threads: int = 1) -> CriterionResult:
     mc_ok = abs(p - 1 / 3) <= 0.01
     sh_ok = cantor.superharmonic_check(8)
     passed = exact_ok and mc_ok and sh_ok
-    elapsed = time.perf_counter() - started
     rows = [
         _row(12, "equation=3q^2-4q+1", "hit_exact", float(exact.minimal_root)),
         _row(12, "trials=100000;horizon=10000", "hit_mc", p, (lo, hi)),
         _row(12, "radius=8", "superharmonic", 1.0 if sh_ok else 0.0),
     ]
-    return CriterionResult(
-        12,
-        "transience constants of the projected walk",
+    return (
         passed,
         f"exact 1/3 {'ok' if exact_ok else 'FAIL'}, MC {p:.4f} within 0.01, "
         f"superharmonic radius 8 {'ok' if sh_ok else 'FAIL'}",
         rows,
-        elapsed,
     )
 
 
 # --- 13: the non-mixing signature ------------------------------------------------------
 
 
-def criterion_13(threads: int = 1) -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(13, "cone-hitting stays below the transience ceiling")
+def _criterion_13(threads: int = 1):
     rows = []
     ok = True
     values = []
@@ -712,77 +701,60 @@ def criterion_13(threads: int = 1) -> CriterionResult:
                 (est.ci_low, est.ci_high),
             )
         )
-    elapsed = time.perf_counter() - started
-    return CriterionResult(
-        13,
-        "cone-hitting stays below the transience ceiling",
+    return (
         ok,
         ", ".join(values)
         + " all <= 0.35, against the mixing curve reaching >= 0.9 (criterion 8): "
         "the two actions separate; budget 300s",
         rows,
-        elapsed,
     )
 
 
 # --- 14: determinism under rerun and thread count ---------------------------------------
 
 
-CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-    13: criterion_13,
-}
-
-
-def criterion_14(first_pass: dict[int, CriterionResult], threads: int = 2) -> CriterionResult:
+@_timed(14, "bit-identical reruns at any thread count")
+def criterion_14(first_pass: dict[int, CriterionResult], threads: int = 2):
     """Rerun the first-pass criteria with a different worker count; compare bytes."""
-    started = time.perf_counter()
     unstable = []
     for cid in sorted(first_pass):
         again = CRITERIA[cid](threads=threads)
         if emit(first_pass[cid].rows) != emit(again.rows):
             unstable.append(cid)
     passed = not unstable
-    elapsed = time.perf_counter() - started
     rows = [_row(14, f"reruns={len(first_pass)};threads={threads}", "unstable_criteria", len(unstable))]
-    return CriterionResult(
-        14,
-        "bit-identical reruns at any thread count",
+    return (
         passed,
         "all criteria reproduce byte-identical CSV"
         if passed
         else f"criteria {unstable} drifted",
         rows,
-        elapsed,
     )
 
 
-def run_all(threads: int = 1, skip_determinism: bool = False) -> list[CriterionResult]:
-    results = {}
-    for cid, fn in CRITERIA.items():
-        results[cid] = fn(threads=threads)
-    out = [results[cid] for cid in sorted(results)]
-    if not skip_determinism:
-        out.append(criterion_14(results, threads=2))
-    return out
+def selftest(criteria: Iterable[int] = range(1, 15), threads: int = 1) -> list[CriterionResult]:
+    """Run the given criteria in id order at this worker count.
+
+    Criterion 14 reruns the other criteria of this call at 2 workers, or all
+    of 1-13 when it is the only id given. An unknown id raises ConfigError
+    before any criterion runs.
+    """
+    wanted = sorted(set(criteria))
+    unknown = [cid for cid in wanted if cid not in CRITERIA and cid != 14]
+    if unknown:
+        raise ConfigError("criteria", f"unknown criterion {unknown[0]}")
+    first_ids = sorted(CRITERIA) if wanted == [14] else [cid for cid in wanted if cid != 14]
+    first = {cid: CRITERIA[cid](threads=threads) for cid in first_ids}
+    results = list(first.values())
+    if 14 in wanted:
+        results.append(criterion_14(first))
+    return results
 
 
-def selftest_rows(threads: int = 1) -> list[ResultRow]:
+def report_rows(results: Iterable[CriterionResult], seed: int) -> list[ResultRow]:
+    """Each result's `passed` row, stamped with the run's seed, then its rows."""
     rows: list[ResultRow] = []
-    for result in run_all(threads=threads):
-        rows.append(
-            _row(result.cid, result.name.replace(",", ";"), "passed", 1.0 if result.passed else 0.0)
-        )
+    for result in results:
+        rows.append(_row(result.cid, result.name, "passed", result.passed, seed=seed))
         rows.extend(result.rows)
     return rows

@@ -39,7 +39,6 @@ from .freegroup import (
     multiply,
     power,
     reduce_word,
-    root,
     shortlex_key,
 )
 from .stallings import SubgroupAutomaton
@@ -81,12 +80,8 @@ class OverlapReport:
     """Exact counts of powers f^m landing E-close to coset orbits v*H."""
 
     element: Word
-    e_bound: int
     radius: int
-    m_lo: int
-    m_hi: int
     per_conjugator: dict
-    max_count: int
 
 
 @dataclass(frozen=True)
@@ -94,14 +89,10 @@ class ForbiddenSet:
     """Finite coset data controlling which conjugates of H can meet <g>.
 
     representatives: words u with {u : u^-1 H u meets <g>} contained in
-    H * representatives. root_core / conjugator describe the maximal cyclic
-    subgroup containing g: it is generated by conjugator * root_core *
-    conjugator^-1.
+    H * representatives.
     """
 
     representatives: tuple
-    root_core: Word
-    conjugator: Word
 
 
 @dataclass(frozen=True)
@@ -257,15 +248,7 @@ def overlap_bound(
             if h.distance_to_orbit(multiply(v_inv, word)) <= e_bound:
                 count += 1
         per[v] = count
-    return OverlapReport(
-        element=f,
-        e_bound=e_bound,
-        radius=radius,
-        m_lo=ms[0],
-        m_hi=ms[-1],
-        per_conjugator=per,
-        max_count=max(per.values()),
-    )
+    return OverlapReport(element=f, radius=radius, per_conjugator=per)
 
 
 def compute_u0(h: SubgroupAutomaton, g: Sequence[int]) -> ForbiddenSet:
@@ -287,8 +270,7 @@ def compute_u0(h: SubgroupAutomaton, g: Sequence[int]) -> ForbiddenSet:
     for u in candidates:
         if not any(h.contains(multiply(u, invert(r))) for r in reps):
             reps.append(u)
-    root_core, _ = root(core) if core else ((), 1)
-    return ForbiddenSet(tuple(reps), root_core=root_core, conjugator=conj)
+    return ForbiddenSet(tuple(reps))
 
 
 def construct_transverse(

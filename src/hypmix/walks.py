@@ -136,23 +136,21 @@ class StepMeasure:
     def validate(self) -> "PermissibilityReport":
         """Check the walk-theoretic hypotheses this measure must satisfy.
 
-        finite: always true by construction. symmetric: mu(g) = mu(g^-1).
-        generating: the support generates all of F_k (folded support has
-        index 1). non_elementary: the support generates a subgroup of rank
-        >= 2. The remaining condition of the general theory, triviality of
-        the maximal finite subgroup normalized by the support, is automatic
-        in a free group and is recorded in the notes instead of tested.
+        symmetric: mu(g) = mu(g^-1). generating: the support generates all
+        of F_k (folded support has index 1). non_elementary: the support
+        generates a subgroup of rank >= 2. Finite support holds by
+        construction, and the remaining condition of the general theory,
+        triviality of the maximal finite subgroup normalized by the support,
+        is automatic in a free group, so neither is tested.
         """
         symmetric = all(self.mass(invert(w)) == p for w, p in self.entries.items())
         folded = SubgroupAutomaton.from_generators(self.rank, list(self.entries))
         generating = folded.index() == 1
         non_elementary = folded.rank_of_subgroup() >= 2
         return PermissibilityReport(
-            finite=True,
             symmetric=symmetric,
             generating=generating,
             non_elementary=non_elementary,
-            notes="finite-radical condition holds automatically in a free group",
         )
 
     # --- exact convolution ----------------------------------------------------
@@ -232,21 +230,18 @@ class StepMeasure:
 
 @dataclass(frozen=True)
 class PermissibilityReport:
-    finite: bool
     symmetric: bool
     generating: bool
     non_elementary: bool
-    notes: str = ""
 
     @property
     def passed(self) -> bool:
-        return self.finite and self.symmetric and self.generating and self.non_elementary
+        return self.symmetric and self.generating and self.non_elementary
 
     def failures(self) -> list[str]:
         return [
             name
             for name, ok in [
-                ("finite", self.finite),
                 ("symmetric", self.symmetric),
                 ("generating", self.generating),
                 ("non_elementary", self.non_elementary),

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
-from hypothesis.strategies import integers
 
 from hypmix import rng
 from hypmix.freegroup import (
@@ -16,9 +15,7 @@ from hypmix.freegroup import (
     gromov_product,
     invert,
     multiply,
-    power,
     reduce_word,
-    root,
     shortlex_key,
 )
 
@@ -112,38 +109,6 @@ class TestCyclicReduce:
             for g in F2.ball(len(word))
         )
         assert len(core) == best
-
-
-class TestRoot:
-    def test_square(self):
-        assert root(w("aa")) == (A, 2)
-
-    def test_primitive(self):
-        assert root(w("ab")) == (w("ab"), 1)
-
-    def test_abab(self):
-        assert root(w("abab")) == (w("ab"), 2)
-
-    def test_identity_rejected(self):
-        with pytest.raises(WordError):
-            root(())
-
-    @given(nontrivial_words(max_len=5), integers(1, 4))
-    def test_against_brute_force(self, base, m):
-        word = power(base, m)
-        r, exponent = root(word)
-        assert power(r, exponent) == word
-        # Independent route: for every exponent e dividing the core length,
-        # rebuild the only possible root and verify by repeated multiplication.
-        core, conj = cyclic_reduce(word)
-        brute = max(
-            e
-            for e in range(1, len(core) + 1)
-            if len(core) % e == 0
-            and power(multiply(multiply(conj, core[: len(core) // e]), invert(conj)), e)
-            == word
-        )
-        assert exponent == brute
 
 
 class TestGromovProduct:

@@ -3,6 +3,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hypmix.harness import (
     ConfigError,
@@ -14,6 +16,7 @@ from hypmix.harness import (
     run,
 )
 from hypmix.freegroup import FreeContext
+from hypmix.selftest import CRITERIA, report_rows
 
 from conftest import src_env
 
@@ -56,6 +59,56 @@ p_letter = 1/8
 n_list = 10
 trials = 50
 """
+
+# Pinned renderings: the cantor claim transcripts (stderr, before the
+# elapsed line) and the transverse certificate.
+CLAIM_3_PERMS = [
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zy,zY,zz,Zx,ZX,Zy,ZY,ZZ]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zy,zY,ZZ,Zx,ZX,Zy,ZY,zz]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zy,zY,zz,Zx,ZX,Zy,ZY,ZZ]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zy,zY,Zx,zz,ZX,Zy,ZY,ZZ]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zy,zY,ZZ,Zx,ZX,Zy,ZY,zz]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zy,zY,Zx,zz,ZX,Zy,ZY,ZZ]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zy,zY,zz,Zx,ZX,Zy,ZY,ZZ]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zy,zY,ZZ,Zx,ZX,Zy,ZY,zz]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zy,zY,zz,Zx,ZX,Zy,ZY,ZZ]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zX,zy,zY,zz,zx,Zx,ZX,Zy,ZY,ZZ]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zy,zY,ZZ,Zx,ZX,Zy,ZY,zz]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zz,zx,zX,zy,zY,Zx,ZX,Zy,ZY,ZZ]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zY,zz,zy,Zx,ZX,Zy,ZY,ZZ]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zy,zY,ZZ,Zx,ZX,Zy,ZY,zz]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zz,zy,zY,Zx,ZX,Zy,ZY,ZZ]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zX,zy,zY,zz,zx,Zx,ZX,Zy,ZY,ZZ]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zy,zY,ZZ,Zx,ZX,Zy,ZY,zz]",
+    "perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zz,zx,zX,zy,zY,Zx,ZX,Zy,ZY,ZZ]",
+]
+PINNED_TRANSCRIPTS = {
+    ("--claim", "1", "--u", "zx"): (
+        "group word: perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zz,zx,zX,zy,zY,Zx,ZX,Zy,ZY,ZZ]\n"
+        "image of Cone(zx) is Cone(zz)\n"
+        "image of Cone(ZZ) is Cone(ZZ)\n"
+        "positional action verified pointwise at depth 4\n"
+    ),
+    ("--claim", "2", "--u", "zx"): (
+        "group word: perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zX,zy,zY,zz,zx,Zx,ZX,Zy,ZY,ZZ]"
+        " perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zx,zX,zy,zY,ZZ,Zx,ZX,Zy,ZY,zz]"
+        " perm[xz,xZ,Xz,XZ,yz,yZ,Yz,YZ,zz,zx,zX,zy,zY,Zx,ZX,Zy,ZY,ZZ]\n"
+        "swaps Cone(zx) with Cone(ZZ)\n"
+        "fixes every other cone of that depth pointwise\n"
+    ),
+    ("--claim", "3", "--pairs", "zx:zy zz:Zx"): (
+        "group word: " + " ".join(CLAIM_3_PERMS) + "\n"
+        "maps Cone(zx) onto Cone(zy)\n"
+        "maps Cone(zz) onto Cone(Zx)\n"
+    ),
+}
+PINNED_CERTIFICATE_A_B = (
+    "element aba\n"
+    "avoided a\n"
+    "exponent 1\n"
+    "target 0: transverse (no power up to pigeonhole bound 1 conjugates into the subgroup)\n"
+    "target 1: transverse (no power up to pigeonhole bound 1 conjugates into the subgroup)\n"
+)
 
 
 class TestConfig:
@@ -116,6 +169,28 @@ class TestEmit:
         ]
         assert parse_rows(emit(rows)) == rows
 
+    @given(
+        st.lists(
+            st.builds(
+                ResultRow,
+                st.text(alphabet='ab=;,"# 1\n\x1c', max_size=10),
+                st.text(alphabet='ab=;,"# 1\n\x1c', max_size=20),
+                st.text(alphabet='ab=;,"# 1\n\x1c', max_size=10),
+                st.floats(allow_nan=False),
+                st.none() | st.floats(allow_nan=False),
+                st.none() | st.floats(allow_nan=False),
+                st.integers(0, 2**32),
+            ),
+            max_size=4,
+        )
+    )
+    def test_roundtrip_quoted_fields(self, rows):
+        assert parse_rows(emit(rows)) == rows
+
+    def test_plain_fields_are_not_quoted(self):
+        row = ResultRow("criterion_8", "H=a;K=b;n=10", "p_hat", 0.844, 0.81, 0.87, 20260808)
+        assert emit([row]).splitlines()[1] == b"criterion_8,H=a;K=b;n=10,p_hat,0.844,0.81,0.87,20260808"
+
     def test_json_shape(self):
         row = ResultRow("e", "p", "m", 0.5, None, None, 1)
         data = emit([row], "json")
@@ -173,6 +248,12 @@ class TestRun:
             ("drift", "n = -3\ntrials = 5", "params.n"),
             ("drift", "n = 10\ntrials = 0", "params.trials"),
             ("walk", "n = -3", "params.n"),
+            ("mix", "h = a\nk = b\ntrials = 5\nn_list = ,", "params.n_list"),
+            ("mix", "h = a\nk = b\ntrials = 5\nn_list = -4", "params.n_list"),
+            ("mix", "h = a\nk = b\ntrials = 5\nn_list = 10\nwindow_radius = -1", "params.window_radius"),
+            ("mix", "h = a\nk = b\ntrials = 0\nn_list = 10", "params.trials"),
+            ("freeprod", "h = a\nn = -1\ntrials = 5", "params.n"),
+            ("freeprod", "h = a\nn = 10\ntrials = 0", "params.trials"),
         ],
     )
     def test_bad_walk_input_names_field(self, kind, params, field):
@@ -189,12 +270,29 @@ class TestRun:
         [
             ("trials = 0\nn_list = 10", "params.trials"),
             ("trials = 5\nn_list = 10,-1", "params.n_list"),
+            ("trials = 5\nn_list = ,", "params.n_list"),
+            ("trials = 5\nn_list = 3\ndepth_cap = 0", "params.depth_cap"),
+            ("trials = 5\nn_list = 3\ndepth_cap = -2", "params.depth_cap"),
         ],
     )
     def test_bad_qn_input_names_field(self, params, field):
         cfg = ExperimentConfig.from_text(
             f"[experiment]\nkind = cantor\nseed = 1\n[params]\nmode = qn\n{params}\n"
         )
+        with pytest.raises(ConfigError) as info:
+            run(cfg)
+        assert info.value.field_name == field
+
+    @pytest.mark.parametrize(
+        "params, field",
+        [
+            ("mode = claim1\nu = q", "params.u"),
+            ("mode = claim2\nu = zZ", "params.u"),
+            ("mode = claim3\npairs = zx:q", "params.pairs"),
+        ],
+    )
+    def test_bad_claim_input_names_field(self, params, field):
+        cfg = ExperimentConfig.from_text(f"[experiment]\nkind = cantor\nseed = 1\n[params]\n{params}\n")
         with pytest.raises(ConfigError) as info:
             run(cfg)
         assert info.value.field_name == field
@@ -268,6 +366,40 @@ class TestCli:
         assert res.returncode == 0
         assert "verified" in res.stdout
 
+    @pytest.mark.parametrize("argv", sorted(PINNED_TRANSCRIPTS))
+    def test_claim_transcript_pinned(self, argv):
+        res = self._hypmix("cantor", *argv)
+        assert res.returncode == 0
+        transcript = "".join(
+            line for line in res.stderr.splitlines(keepends=True) if not line.startswith("elapsed: ")
+        )
+        assert transcript == PINNED_TRANSCRIPTS[argv]
+
+    def test_transverse_certificate_pinned(self, tmp_path):
+        cert = tmp_path / "cert.txt"
+        res = self._hypmix("transverse", "--targets", "a | b", "--g", "ab", "--emit-certificate", str(cert))
+        assert res.returncode == 0
+        assert cert.read_text() == PINNED_CERTIFICATE_A_B
+
+    def test_certificate_lists_the_targets_of_the_rows(self, tmp_path):
+        # The empty part after "|" is no target: rows and certificate agree.
+        cert, out = tmp_path / "cert.txt", tmp_path / "rows.csv"
+        res = self._hypmix(
+            "transverse", "--targets", "a |", "--g", "ab", "--emit-certificate", str(cert), "--out", str(out)
+        )
+        assert res.returncode == 0
+        row_targets = [
+            r.params.rsplit(";target=", 1)[1]
+            for r in parse_rows(out.read_bytes())
+            if r.metric == "certified_transverse"
+        ]
+        cert_targets = [
+            line.split(":")[0].split()[1]
+            for line in cert.read_text().splitlines()
+            if line.startswith("target ")
+        ]
+        assert row_targets == cert_targets == ["0"]
+
     def test_transverse_cli_certificate(self, tmp_path):
         cert = tmp_path / "cert.txt"
         res = self._hypmix(
@@ -289,6 +421,37 @@ class TestCli:
         assert first.startswith(b"# wall_time_s: ")
         float(first.split(b": ")[1])
         assert rest.startswith(b"experiment,params,metric")
+
+    def test_selftest_criterion_14_reruns_the_others(self, tmp_path):
+        out = tmp_path / "report.csv"
+        res = self._hypmix("selftest", "--criteria", "2,14", "--out", str(out))
+        assert res.returncode == 0
+        rows = parse_rows(out.read_bytes())
+        assert [(r.experiment, r.params, r.value) for r in rows if r.experiment == "criterion_14"] == [
+            ("criterion_14", "bit-identical reruns at any thread count", 1.0),
+            ("criterion_14", "reruns=1;threads=2", 0.0),
+        ]
+
+    def test_selftest_unknown_criterion(self):
+        res = self._hypmix("selftest", "--criteria", "99")
+        assert res.returncode == 1
+        assert "[criteria]" in res.stderr
+
+    def test_selftest_rows_under_optimize(self, tmp_path):
+        # Criteria 8, 11 and 13 certify their results by explicit checks;
+        # under python -O they must write the rows of a normal run. The
+        # normal run is the acceptance session's first pass when it ran.
+        out = tmp_path / "optimized.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-O", "-m", "hypmix.cli", "selftest", "--criteria", "8,11,13", "--out", str(out)],
+            env=src_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        first_pass = getattr(sys.modules.get("test_acceptance"), "_cache", {})
+        results = [first_pass.get(cid) or CRITERIA[cid](threads=1) for cid in (8, 11, 13)]
+        assert proc.wait() == 0
+        assert out.read_bytes() == emit(report_rows(results, seed=0))
 
     def test_module_error_exit_code(self):
         # finite-index marker surfaces as a clean validation failure

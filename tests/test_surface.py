@@ -1,10 +1,13 @@
 """Every public name in the library is reached by library or benchmark code.
 
-Public top-level functions and classes of src/hypmix, and the public methods
-of those classes, must be used (as a name or an attribute) somewhere in
-src/hypmix or bench/. Unit tests do not count as users: code that only a test
-reaches is either wired into an experiment or deleted. The exceptions are the
-independent references that tests compare the library against, listed below.
+Public top-level functions, classes and constants of src/hypmix, and the
+public methods, properties and fields of those classes (dataclass fields and
+the attributes __init__ sets on self), must be used somewhere in src/hypmix
+or bench/: as a name, an attribute, or a string constant (emit reads
+ResultRow by column name). Unit tests do not count as users: code or data
+that only a test reaches is either wired into an experiment or deleted. The
+exceptions are the independent references that tests compare the library
+against, listed below.
 """
 
 import ast
@@ -23,31 +26,70 @@ REFERENCES = {
     "is_folded": "TestFoldBuilder checks the fold builder's output with it",
     "basis": "TestFoldBuilder rebuilds the reference automata from it",
     "sample_walk": "tests check final_position against its step-by-step product",
+    "final": "the endpoint of sample_walk's Trajectory, which tests compare final_position with",
+    "increments": "tests check sample_walk's positions against the product of its increments",
     "intersect": "a layer the benchmark plan names for measurement",
+    "depth": "tests compare the depth a DepthCapExceeded reports with the reference refinement's",
+    "field_name": "tests check which config field a ConfigError names",
 }
 
 
+def _defined_name(node):
+    """The name a function, class, field or constant definition binds, if any."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return node.target.id
+    if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+        return node.targets[0].id
+    return None
+
+
+def _public(nodes):
+    return {name for name in map(_defined_name, nodes) if name and not name.startswith("_")}
+
+
+def _instance_fields(cls):
+    """Public attributes a class's __init__ assigns on self."""
+    return {
+        node.attr
+        for init in cls.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+        for node in ast.walk(init)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and not node.attr.startswith("_")
+    }
+
+
 def _scan():
-    """(public names defined in src/hypmix, names used in src/hypmix or bench/)."""
-    defined, used = set(), set()
+    """(public names defined in src/hypmix, names used in src/hypmix or bench/).
+
+    A top-level name is used when it appears as a name or an attribute. A
+    class member (method, property, field) is used only when read as an
+    attribute or named by a string constant, since an assignment, a local
+    variable or a keyword argument of the same name reads nothing from it.
+    """
+    top, members, names, attrs = set(), set(), set(), set()
     for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         if path.parent == SRC:
+            top |= _public(tree.body)
             for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                    defined.add(node.name)
-                    if isinstance(node, ast.ClassDef):
-                        defined.update(
-                            item.name
-                            for item in node.body
-                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
-                        )
+                if isinstance(node, ast.ClassDef):
+                    members |= _public(node.body) | _instance_fields(node)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return defined, used
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                attrs.add(node.value)
+    defined = top | members
+    unused = (top - names - attrs) | (members - attrs)
+    return defined, defined - unused
 
 
 def test_no_public_name_is_reached_only_from_tests():

@@ -162,7 +162,7 @@ class TestOverlap:
 
     def test_bound_report(self):
         rep = overlap_bound(sub("a"), F2.parse("ab"), 1, 2, range(-20, 21))
-        assert rep.max_count >= 1
+        assert max(rep.per_conjugator.values()) >= 1
         assert rep.per_conjugator[()] == overlap_count(
             sub("a"), F2.parse("ab"), (), 1, range(-20, 21)
         )
@@ -187,7 +187,6 @@ class TestForbiddenSet:
     def test_cyclic_self(self):
         fs = compute_u0(sub("a"), A)
         assert fs.representatives == ((),)
-        assert fs.root_core == A
 
     def test_disjoint(self):
         fs = compute_u0(sub("a"), B)
