@@ -218,7 +218,7 @@ def _cmd_cantor(args) -> int:
     elif args.transience:
         params = {
             "mode": "transience",
-            "trials": args.trials or 100_000,
+            "trials": args.trials,
             "horizon": args.horizon,
             "radius": args.radius,
         }

@@ -430,6 +430,9 @@ def _run_cantor(config: ExperimentConfig) -> _Outcome:
         trials = _get_int(config.params, "trials", 100_000)
         horizon = _get_int(config.params, "horizon", 10_000)
         radius = _get_int(config.params, "radius", 8)
+        _require_at_least("trials", trials, 1)
+        _require_at_least("horizon", horizon, 1)
+        _require_at_least("radius", radius, 1)
         exact = cantor.hit_probability_exact()
         p, lo, hi = cantor.simulate_hit_probability(trials, horizon, config.seed)
         ok = cantor.superharmonic_check(radius)

@@ -95,9 +95,12 @@ class JointMixingResult:
 def witness_subgroup(
     h: SubgroupAutomaton, k: SubgroupAutomaton, w: Sequence[int]
 ) -> SubgroupAutomaton:
-    """L = <w^-1 H w, K>."""
-    w = reduce_word(w, h.rank)
-    return h.conjugate(invert(w)).join(k)
+    """L = <w^-1 H w, K>, folded in one pass.
+
+    A trial that succeeds folds twice: once here for L, and once for the
+    conjugate w L w^-1 that certifies it in _witness_trial.
+    """
+    return h.conjugate_join(invert(w), k)
 
 
 def check_witness(
@@ -144,7 +147,9 @@ def _witness_trial(pairs, measure, n, seed, trial) -> list[WitnessOutcome]:
     route, the folded conjugate w L w^-1 must lie in the open set around H.
     Flag (a) is not re-checked, since the open set around K compares the
     very traces check_witness already compared. A disagreement raises
-    WitnessCertificationError, also under python -O.
+    WitnessCertificationError, also under python -O. A failing trial folds
+    once (L) and a success twice (L and w L w^-1); the marker traces are
+    read once per window, not per trial.
     """
     gen = rng.substream(seed, trial)
     w = measure.final_position(n, gen)

@@ -15,8 +15,9 @@ of subgroups equality of objects. All instances are immutable; construction
 folds once and every operation returns a fresh automaton.
 
 One fold builder makes every automaton from words and automata: generators
-are loops at the base, a join wedges two automata at the base, and g H g^-1
-hangs H's automaton from a new base by a stem spelling g.
+are loops at the base, g H g^-1 hangs H's automaton from a new base by a
+stem spelling g, and <g H g^-1, K> also wedges K's automaton at that base,
+so the whole subgroup folds once.
 
 Basepoint convention: all orbit computations measure distances from the
 identity vertex. Moving the basepoint to another vertex t changes the
@@ -142,22 +143,20 @@ class SubgroupAutomaton:
         "_return_dist",
         "_rank_cache",
         "_index_cache",
+        "_trace_cache",
     )
 
     def __init__(self, rank: int, transitions: tuple[dict[int, int], ...]):
         # Internal: callers go through from_generators / from_text / the
-        # algebraic operations, all of which canonicalize.
+        # algebraic operations, all of which canonicalize, dict order included.
         self.rank = rank
         self.transitions = transitions
-        self._key = (
-            rank,
-            len(transitions),
-            tuple(tuple(sorted(d.items())) for d in transitions),
-        )
+        self._key = (rank, len(transitions), tuple(tuple(d.items()) for d in transitions))
         self._tree_words: tuple[Word, ...] | None = None
         self._return_dist: tuple[int, ...] | None = None
         self._rank_cache: int | None = None
         self._index_cache: int | float | None = None
+        self._trace_cache: tuple[frozenset, frozenset] | None = None
 
     # --- construction -----------------------------------------------------
 
@@ -201,27 +200,25 @@ class SubgroupAutomaton:
                 if t != base and len(out) == 1:
                     hairs.append(t)
 
-        # Canonical BFS numbering from the base, letters in fixed order.
-        letter_order = []
-        for i in range(1, rank + 1):
-            letter_order.append(i)
-            letter_order.append(-i)
+        # Canonical BFS numbering from the base, letters in fixed order. A
+        # state's targets are numbered by the time its row is written, and
+        # each row lists its letters in that same order.
+        letter_order = [x for i in range(1, rank + 1) for x in (i, -i)]
         number = {base: 0}
         order = [base]
-        head = 0
-        while head < len(order):
-            s = order[head]
-            head += 1
+        transitions = []
+        for s in order:
+            out = live[s]
+            row = {}
             for letter in letter_order:
-                t = live[s].get(letter)
-                if t is not None and t not in number:
-                    number[t] = len(order)
-                    order.append(t)
-        transitions = tuple(
-            {letter: number[t] for letter, t in sorted(live[s].items(), key=lambda kv: (abs(kv[0]), kv[0] < 0))}
-            for s in order
-        )
-        return cls(rank, transitions)
+                t = out.get(letter)
+                if t is not None:
+                    if t not in number:
+                        number[t] = len(order)
+                        order.append(t)
+                    row[letter] = number[t]
+            transitions.append(row)
+        return cls(rank, tuple(transitions))
 
     # --- structure --------------------------------------------------------
 
@@ -369,12 +366,13 @@ class SubgroupAutomaton:
         graph.attach(self, graph.attach_path(g, 0))
         return graph.fold()
 
-    def join(self, other: "SubgroupAutomaton") -> "SubgroupAutomaton":
-        """Automaton of <H, K>: both automata wedged at the base."""
+    def conjugate_join(self, g: Sequence[int], other: "SubgroupAutomaton") -> "SubgroupAutomaton":
+        """Automaton of <g H g^-1, K>: a stem spelling g from the base to H's
+        base, and K's automaton wedged at the base, folded once."""
         if other.rank != self.rank:
-            raise AutomatonError("rank mismatch in join")
+            raise AutomatonError("rank mismatch in conjugate_join")
         graph = _FoldGraph(self.rank)
-        graph.attach(self, 0)
+        graph.attach(self, graph.attach_path(g, 0))
         graph.attach(other, 0)
         return graph.fold()
 
@@ -385,30 +383,6 @@ class SubgroupAutomaton:
         for word in words:
             graph.attach_path(word, 0, 0)
         return graph.fold()
-
-    def intersect(self, other: "SubgroupAutomaton") -> "SubgroupAutomaton":
-        """Automaton of H intersect K via the pairing of the two automata."""
-        if other.rank != self.rank:
-            raise AutomatonError("rank mismatch in intersect")
-        pair_index = {(0, 0): 0}
-        pairs = [(0, 0)]
-        adj: list[dict[int, int] | None] = [dict()]
-        head = 0
-        while head < len(pairs):
-            s1, s2 = pairs[head]
-            s = pair_index[(s1, s2)]
-            head += 1
-            for letter, t1 in self.transitions[s1].items():
-                t2 = other.transitions[s2].get(letter)
-                if t2 is None:
-                    continue
-                key = (t1, t2)
-                if key not in pair_index:
-                    pair_index[key] = len(pairs)
-                    pairs.append(key)
-                    adj.append(dict())
-                adj[s][letter] = pair_index[key]  # type: ignore[index]
-        return SubgroupAutomaton._from_folded(self.rank, adj, 0)
 
     def certify_free_product(self, g: Sequence[int]) -> bool:
         """Whether <H, g> decomposes as the free product H * <g>.
@@ -423,8 +397,18 @@ class SubgroupAutomaton:
         return self.join_words([word]).rank_of_subgroup() == self.rank_of_subgroup() + 1
 
     def trace(self, window: Iterable[Sequence[int]]) -> frozenset:
-        """Membership pattern on a window: the window words in the subgroup."""
-        return frozenset(w for w in map(tuple, window) if self.contains(w))
+        """Membership pattern on a window: the window words in the subgroup.
+
+        The pattern on the last frozenset window is kept, so a marker
+        subgroup read against one window trial after trial is read once.
+        """
+        cached = self._trace_cache
+        if cached is not None and cached[0] == window:
+            return cached[1]
+        hits = frozenset(w for w in map(tuple, window) if self.contains(w))
+        if isinstance(window, frozenset):
+            self._trace_cache = (window, hits)
+        return hits
 
     # --- serialization ------------------------------------------------------
 

@@ -268,6 +268,25 @@ class TestRun:
     @pytest.mark.parametrize(
         "params, field",
         [
+            ("trials = 0", "params.trials"),
+            ("trials = -5", "params.trials"),
+            ("trials = 5\nhorizon = 0", "params.horizon"),
+            ("trials = 5\nhorizon = -3", "params.horizon"),
+            ("trials = 5\nradius = 0", "params.radius"),
+            ("trials = 5\nradius = -1", "params.radius"),
+        ],
+    )
+    def test_bad_transience_input_names_field(self, params, field):
+        cfg = ExperimentConfig.from_text(
+            f"[experiment]\nkind = cantor\nseed = 1\n[params]\nmode = transience\n{params}\n"
+        )
+        with pytest.raises(ConfigError) as info:
+            run(cfg)
+        assert info.value.field_name == field
+
+    @pytest.mark.parametrize(
+        "params, field",
+        [
             ("trials = 0\nn_list = 10", "params.trials"),
             ("trials = 5\nn_list = 10,-1", "params.n_list"),
             ("trials = 5\nn_list = ,", "params.n_list"),
@@ -339,6 +358,11 @@ class TestCli:
         res = self._hypmix("drift", "--n", "100", "--trials", "20", "--measure", "uniform: a q")
         assert res.returncode == 1
         assert "params.measure" in res.stderr
+
+    def test_transience_zero_trials_exit_code(self):
+        res = self._hypmix("cantor", "--transience", "--trials", "0")
+        assert res.returncode == 1
+        assert "params.trials" in res.stderr
 
     def test_run_config(self, tmp_path):
         cfg = tmp_path / "exp.ini"

@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from hypmix import mixing
+from hypmix import mixing, stallings
 from hypmix.freegroup import invert, multiply
 from hypmix.mixing import (
     BasicOpenSet,
@@ -44,6 +44,17 @@ class TestWitnessSubgroup:
 
     def test_trivial_h(self):
         assert witness_subgroup(sub(), sub("b"), F2.parse("abab")) == sub("b")
+
+    def test_success_folds_twice(self, monkeypatch):
+        # Trial 0 of seed 11 at n = 80 passes every flag: one fold builds L,
+        # one folds w L w^-1 for the certification.
+        pairs = [(sub("a"), sub("b"), frozenset(F2.ball(2)))]
+        folds = []
+        fold = stallings._fold
+        monkeypatch.setattr(stallings, "_fold", lambda *args: folds.append(1) or fold(*args))
+        [outcome] = mixing._witness_trial(pairs, UNIFORM, 80, 11, 0)
+        assert outcome.success
+        assert len(folds) == 2
 
 
 class TestCheckWitness:

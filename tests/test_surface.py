@@ -28,7 +28,6 @@ REFERENCES = {
     "sample_walk": "tests check final_position against its step-by-step product",
     "final": "the endpoint of sample_walk's Trajectory, which tests compare final_position with",
     "increments": "tests check sample_walk's positions against the product of its increments",
-    "intersect": "a layer the benchmark plan names for measurement",
     "depth": "tests compare the depth a DepthCapExceeded reports with the reference refinement's",
     "field_name": "tests check which config field a ConfigError names",
 }
