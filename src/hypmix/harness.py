@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .freegroup import FreeContext, Word, WordError
 from .stallings import SubgroupAutomaton
-from .walks import StepMeasure, drift_estimate
+from .walks import MeasureError, StepMeasure, drift_estimate
 from . import cantor, mixing, rng, transverse
 
 class ConfigError(ValueError):
@@ -47,20 +47,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError):
             raise ConfigError("config", f"cannot read {path}")
-        return cls.from_parser(parser)
+        return cls.from_text(text)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
+        """Parse INI text. Malformed INI raises ConfigError naming
+        <section>.<key> where the parser knows the key, else config."""
         parser = configparser.ConfigParser()
-        parser.read_string(text)
-        return cls.from_parser(parser)
+        try:
+            parser.read_string(text)
+            return cls._from_parser(parser)
+        except (configparser.DuplicateOptionError, configparser.InterpolationError) as exc:
+            raise ConfigError(f"{exc.section}.{exc.option}", exc.message)
+        except configparser.Error as exc:
+            raise ConfigError("config", exc.message)
 
     @classmethod
-    def from_parser(cls, parser: configparser.ConfigParser) -> "ExperimentConfig":
+    def _from_parser(cls, parser: configparser.ConfigParser) -> "ExperimentConfig":
         if "experiment" not in parser:
             raise ConfigError("experiment", "missing [experiment] section")
         section = parser["experiment"]
@@ -225,6 +233,13 @@ def _require_at_least(key: str, value: int, least: int) -> None:
         raise ConfigError(f"params.{key}", f"must be >= {least}, got {value}")
 
 
+def _context(params: dict) -> FreeContext:
+    try:
+        return FreeContext(_get_int(params, "rank", 2))
+    except WordError as exc:
+        raise ConfigError("params.rank", str(exc))
+
+
 def parse_words(ctx: FreeContext, raw: str, key: str) -> list[Word]:
     try:
         return [ctx.parse(tok) for tok in raw.split()]
@@ -237,6 +252,8 @@ def parse_measure(params: dict, ctx: FreeContext) -> StepMeasure:
     `identity_mass = 1/2`), or `measure = entries: ab:1/8 BA:7/8`."""
     raw = _get(params, "measure", required=True)
     identity_mass = _get_fraction(params, "identity_mass", Fraction(0))
+    if not 0 <= identity_mass < 1:
+        raise ConfigError("params.identity_mass", f"must lie in [0, 1), got {identity_mass}")
     try:
         if raw.startswith("uniform:"):
             words = parse_words(ctx, raw[len("uniform:"):], "measure")
@@ -274,13 +291,12 @@ def run_with_report(config: ExperimentConfig) -> _Outcome:
 
 
 def _run_walk(config: ExperimentConfig) -> _Outcome:
-    rank = _get_int(config.params, "rank", 2)
-    ctx = FreeContext(rank)
+    ctx = _context(config.params)
     measure = parse_measure(config.params, ctx)
     n = _get_int(config.params, "n", required=True)
     _require_at_least("n", n, 0)
     final = measure.final_position(n, rng.substream(config.seed))
-    echo = f"rank={rank};n={n}"
+    echo = f"rank={ctx.rank};n={n}"
     return [
         ResultRow("walk", echo, "endpoint_distance", float(len(final)), None, None, config.seed),
         ResultRow("walk", echo + f";word={ctx.format(final)}", "endpoint_recorded", 1.0, None, None, config.seed),
@@ -288,23 +304,24 @@ def _run_walk(config: ExperimentConfig) -> _Outcome:
 
 
 def _run_drift(config: ExperimentConfig) -> _Outcome:
-    rank = _get_int(config.params, "rank", 2)
-    ctx = FreeContext(rank)
+    ctx = _context(config.params)
     measure = parse_measure(config.params, ctx)
     n = _get_int(config.params, "n", required=True)
     trials = _get_int(config.params, "trials", required=True)
     _require_at_least("n", n, 1)
     _require_at_least("trials", trials, 1)
-    est = drift_estimate(measure, n, trials, config.seed, threads=config.threads)
-    echo = f"rank={rank};n={n};trials={trials}"
+    try:
+        est = drift_estimate(measure, n, trials, config.seed, threads=config.threads)
+    except MeasureError as exc:  # n and trials are checked above: the measure is at fault
+        raise ConfigError("params.measure", str(exc))
+    echo = f"rank={ctx.rank};n={n};trials={trials}"
     return [
         ResultRow("drift", echo, "drift", est.d_hat, est.ci_low, est.ci_high, config.seed)
     ], ""
 
 
 def _run_mix(config: ExperimentConfig) -> _Outcome:
-    rank = _get_int(config.params, "rank", 2)
-    ctx = FreeContext(rank)
+    ctx = _context(config.params)
     measure = parse_measure(config.params, ctx)
     h = parse_subgroup(ctx, _get(config.params, "h", required=True), "h")
     k = parse_subgroup(ctx, _get(config.params, "k", required=True), "k")
@@ -317,8 +334,11 @@ def _run_mix(config: ExperimentConfig) -> _Outcome:
     window = ctx.ball(radius)
     rows = []
     for n in n_list:
-        est = mixing.estimate_mixing(h, k, window, measure, n, trials, config.seed, config.threads)
-        echo = f"rank={rank};window_radius={radius};trials={trials};n={n}"
+        try:
+            est = mixing.estimate_mixing(h, k, window, measure, n, trials, config.seed, config.threads)
+        except mixing.MixingSetupError as exc:
+            raise ConfigError(f"params.{exc.argument}", str(exc))
+        echo = f"rank={ctx.rank};window_radius={radius};trials={trials};n={n}"
         rows.append(
             ResultRow("mix", echo, "p_hat", est.p_hat, est.ci_low, est.ci_high, config.seed)
         )
@@ -326,24 +346,25 @@ def _run_mix(config: ExperimentConfig) -> _Outcome:
 
 
 def _run_freeprod(config: ExperimentConfig) -> _Outcome:
-    rank = _get_int(config.params, "rank", 2)
-    ctx = FreeContext(rank)
+    ctx = _context(config.params)
     measure = parse_measure(config.params, ctx)
     h = parse_subgroup(ctx, _get(config.params, "h", required=True), "h")
     n = _get_int(config.params, "n", required=True)
     trials = _get_int(config.params, "trials", required=True)
     _require_at_least("n", n, 0)
     _require_at_least("trials", trials, 1)
-    est = mixing.free_product_experiment(h, measure, n, trials, config.seed, config.threads)
-    echo = f"rank={rank};n={n};trials={trials}"
+    try:
+        est = mixing.free_product_experiment(h, measure, n, trials, config.seed, config.threads)
+    except mixing.MixingSetupError as exc:
+        raise ConfigError(f"params.{exc.argument}", str(exc))
+    echo = f"rank={ctx.rank};n={n};trials={trials}"
     return [
         ResultRow("freeprod", echo, "certified_fraction", est.p_hat, est.ci_low, est.ci_high, config.seed)
     ], ""
 
 
 def _run_transverse(config: ExperimentConfig) -> _Outcome:
-    rank = _get_int(config.params, "rank", 2)
-    ctx = FreeContext(rank)
+    ctx = _context(config.params)
     targets_raw = _get(config.params, "targets", required=True)
     targets = [
         parse_subgroup(ctx, part.strip(), "targets")
@@ -359,7 +380,7 @@ def _run_transverse(config: ExperimentConfig) -> _Outcome:
         got = transverse.construct_transverse(targets, g[0])
     except transverse.TransversalityError as exc:
         raise ConfigError("params.targets", str(exc))
-    echo = f"rank={rank};g={ctx.format(g[0])};f={ctx.format(got.element)};a={ctx.format(got.avoided)}"
+    echo = f"rank={ctx.rank};g={ctx.format(g[0])};f={ctx.format(got.element)};a={ctx.format(got.avoided)}"
     rows = [
         ResultRow("transverse", echo, "exponent", float(got.exponent), None, None, config.seed)
     ]

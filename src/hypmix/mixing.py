@@ -32,7 +32,12 @@ from .walks import StepMeasure
 
 
 class MixingSetupError(ValueError):
-    """Preconditions on measures or marker subgroups violated."""
+    """Preconditions on measures or marker subgroups violated; argument
+    names the parameter at fault."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
 
 
 class WitnessCertificationError(RuntimeError):
@@ -130,14 +135,14 @@ def _require_permissible(measure: StepMeasure):
     report = measure.validate()
     if not report.passed:
         raise MixingSetupError(
-            f"measure fails permissibility: {', '.join(report.failures())}"
+            "measure", f"measure fails permissibility: {', '.join(report.failures())}"
         )
 
 
-def _require_infinite_index(*subs: SubgroupAutomaton):
-    for s in subs:
+def _require_infinite_index(**subs: SubgroupAutomaton):
+    for name, s in subs.items():
         if s.index() != math.inf:
-            raise MixingSetupError("marker subgroups must have infinite index")
+            raise MixingSetupError(name, "marker subgroups must have infinite index")
 
 
 def _witness_trial(pairs, measure, n, seed, trial) -> list[WitnessOutcome]:
@@ -181,9 +186,9 @@ def estimate_mixing(
     K into the open set around H; witness failure does not refute that.
     """
     _require_permissible(measure)
-    _require_infinite_index(h, k)
+    _require_infinite_index(h=h, k=k)
     if trials <= 0:
-        raise MixingSetupError("need at least one trial")
+        raise MixingSetupError("trials", "need at least one trial")
     window = frozenset(tuple(f) for f in window)
     pairs = [(h, k, window)]
     results = rng.map_trials(
@@ -210,13 +215,13 @@ def joint_mixing(
     """
     _require_permissible(measure)
     if not pairs:
-        raise MixingSetupError("need at least one pair")
+        raise MixingSetupError("pairs", "need at least one pair")
     norm_pairs = []
     for h, k, window in pairs:
-        _require_infinite_index(h, k)
+        _require_infinite_index(h=h, k=k)
         norm_pairs.append((h, k, frozenset(tuple(f) for f in window)))
     if trials <= 0:
-        raise MixingSetupError("need at least one trial")
+        raise MixingSetupError("trials", "need at least one trial")
     per_trial = rng.map_trials(
         lambda t: [o.success for o in _witness_trial(norm_pairs, measure, n, seed, t)],
         trials,
@@ -247,9 +252,9 @@ def free_product_experiment(
     orbit hull, so that part needs no per-trial check.
     """
     _require_permissible(measure)
-    _require_infinite_index(h)
+    _require_infinite_index(h=h)
     if trials <= 0:
-        raise MixingSetupError("need at least one trial")
+        raise MixingSetupError("trials", "need at least one trial")
 
     def one(trial: int) -> bool:
         gen = rng.substream(seed, trial)

@@ -11,13 +11,21 @@ elements of the subgroup.
 
 Automata are canonicalized after construction (BFS numbering from the base
 with the fixed letter order a < a^-1 < b < b^-1 < ...), which makes equality
-of subgroups equality of objects. All instances are immutable; construction
-folds once and every operation returns a fresh automaton.
+of subgroups equality of objects. All instances are immutable; every
+operation returns a fresh automaton.
 
-One fold builder makes every automaton from words and automata: generators
-are loops at the base, g H g^-1 hangs H's automaton from a new base by a
-stem spelling g, and <g H g^-1, K> also wedges K's automaton at that base,
-so the whole subgroup folds once.
+One fold builder makes every automaton from words and automata, and keeps
+its graph folded as it grows (Kapovich & Myasnikov, "Stallings foldings and
+subgroups of free groups", J. Algebra 2002). An automaton goes in as a copy
+of its rows. A word goes in as a path that is read rather than unioned
+state by state: the graph follows as much of the word as it can from both
+ends, fresh states spell only the unread middle, and a path read to the end
+merges its two ends and folds what that forces. Generators are loops read
+in at the base; g H g^-1 copies H's automaton to a fresh state and reads a
+stem spelling g from the base to it; <g H g^-1, K> first copies K's
+automaton at the base. When H's automaton already reads g backwards from its
+base, as L reads w back along its own stem in the mixing certification
+w L w^-1, no state is added and only the base moves.
 
 Basepoint convention: all orbit computations measure distances from the
 identity vertex. Moving the basepoint to another vertex t changes the
@@ -38,98 +46,109 @@ class AutomatonError(ValueError):
     """Malformed automaton input or serialization."""
 
 
-def _fold(edges: list[tuple[int, int, int]], n_states: int) -> tuple[list[dict[int, int] | None], int]:
-    """Fold a labeled graph given as (state, letter, state) edges.
-
-    Returns the folded adjacency (dict letter -> target per surviving state,
-    None for merged-away states) and the state that state 0 folded into.
-    """
-    parent = list(range(n_states))
-    size = [1] * n_states
-    adj: list[dict[int, int] | None] = [dict() for _ in range(n_states)]
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pending = list(edges)
-
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        size[ra] += size[rb]
-        moved = adj[rb]
-        adj[rb] = None
-        for letter, target in moved.items():
-            pending.append((ra, letter, find(target)))
-
-    while pending:
-        u, letter, v = pending.pop()
-        u, v = find(u), find(v)
-        du = adj[u]
-        existing = du.get(letter)
-        if existing is not None:
-            w = find(existing)
-            du[letter] = w
-            if w != v:
-                union(w, v)
-            continue
-        du[letter] = v
-        dv = adj[v] if v != u else du
-        rev = dv.get(-letter)
-        if rev is not None:
-            w = find(rev)
-            dv[-letter] = w
-            if w != u:
-                union(w, u)
-        else:
-            dv[-letter] = u
-
-    resolved: list[dict[int, int] | None] = [None] * n_states
-    for s in range(n_states):
-        if find(s) == s:
-            resolved[s] = {letter: find(t) for letter, t in adj[s].items()}
-    return resolved, find(0)
-
-
 class _FoldGraph:
-    """Edges of a labeled graph with base state 0, folded once by fold()."""
+    """A labeled graph with base state 0, kept folded while it is built.
+
+    Each state has a row, letter -> target, holding both directions of its
+    edges, and a union-find parent; a merged-away state's row is None. An
+    automaton goes in by copying its rows into a state with no edges yet. A
+    path is read in: the graph reads as much of its word as it can from both
+    ends, fresh states spell only the unread middle, and when nothing is
+    left unread the two ends are merged. A merge absorbs the state with
+    fewer edges, moves those edges onto the survivor and merges again
+    wherever two equally-labeled edges meet, so every call leaves the graph
+    folded.
+    """
 
     def __init__(self, rank: int):
         self.rank = rank
-        self.edges: list[tuple[int, int, int]] = []
-        self.n_states = 1
+        self.rows: list[dict[int, int] | None] = [{}]
+        self.parent = [0]
 
-    def attach_path(self, word: Sequence[int], src: int, dst: int | None = None) -> int:
-        """Add a path spelling the word from src to dst (a fresh state when
-        None) and return its end; an empty word adds nothing, ending at src."""
-        word = reduce_word(word, self.rank)
-        if not word:
-            return src
-        if dst is None:
-            dst = self.n_states
-            self.n_states += 1
-        path = [src, *range(self.n_states, self.n_states + len(word) - 1), dst]
-        self.n_states += len(word) - 1
-        self.edges.extend(zip(path, word, path[1:]))
-        return dst
+    def find(self, s: int) -> int:
+        parent = self.parent
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    def add_states(self, count: int) -> range:
+        first = len(self.rows)
+        self.rows.extend({} for _ in range(count))
+        self.parent.extend(range(first, first + count))
+        return range(first, first + count)
 
     def attach(self, automaton: "SubgroupAutomaton", at: int):
-        """Add a copy of the automaton with its base glued to state at."""
-        number = [at, *range(self.n_states, self.n_states + automaton.n_states - 1)]
-        self.n_states += automaton.n_states - 1
-        for s, d in enumerate(automaton.transitions):
-            self.edges.extend((number[s], letter, number[t]) for letter, t in d.items() if letter > 0)
+        """Copy the automaton's rows in, its base at state at, which has no
+        edges yet, so the graph stays folded."""
+        offset = len(self.rows) - 1
+        rows = [{letter: t + offset if t else at for letter, t in d.items()} for d in automaton.transitions]
+        self.rows[at] = rows[0]
+        self.rows.extend(rows[1:])
+        self.parent.extend(range(offset + 1, offset + len(rows)))
+
+    def attach_path(self, word: Sequence[int], src: int, dst: int):
+        """Read in a path spelling the word from src to dst."""
+        word = reduce_word(word, self.rank)
+        rows = self.rows
+        p, q = self.find(src), self.find(dst)
+        lo, hi = 0, len(word)
+        while hi > lo and (prev := rows[q].get(-word[hi - 1])) is not None:
+            q, hi = prev, hi - 1
+        while lo < hi and (nxt := rows[p].get(word[lo])) is not None:
+            p, lo = nxt, lo + 1
+        if lo == hi:
+            if p != q:
+                self._merge(p, q)
+            return
+        middle = word[lo:hi]
+        # On a closed path the unread middle may not be cyclically reduced:
+        # its first and last k letters then spell one stem out of p.
+        k = 0
+        if p == q:
+            while middle[k] == -middle[-1 - k]:
+                k += 1
+        nodes = [p, *self.add_states(len(middle) - k - 1)]
+        nodes.extend(reversed(nodes[1 : k + 1]))
+        nodes.append(q)
+        for u, letter, v in zip(nodes, middle, nodes[1:]):
+            rows[u][letter] = v  # type: ignore[index]
+            rows[v][-letter] = u  # type: ignore[index]
+
+    def _merge(self, a: int, b: int):
+        """Identify states a and b, then fold what that forces.
+
+        Targets go stale while merges cascade and are read through find;
+        afterwards every row that could hold a stale target is rewritten."""
+        rows, parent, find = self.rows, self.parent, self.find
+        pending = [(a, b)]
+        touched = []
+        while pending:
+            a, b = pending.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if len(rows[a]) < len(rows[b]):  # type: ignore[arg-type]
+                a, b = b, a
+            parent[b] = a
+            moved = rows[b]
+            rows[b] = None
+            if not moved:
+                continue
+            row = rows[a]
+            touched.append(a)
+            for letter, t in moved.items():
+                touched.append(t)
+                old = row.setdefault(letter, t)  # type: ignore[union-attr]
+                if old != t:
+                    pending.append((old, t))
+        for s in touched:
+            row = rows[find(s)]
+            for letter, t in row.items():  # type: ignore[union-attr]
+                row[letter] = find(t)  # type: ignore[index]
 
     def fold(self) -> "SubgroupAutomaton":
-        adj, base = _fold(self.edges, self.n_states)
-        return SubgroupAutomaton._from_folded(self.rank, adj, base)
+        return SubgroupAutomaton._from_folded(self.rank, self.rows, self.find(0))
 
 
 class SubgroupAutomaton:
@@ -175,29 +194,21 @@ class SubgroupAutomaton:
         return graph.fold()
 
     @classmethod
-    def _from_folded(cls, rank: int, adj: list[dict[int, int] | None], base: int) -> "SubgroupAutomaton":
-        """Restrict to the reachable part, trim to the core, canonicalize."""
-        # Reachable states.
-        reach = {base}
-        stack = [base]
-        while stack:
-            s = stack.pop()
-            for t in adj[s].values():  # type: ignore[union-attr]
-                if t not in reach:
-                    reach.add(t)
-                    stack.append(t)
-        live = {s: dict(adj[s]) for s in reach}  # type: ignore[arg-type]
-
+    def _from_folded(cls, rank: int, rows: list[dict[int, int] | None], base: int) -> "SubgroupAutomaton":
+        """Take over folded rows (None for merged-away states), trim them to
+        the core in place and number the states the base reaches."""
         # Core trim: drop non-base states of degree <= 1 until none remain.
         # Dropping a state lowers only its neighbour's degree, so a worklist
         # of such states visits each edge once.
-        hairs = [s for s in live if s != base and len(live[s]) <= 1]
+        hairs = [s for s, row in enumerate(rows) if row is not None and len(row) <= 1 and s != base]
         while hairs:
             s = hairs.pop()
-            for letter, t in live.pop(s).items():
-                out = live[t]
-                del out[-letter]
-                if t != base and len(out) == 1:
+            row = rows[s]
+            rows[s] = None
+            for letter, t in row.items():  # type: ignore[union-attr]
+                out = rows[t]
+                del out[-letter]  # type: ignore[union-attr]
+                if t != base and len(out) == 1:  # type: ignore[arg-type]
                     hairs.append(t)
 
         # Canonical BFS numbering from the base, letters in fixed order. A
@@ -208,7 +219,7 @@ class SubgroupAutomaton:
         order = [base]
         transitions = []
         for s in order:
-            out = live[s]
+            out = rows[s]
             row = {}
             for letter in letter_order:
                 t = out.get(letter)
@@ -363,17 +374,21 @@ class SubgroupAutomaton:
     def conjugate(self, g: Sequence[int]) -> "SubgroupAutomaton":
         """Automaton of g H g^-1: a stem spelling g from a new base to H's."""
         graph = _FoldGraph(self.rank)
-        graph.attach(self, graph.attach_path(g, 0))
+        [base] = graph.add_states(1)
+        graph.attach(self, base)
+        graph.attach_path(g, 0, base)
         return graph.fold()
 
     def conjugate_join(self, g: Sequence[int], other: "SubgroupAutomaton") -> "SubgroupAutomaton":
-        """Automaton of <g H g^-1, K>: a stem spelling g from the base to H's
-        base, and K's automaton wedged at the base, folded once."""
+        """Automaton of <g H g^-1, K>: K's automaton at the base, H's at a
+        fresh state, and a stem spelling g read in between, in one pass."""
         if other.rank != self.rank:
             raise AutomatonError("rank mismatch in conjugate_join")
         graph = _FoldGraph(self.rank)
-        graph.attach(self, graph.attach_path(g, 0))
         graph.attach(other, 0)
+        [base] = graph.add_states(1)
+        graph.attach(self, base)
+        graph.attach_path(g, 0, base)
         return graph.fold()
 
     def join_words(self, words: Iterable[Sequence[int]]) -> "SubgroupAutomaton":

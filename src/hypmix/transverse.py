@@ -64,7 +64,6 @@ class TransversalityCertificate:
     bound records how many exponents sufficed for completeness.
     """
 
-    element: Word
     transverse: bool
     power: int | None
     conjugator: Word | None
@@ -79,8 +78,6 @@ class TransversalityCertificate:
 class OverlapReport:
     """Exact counts of powers f^m landing E-close to coset orbits v*H."""
 
-    element: Word
-    radius: int
     per_conjugator: dict
 
 
@@ -173,12 +170,12 @@ def certificate(h: SubgroupAutomaton, f: Sequence[int]) -> TransversalityCertifi
     f = reduce_word(f, h.rank)
     found = power_conjugate_into(h, f)
     if found is None:
-        return TransversalityCertificate(f, True, None, None, h.n_states)
+        return TransversalityCertificate(True, None, None, h.n_states)
     m, v = found
     witness = multiply(multiply(invert(v), power(f, m)), v)
     if not h.contains(witness):
         raise CertificateError("witness verification failed")
-    return TransversalityCertificate(f, False, m, v, h.n_states)
+    return TransversalityCertificate(False, m, v, h.n_states)
 
 
 def overlap_count(
@@ -248,7 +245,7 @@ def overlap_bound(
             if h.distance_to_orbit(multiply(v_inv, word)) <= e_bound:
                 count += 1
         per[v] = count
-    return OverlapReport(element=f, radius=radius, per_conjugator=per)
+    return OverlapReport(per_conjugator=per)
 
 
 def compute_u0(h: SubgroupAutomaton, g: Sequence[int]) -> ForbiddenSet:

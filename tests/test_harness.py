@@ -254,12 +254,26 @@ class TestRun:
             ("mix", "h = a\nk = b\ntrials = 0\nn_list = 10", "params.trials"),
             ("freeprod", "h = a\nn = -1\ntrials = 5", "params.n"),
             ("freeprod", "h = a\nn = 10\ntrials = 0", "params.trials"),
+            ("mix", "h = a b\nk = b\ntrials = 5\nn_list = 10", "params.h"),
+            ("mix", "h = a\nk = ab b\ntrials = 5\nn_list = 10", "params.k"),
+            ("freeprod", "h = a b\nn = 10\ntrials = 5", "params.h"),
+            ("mix", "measure = uniform: a A\nh = a\nk = b\ntrials = 5\nn_list = 10", "params.measure"),
+            ("freeprod", "measure = uniform: ab BA\nh = a\nn = 10\ntrials = 5", "params.measure"),
+            ("drift", "measure = uniform: a A\nn = 10\ntrials = 5", "params.measure"),
+            ("drift", "rank = 1\nn = 10\ntrials = 5", "params.rank"),
+            ("mix", "rank = 27\nh = a\nk = b\ntrials = 5\nn_list = 10", "params.rank"),
+            ("walk", "identity_mass = 1\nn = 3", "params.identity_mass"),
+            ("drift", "identity_mass = -1/2\nn = 10\ntrials = 5", "params.identity_mass"),
         ],
     )
     def test_bad_walk_input_names_field(self, kind, params, field):
+        # Each case overrides the default rank and measure; a repeated key
+        # would itself be a config error.
+        lines = {"rank": "2", "measure": "uniform: a A b B"}
+        lines.update(line.split(" = ", 1) for line in params.splitlines())
         cfg = ExperimentConfig.from_text(
-            f"[experiment]\nkind = {kind}\nseed = 1\n"
-            f"[params]\nrank = 2\nmeasure = uniform: a A b B\n{params}\n"
+            f"[experiment]\nkind = {kind}\nseed = 1\n[params]\n"
+            + "".join(f"{key} = {value}\n" for key, value in lines.items())
         )
         with pytest.raises(ConfigError) as info:
             run(cfg)
@@ -358,6 +372,25 @@ class TestCli:
         res = self._hypmix("drift", "--n", "100", "--trials", "20", "--measure", "uniform: a q")
         assert res.returncode == 1
         assert "params.measure" in res.stderr
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[experiment]\nkind = mix\n[params]\nh = a\nh = b\n", "params.h"),
+            ("[experiment]\nkind = mix\n[params]\nh = a\n[params]\nk = b\n", "config"),
+            ("kind = mix\n", "config"),
+            ("[experiment]\nkind = mix\nno value on this line\n", "config"),
+            ("[experiment]\nkind = mix\n[params]\nmeasure = uniform: a%% %(b)\n", "params.measure"),
+        ],
+        ids=["duplicate-option", "duplicate-section", "no-section-header", "parse-error", "interpolation"],
+    )
+    def test_malformed_ini_exit_code(self, tmp_path, text, field):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        res = self._hypmix("run", "--config", str(cfg))
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"error: [{field}] ")
+        assert "Traceback" not in res.stderr
 
     def test_transience_zero_trials_exit_code(self):
         res = self._hypmix("cantor", "--transience", "--trials", "0")

@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from hypmix import mixing, stallings
+from hypmix import mixing, rng, stallings
 from hypmix.freegroup import invert, multiply
 from hypmix.mixing import (
     BasicOpenSet,
@@ -50,11 +50,37 @@ class TestWitnessSubgroup:
         # one folds w L w^-1 for the certification.
         pairs = [(sub("a"), sub("b"), frozenset(F2.ball(2)))]
         folds = []
-        fold = stallings._fold
-        monkeypatch.setattr(stallings, "_fold", lambda *args: folds.append(1) or fold(*args))
+        fold = stallings._FoldGraph.fold
+        monkeypatch.setattr(stallings._FoldGraph, "fold", lambda self: folds.append(1) or fold(self))
         [outcome] = mixing._witness_trial(pairs, UNIFORM, 80, 11, 0)
         assert outcome.success
         assert len(folds) == 2
+
+    def test_certification_reads_w_back_along_the_stem(self, monkeypatch):
+        # On a success, w L w^-1 hangs L from a new base by a stem spelling
+        # w, and L's automaton reads w back along its own stem to w^-1 H w:
+        # reading that path in creates no state and moves no edge, only the
+        # base moves.
+        h, k = sub("a"), sub("b")
+        w = UNIFORM.final_position(80, rng.substream(11, 0))
+        l_sub = witness_subgroup(h, k, w)
+        assert check_witness(l_sub, h, k, F2.ball(2), w).success
+        seen = []
+        attach_path = stallings._FoldGraph.attach_path
+
+        def observed(self, word, src, dst):
+            before = [None if row is None else dict(row) for row in self.rows]
+            attach_path(self, word, src, dst)
+            after = [None if row is None else dict(row) for row in self.rows]
+            seen.append((before, after, self.find(0)))
+
+        monkeypatch.setattr(stallings._FoldGraph, "attach_path", observed)
+        conjugate = l_sub.conjugate(w)
+        [(before, after, base)] = seen
+        assert len(after) == len(before) == 1 + l_sub.n_states
+        assert before[0] == {} and after[0] is None and base != 0
+        assert after[1:] == before[1:]
+        assert conjugate.contains(A) and conjugate.contains(multiply(multiply(w, B), invert(w)))
 
 
 class TestCheckWitness:

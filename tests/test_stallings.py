@@ -7,7 +7,7 @@ from hypmix import rng
 from hypmix.freegroup import invert, multiply, power
 from hypmix.stallings import AutomatonError, SubgroupAutomaton
 
-from conftest import F2, F3, nontrivial_words, words
+from conftest import F2, F3, letters, nontrivial_words, words
 
 A, B = (1,), (2,)
 
@@ -432,3 +432,144 @@ class TestConjugateJoin:
     def test_rank_mismatch(self):
         with pytest.raises(AutomatonError):
             sub("a").conjugate_join((), SubgroupAutomaton.from_generators(3, [(3,)]))
+
+
+class EdgeGraph:
+    """A labeled graph with base state 0 as a plain edge list, for batch_fold."""
+
+    def __init__(self):
+        self.edges = []
+        self.identified = []
+        self.n_states = 1
+
+    def fresh(self):
+        self.n_states += 1
+        return self.n_states - 1
+
+    def automaton(self, auto, at):
+        number = [at, *(self.fresh() for _ in range(auto.n_states - 1))]
+        self.edges += [(number[s], x, number[t]) for s, row in enumerate(auto.transitions) for x, t in row.items() if x > 0]
+
+    def path(self, word, src, dst):
+        states = [src, *(self.fresh() for _ in word[1:]), dst]
+        self.edges += zip(states, word, states[1:])
+        if not word:
+            self.identified.append((src, dst))
+
+
+def batch_fold(graph):
+    """Naive reference for the fold builder: merge the ends of two
+    equally-labeled edges out of one state until there are none, restart the
+    scan after every merge, trim the part the base reaches to its core and
+    number it breadth-first in the letter order a < A < b < B < ...
+    Returns the rows of the canonical automaton."""
+    parent = list(range(graph.n_states))
+
+    def find(s):
+        while parent[s] != s:
+            s = parent[s]
+        return s
+
+    for a, b in graph.identified:
+        parent[find(a)] = find(b)
+
+    def conflict():
+        ends = {}
+        for s, x, t in graph.edges:
+            s, t = find(s), find(t)
+            for key, end in (((s, x), t), ((t, -x), s)):
+                other = ends.setdefault(key, end)
+                if other != end:
+                    return other, end
+        return None
+
+    while (pair := conflict()) is not None:
+        parent[pair[0]] = pair[1]
+    base = find(0)
+    rows = {base: {}}
+    for s, x, t in graph.edges:
+        rows.setdefault(find(s), {})[x] = find(t)
+        rows.setdefault(find(t), {})[-x] = find(s)
+    key = lambda x: (abs(x), x < 0)
+
+    def breadth_first():
+        order = [base]
+        for s in order:
+            for x in sorted(rows[s], key=key):
+                if rows[s][x] not in order:
+                    order.append(rows[s][x])
+        return order
+
+    rows = {s: rows[s] for s in breadth_first()}
+    while hairs := [s for s in rows if s != base and len(rows[s]) <= 1]:
+        for s in hairs:
+            for x, t in rows.pop(s).items():
+                del rows[t][-x]
+    order = breadth_first()
+    return [[(x, order.index(rows[s][x])) for x in sorted(rows[s], key=key)] for s in order]
+
+
+@st.composite
+def read_in_cases(draw, rank):
+    """Generators of H and K, a conjugator g and extra loops, drawn so the
+    builder meets each way a path goes in: read fully from both ends, so its
+    ends merge (g a readable prefix of K then the inverse of one of H; a
+    loop between two prefixes of H's generators); g wholly readable
+    backwards from H's base, so the base just moves; g empty; a free g; H or
+    K trivial (no generators). Some loops are not freely reduced."""
+    gens = st.lists(nontrivial_words(rank, 6), max_size=3)
+    h_gens, k_gens = draw(gens), draw(gens)
+
+    def prefix(of):
+        if not of:
+            return ()
+        word = draw(st.sampled_from(of))
+        return word[: draw(st.integers(0, len(word)))]
+
+    shape = draw(st.sampled_from(["merge", "base_moves", "empty", "free"]))
+    if shape == "merge":
+        g = multiply(prefix(k_gens), invert(prefix(h_gens)))
+    elif shape == "base_moves":
+        g = invert(prefix(h_gens))
+    elif shape == "empty":
+        g = ()
+    else:
+        g = draw(words(rank, 8))
+    loops = [multiply(prefix(h_gens), invert(prefix(h_gens))) for _ in range(draw(st.integers(0, 2)))]
+    loops += draw(st.lists(st.lists(st.sampled_from(letters(rank)), max_size=6).map(tuple), max_size=2))
+    return h_gens, k_gens, g, loops
+
+
+class TestReadInBuilder:
+    """The fold builder against batch_fold on the same graphs."""
+
+    @pytest.mark.parametrize("rank", [2, 3], ids=["F2", "F3"])
+    @given(data=st.data())
+    def test_against_batch_fold(self, rank, data):
+        h_gens, k_gens, g, loops = data.draw(read_in_cases(rank))
+        h = SubgroupAutomaton.from_generators(rank, h_gens)
+        k = SubgroupAutomaton.from_generators(rank, k_gens)
+
+        generated = EdgeGraph()
+        for word in h_gens + loops:
+            generated.path(word, 0, 0)
+        conjugated = EdgeGraph()
+        conjugated.automaton(h, at := conjugated.fresh())
+        conjugated.path(g, 0, at)
+        joined = EdgeGraph()
+        joined.automaton(k, 0)
+        joined.automaton(h, at := joined.fresh())
+        joined.path(g, 0, at)
+        with_words = EdgeGraph()
+        with_words.automaton(h, 0)
+        for word in loops:
+            with_words.path(word, 0, 0)
+
+        for auto, graph in [
+            (SubgroupAutomaton.from_generators(rank, h_gens + loops), generated),
+            (h.conjugate(g), conjugated),
+            (h.conjugate_join(g, k), joined),
+            (h.join_words(loops), with_words),
+        ]:
+            assert auto.is_folded()
+            assert [list(row.items()) for row in auto.transitions] == batch_fold(graph)

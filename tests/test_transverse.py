@@ -110,9 +110,9 @@ class TestIsTransverse:
 class TestCertification:
     def test_inconsistent_certificate_rejected(self):
         with pytest.raises(CertificateError):
-            TransversalityCertificate(A, True, 1, None, 1)
+            TransversalityCertificate(True, 1, None, 1)
         with pytest.raises(CertificateError):
-            TransversalityCertificate(A, False, None, (), 1)
+            TransversalityCertificate(False, None, (), 1)
 
     def test_failing_witness_raises(self, monkeypatch):
         monkeypatch.setattr(SubgroupAutomaton, "contains", lambda self, word: False)
@@ -132,7 +132,7 @@ class TestCertification:
             F2 = FreeContext(2)
             h = SubgroupAutomaton.from_generators(2, [F2.parse("a")])
             try:
-                transverse.TransversalityCertificate((1,), True, 1, None, 1)
+                transverse.TransversalityCertificate(True, 1, None, 1)
                 sys.exit("inconsistent certificate accepted")
             except transverse.CertificateError:
                 pass
