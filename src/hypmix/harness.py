@@ -438,7 +438,10 @@ def _run_cantor(config: ExperimentConfig) -> _Outcome:
             _require_at_least("depth_cap", depth_cap, 2)
         rows = []
         for n in n_list:
-            est = cantor.estimate_qn(p_letter, n, trials, config.seed, depth_cap, config.threads)
+            try:
+                est = cantor.estimate_qn(p_letter, n, trials, config.seed, depth_cap, config.threads)
+            except cantor.ConeError as exc:  # n, trials and depth_cap are checked above
+                raise ConfigError("params.p_letter", str(exc))
             echo = f"p_letter={p_letter};trials={trials};n={n};depth_cap={est.depth_cap}"
             rows.append(
                 ResultRow("cantor_qn", echo, "q_hat", est.p_hat, est.ci_low, est.ci_high, config.seed)

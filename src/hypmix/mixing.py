@@ -16,6 +16,11 @@ A trial succeeding certifies that w maps one open set into the other; a
 failing trial proves nothing, so estimates are reported as lower bounds.
 Everything per trial is exact; only the aggregation over trials is
 statistical.
+
+A window trace is a subgroup's membership pattern on F. Each estimate reads
+the markers' traces once, into a WitnessPair; a trial compares L's patterns
+with them. check_witness takes the reduced endpoint the walk returns and
+reduces nothing itself.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import rng
-from .freegroup import invert, multiply, reduce_word
+from .freegroup import Word, invert, multiply
 from .stallings import SubgroupAutomaton
 from .stats import proportion_ci95
 from .walks import StepMeasure
@@ -45,18 +50,23 @@ class WitnessCertificationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BasicOpenSet:
-    """The open set {L : L ∩ window = marker ∩ window}."""
+class WitnessPair:
+    """Markers H and K with a window F and their traces H ∩ F and K ∩ F.
 
-    marker: SubgroupAutomaton
+    The basic open sets around H and K are the subgroups with these traces,
+    so the traces are read once here, not once per trial.
+    """
+
+    h: SubgroupAutomaton
+    k: SubgroupAutomaton
     window: frozenset
+    trace_h: frozenset
+    trace_k: frozenset
 
     @classmethod
-    def around(cls, marker: SubgroupAutomaton, window) -> "BasicOpenSet":
-        return cls(marker, frozenset(tuple(w) for w in window))
-
-    def holds_for(self, subgroup: SubgroupAutomaton) -> bool:
-        return subgroup.trace(self.window) == self.marker.trace(self.window)
+    def of(cls, h: SubgroupAutomaton, k: SubgroupAutomaton, window) -> "WitnessPair":
+        window = frozenset(tuple(f) for f in window)
+        return cls(h, k, window, h.trace(window), k.trace(window))
 
 
 @dataclass(frozen=True)
@@ -108,26 +118,18 @@ def witness_subgroup(
     return h.conjugate_join(invert(w), k)
 
 
-def check_witness(
-    l_sub: SubgroupAutomaton,
-    h: SubgroupAutomaton,
-    k: SubgroupAutomaton,
-    window,
-    w: Sequence[int],
-) -> WitnessOutcome:
-    """Evaluate all four witness flags exactly.
+def check_witness(l_sub: SubgroupAutomaton, pair: WitnessPair, w: Word) -> WitnessOutcome:
+    """Evaluate all four witness flags exactly for the reduced endpoint w.
 
     Flag (b) is read through the word route: f lies in w L w^-1 exactly when
     the reduced word w^-1 f w lies in L, so no conjugate is folded.
     """
-    w = reduce_word(w, h.rank)
     w_inv = invert(w)
-    window = frozenset(tuple(f) for f in window)
-    trace_k = l_sub.trace(window) == k.trace(window)
-    conjugated = frozenset(f for f in window if l_sub.contains(multiply(multiply(w_inv, f), w)))
-    trace_h = conjugated == h.trace(window)
+    trace_k = l_sub.trace(pair.window) == pair.trace_k
+    conjugated = frozenset(f for f in pair.window if l_sub.contains(multiply(multiply(w_inv, f), w)))
+    trace_h = conjugated == pair.trace_h
     infinite_index = l_sub.index() == math.inf
-    free_rank = l_sub.rank_of_subgroup() == h.rank_of_subgroup() + k.rank_of_subgroup()
+    free_rank = l_sub.rank_of_subgroup() == pair.h.rank_of_subgroup() + pair.k.rank_of_subgroup()
     return WitnessOutcome(trace_k, trace_h, infinite_index, free_rank)
 
 
@@ -145,24 +147,38 @@ def _require_infinite_index(**subs: SubgroupAutomaton):
             raise MixingSetupError(name, "marker subgroups must have infinite index")
 
 
-def _witness_trial(pairs, measure, n, seed, trial) -> list[WitnessOutcome]:
-    """Witness outcomes of one walk endpoint for each (H, K, window) pair.
+def _witness_pairs(pairs, measure: StepMeasure, trials: int) -> list[WitnessPair]:
+    """Check the setup of a witness estimate and read each pair's traces."""
+    _require_permissible(measure)
+    if not pairs:
+        raise MixingSetupError("pairs", "need at least one pair")
+    out = []
+    for h, k, window in pairs:
+        _require_infinite_index(h=h, k=k)
+        out.append(WitnessPair.of(h, k, window))
+    if trials <= 0:
+        raise MixingSetupError("trials", "need at least one trial")
+    return out
+
+
+def _witness_trial(pairs: list[WitnessPair], measure, n, seed, trial) -> list[WitnessOutcome]:
+    """Witness outcomes of one walk endpoint for each pair.
 
     Flag (b) of a success is certified independently: by the automaton
-    route, the folded conjugate w L w^-1 must lie in the open set around H.
-    Flag (a) is not re-checked, since the open set around K compares the
-    very traces check_witness already compared. A disagreement raises
-    WitnessCertificationError, also under python -O. A failing trial folds
-    once (L) and a success twice (L and w L w^-1); the marker traces are
-    read once per window, not per trial.
+    route, the folded conjugate w L w^-1 must lie in the open set around H,
+    that is, show H's trace on the window. Flag (a) is not re-checked, since
+    the open set around K compares the very traces check_witness already
+    compared. A disagreement raises WitnessCertificationError, also under
+    python -O. A failing trial folds once (L) and a success twice (L and
+    w L w^-1).
     """
     gen = rng.substream(seed, trial)
     w = measure.final_position(n, gen)
     outcomes = []
-    for h, k, window in pairs:
-        l_sub = witness_subgroup(h, k, w)
-        outcome = check_witness(l_sub, h, k, window, w)
-        if outcome.success and not BasicOpenSet.around(h, window).holds_for(l_sub.conjugate(w)):
+    for pair in pairs:
+        l_sub = witness_subgroup(pair.h, pair.k, w)
+        outcome = check_witness(l_sub, pair, w)
+        if outcome.success and l_sub.conjugate(w).trace(pair.window) != pair.trace_h:
             raise WitnessCertificationError(
                 f"trial {trial}: witness flags succeed but the open-set check fails"
             )
@@ -185,12 +201,7 @@ def estimate_mixing(
     A lower bound for the chance that the endpoint maps the open set around
     K into the open set around H; witness failure does not refute that.
     """
-    _require_permissible(measure)
-    _require_infinite_index(h=h, k=k)
-    if trials <= 0:
-        raise MixingSetupError("trials", "need at least one trial")
-    window = frozenset(tuple(f) for f in window)
-    pairs = [(h, k, window)]
+    pairs = _witness_pairs([(h, k, window)], measure, trials)
     results = rng.map_trials(
         lambda t: _witness_trial(pairs, measure, n, seed, t)[0].success,
         trials,
@@ -213,24 +224,16 @@ def joint_mixing(
     form of transitivity; marginal estimates come along for the union-bound
     comparison.
     """
-    _require_permissible(measure)
-    if not pairs:
-        raise MixingSetupError("pairs", "need at least one pair")
-    norm_pairs = []
-    for h, k, window in pairs:
-        _require_infinite_index(h=h, k=k)
-        norm_pairs.append((h, k, frozenset(tuple(f) for f in window)))
-    if trials <= 0:
-        raise MixingSetupError("trials", "need at least one trial")
+    pairs = _witness_pairs(pairs, measure, trials)
     per_trial = rng.map_trials(
-        lambda t: [o.success for o in _witness_trial(norm_pairs, measure, n, seed, t)],
+        lambda t: [o.success for o in _witness_trial(pairs, measure, n, seed, t)],
         trials,
         threads,
     )
     joint = sum(all(flags) for flags in per_trial)
     marginals = tuple(
         MixingEstimate.from_counts(n, trials, sum(flags[i] for flags in per_trial), seed)
-        for i in range(len(norm_pairs))
+        for i in range(len(pairs))
     )
     return JointMixingResult(MixingEstimate.from_counts(n, trials, joint, seed), marginals)
 

@@ -10,6 +10,7 @@ it runs first, last, or on another worker thread.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -56,9 +57,11 @@ def map_trials(fn, trials: int, threads: int = 1) -> list:
 
     Results come back ordered by trial index no matter the thread count, so
     any reduction over them is scheduling-independent. fn must take care of
-    its own substream seeding.
+    its own substream seeding. At most min(threads, trials, CPU count)
+    workers start, however large threads is.
     """
-    if threads <= 1 or trials <= 1:
+    workers = min(threads, trials, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(trials)))

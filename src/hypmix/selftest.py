@@ -448,7 +448,7 @@ def _criterion_7(threads: int = 1):
         for target in targets:
             narrow = transverse.overlap_bound(target, got.element, 3, 4, range(-200, 201))
             wide = transverse.overlap_bound(target, got.element, 3, 4, range(-400, 401))
-            if narrow.per_conjugator != wide.per_conjugator:
+            if narrow != wide:
                 stable = False
         all_ok = all_ok and ok and stable
         label = "+".join("".join(g) for g in gens_list)

@@ -160,9 +160,6 @@ class SubgroupAutomaton:
         "_key",
         "_tree_words",
         "_return_dist",
-        "_rank_cache",
-        "_index_cache",
-        "_trace_cache",
     )
 
     def __init__(self, rank: int, transitions: tuple[dict[int, int], ...]):
@@ -173,9 +170,6 @@ class SubgroupAutomaton:
         self._key = (rank, len(transitions), tuple(tuple(d.items()) for d in transitions))
         self._tree_words: tuple[Word, ...] | None = None
         self._return_dist: tuple[int, ...] | None = None
-        self._rank_cache: int | None = None
-        self._index_cache: int | float | None = None
-        self._trace_cache: tuple[frozenset, frozenset] | None = None
 
     # --- construction -----------------------------------------------------
 
@@ -273,19 +267,14 @@ class SubgroupAutomaton:
 
     def rank_of_subgroup(self) -> int:
         """Free rank of the subgroup: edges - states + 1 of the core graph."""
-        if self._rank_cache is None:
-            self._rank_cache = self.n_edges() - self.n_states + 1
-        return self._rank_cache
+        return self.n_edges() - self.n_states + 1
 
     def index(self) -> int | float:
         """Subgroup index: the state count when the automaton is a full cover
         (all 2k directions everywhere), infinity otherwise."""
-        if self._index_cache is None:
-            if all(len(d) == 2 * self.rank for d in self.transitions):
-                self._index_cache = self.n_states
-            else:
-                self._index_cache = math.inf
-        return self._index_cache
+        if all(len(d) == 2 * self.rank for d in self.transitions):
+            return self.n_states
+        return math.inf
 
     def _tree(self) -> tuple[Word, ...]:
         """Canonical spanning-tree words base -> state (BFS, letter order)."""
@@ -414,16 +403,10 @@ class SubgroupAutomaton:
     def trace(self, window: Iterable[Sequence[int]]) -> frozenset:
         """Membership pattern on a window: the window words in the subgroup.
 
-        The pattern on the last frozenset window is kept, so a marker
-        subgroup read against one window trial after trial is read once.
+        A caller that compares many subgroups with one marker reads the
+        marker's trace once: mixing.WitnessPair does so once per estimate.
         """
-        cached = self._trace_cache
-        if cached is not None and cached[0] == window:
-            return cached[1]
-        hits = frozenset(w for w in map(tuple, window) if self.contains(w))
-        if isinstance(window, frozenset):
-            self._trace_cache = (window, hits)
-        return hits
+        return frozenset(w for w in map(tuple, window) if self.contains(w))
 
     # --- serialization ------------------------------------------------------
 

@@ -43,6 +43,11 @@ from .freegroup import (
 )
 from .stallings import SubgroupAutomaton
 
+# Search caps of construct_transverse: the radius of the ball searched for
+# the avoided element a, and the largest exponent n tried for g^n * a.
+AVOID_RADIUS_CAP = 8
+EXPONENT_CAP = 64
+
 
 class TransversalityError(ValueError):
     """Bad input (identity element, finite-index target) or exhausted search."""
@@ -72,24 +77,6 @@ class TransversalityCertificate:
     def __post_init__(self):
         if self.transverse != (self.power is None):
             raise CertificateError("a certificate is transverse exactly when it has no power")
-
-
-@dataclass(frozen=True)
-class OverlapReport:
-    """Exact counts of powers f^m landing E-close to coset orbits v*H."""
-
-    per_conjugator: dict
-
-
-@dataclass(frozen=True)
-class ForbiddenSet:
-    """Finite coset data controlling which conjugates of H can meet <g>.
-
-    representatives: words u with {u : u^-1 H u meets <g>} contained in
-    H * representatives.
-    """
-
-    representatives: tuple
 
 
 @dataclass(frozen=True)
@@ -226,8 +213,8 @@ def overlap_bound(
     e_bound: int,
     radius: int,
     m_range: Iterable[int],
-) -> OverlapReport:
-    """Max over conjugators v in the radius ball of overlap_count.
+) -> dict[Word, int]:
+    """overlap_count for each conjugator v in the radius ball, by v.
 
     Exact for the scanned window. For a transverse f the per-conjugator
     counts stay constant under enlarging the exponent window; a witness pair
@@ -245,14 +232,15 @@ def overlap_bound(
             if h.distance_to_orbit(multiply(v_inv, word)) <= e_bound:
                 count += 1
         per[v] = count
-    return OverlapReport(per_conjugator=per)
+    return per
 
 
-def compute_u0(h: SubgroupAutomaton, g: Sequence[int]) -> ForbiddenSet:
+def compute_u0(h: SubgroupAutomaton, g: Sequence[int]) -> tuple[Word, ...]:
     """The finite forbidden set U0 for (H, g): see the module docstring.
 
-    Representatives are shortlex-least in their right H-coset among the
-    candidates and pairwise in distinct cosets.
+    Returns representatives u with {u : u^-1 H u meets <g>} contained in
+    H * U0, each shortlex-least in its right H-coset among the candidates
+    and pairwise in distinct cosets.
     """
     g = reduce_word(g, h.rank)
     if not g:
@@ -267,15 +255,10 @@ def compute_u0(h: SubgroupAutomaton, g: Sequence[int]) -> ForbiddenSet:
     for u in candidates:
         if not any(h.contains(multiply(u, invert(r))) for r in reps):
             reps.append(u)
-    return ForbiddenSet(tuple(reps))
+    return tuple(reps)
 
 
-def construct_transverse(
-    targets: Sequence[SubgroupAutomaton],
-    g: Sequence[int],
-    exponent_cap: int = 64,
-    avoid_radius_cap: int = 8,
-) -> TransverseConstruction:
+def construct_transverse(targets: Sequence[SubgroupAutomaton], g: Sequence[int]) -> TransverseConstruction:
     """Produce a certified element transverse to every target.
 
     Works like the existence proof: pick the shortlex-least a avoiding the
@@ -306,26 +289,26 @@ def construct_transverse(
     def excluded(a: Word) -> bool:
         if elementary_closure_contains(g, a):
             return True
-        for t, fs in zip(targets, forbidden):
-            for u1 in fs.representatives:
-                for u2 in fs.representatives:
+        for t, reps in zip(targets, forbidden):
+            for u1 in reps:
+                for u2 in reps:
                     if t.contains(multiply(multiply(u1, a), invert(u2))):
                         return True
         return False
 
     ctx = FreeContext(rank)
     avoided: Word | None = None
-    for a in ctx.ball(avoid_radius_cap):
+    for a in ctx.ball(AVOID_RADIUS_CAP):
         if not excluded(a):
             avoided = a
             break
     if avoided is None:
         raise TransversalityError(
-            f"no avoided element within radius {avoid_radius_cap}"
+            f"no avoided element within radius {AVOID_RADIUS_CAP}"
         )
 
     g_power: Word = ()
-    for n_exp in range(1, exponent_cap + 1):
+    for n_exp in range(1, EXPONENT_CAP + 1):
         g_power = multiply(g_power, g)
         f = multiply(g_power, avoided)
         if not f:
@@ -334,5 +317,5 @@ def construct_transverse(
         if all(c.transverse for c in certs):
             return TransverseConstruction(f, avoided, n_exp, tuple(certs))
     raise TransversalityError(
-        f"no certified transverse element up to exponent {exponent_cap}"
+        f"no certified transverse element up to exponent {EXPONENT_CAP}"
     )

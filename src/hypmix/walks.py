@@ -301,26 +301,20 @@ def drift_estimate(
     n: int,
     trials: int,
     seed: int,
-    allow_impermissible: bool = False,
     threads: int = 1,
 ) -> DriftEstimate:
     """Estimate the drift of the walk over independent trials.
 
     Each trial runs on its own substream, so the estimate is identical for
-    any thread count. Refuses impermissible measures unless overridden
-    (a point mass, say, still has a perfectly good deterministic drift).
+    any thread count. Refuses impermissible measures.
     """
     if trials <= 0:
         raise MeasureError("need at least one trial")
     if n <= 0:
         raise MeasureError("need a positive walk length")
-    if not allow_impermissible:
-        report = measure.validate()
-        if not report.passed:
-            raise MeasureError(
-                f"measure fails permissibility: {', '.join(report.failures())}; "
-                "pass allow_impermissible=True to estimate anyway"
-            )
+    report = measure.validate()
+    if not report.passed:
+        raise MeasureError(f"measure fails permissibility: {', '.join(report.failures())}")
 
     def one(trial: int) -> float:
         gen = rng.substream(seed, trial)

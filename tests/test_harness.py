@@ -306,6 +306,8 @@ class TestRun:
             ("trials = 5\nn_list = ,", "params.n_list"),
             ("trials = 5\nn_list = 3\ndepth_cap = 0", "params.depth_cap"),
             ("trials = 5\nn_list = 3\ndepth_cap = -2", "params.depth_cap"),
+            ("trials = 5\nn_list = 3\np_letter = 0", "params.p_letter"),
+            ("trials = 5\nn_list = 3\np_letter = 1/3", "params.p_letter"),
         ],
     )
     def test_bad_qn_input_names_field(self, params, field):

@@ -8,9 +8,9 @@ import pytest
 from hypmix import mixing, rng, stallings
 from hypmix.freegroup import invert, multiply
 from hypmix.mixing import (
-    BasicOpenSet,
     MixingSetupError,
     WitnessCertificationError,
+    WitnessPair,
     check_witness,
     estimate_mixing,
     free_product_experiment,
@@ -48,7 +48,7 @@ class TestWitnessSubgroup:
     def test_success_folds_twice(self, monkeypatch):
         # Trial 0 of seed 11 at n = 80 passes every flag: one fold builds L,
         # one folds w L w^-1 for the certification.
-        pairs = [(sub("a"), sub("b"), frozenset(F2.ball(2)))]
+        pairs = [WitnessPair.of(sub("a"), sub("b"), F2.ball(2))]
         folds = []
         fold = stallings._FoldGraph.fold
         monkeypatch.setattr(stallings._FoldGraph, "fold", lambda self: folds.append(1) or fold(self))
@@ -64,7 +64,7 @@ class TestWitnessSubgroup:
         h, k = sub("a"), sub("b")
         w = UNIFORM.final_position(80, rng.substream(11, 0))
         l_sub = witness_subgroup(h, k, w)
-        assert check_witness(l_sub, h, k, F2.ball(2), w).success
+        assert check_witness(l_sub, WitnessPair.of(h, k, F2.ball(2)), w).success
         seen = []
         attach_path = stallings._FoldGraph.attach_path
 
@@ -87,20 +87,20 @@ class TestCheckWitness:
     def test_w1_fails_trace_k(self):
         w = ()
         l_sub = witness_subgroup(sub("a"), sub("b"), w)
-        out = check_witness(l_sub, sub("a"), sub("b"), F2.ball(1), w)
+        out = check_witness(l_sub, WitnessPair.of(sub("a"), sub("b"), F2.ball(1)), w)
         assert not out.trace_k
         assert not out.infinite_index
 
     def test_trivial_markers(self):
         w = F2.parse("ab")
         l_sub = witness_subgroup(sub(), sub(), w)
-        out = check_witness(l_sub, sub(), sub(), F2.ball(1), w)
+        out = check_witness(l_sub, WitnessPair.of(sub(), sub(), F2.ball(1)), w)
         assert out.success  # 0 = 0 + 0 rank, trivial traces agree
 
     def test_generic_long_word(self):
         w = sample_walk(UNIFORM, 60, 71).final
         l_sub = witness_subgroup(sub("a"), sub("b"), w)
-        out = check_witness(l_sub, sub("a"), sub("b"), F2.ball(2), w)
+        out = check_witness(l_sub, WitnessPair.of(sub("a"), sub("b"), F2.ball(2)), w)
         assert out.success
         # Independent flag checks by raw membership.
         for f in F2.ball(2):
@@ -108,23 +108,15 @@ class TestCheckWitness:
             assert l_sub.conjugate(w).contains(f) == sub("a").contains(f)
 
 
-class TestBasicOpenSet:
-    def test_marker_in_own_set(self):
-        s = BasicOpenSet.around(sub("a"), F2.ball(2))
-        assert s.holds_for(sub("a"))
-
-    def test_distinguishes(self):
-        s = BasicOpenSet.around(sub("a"), F2.ball(2))
-        assert not s.holds_for(sub("b"))
-
-
 class TestWitnessCertification:
     # Trial 0 of seed 11 at n = 80 passes every witness flag, so the
-    # open-set certification runs; patching it to fail must raise.
+    # open-set certification runs. Only the certification conjugates: if
+    # conjugate skips the stem, w L w^-1 reads as L, whose trace is K's, not
+    # H's, and the trial must raise.
 
     def test_disagreement_raises(self, monkeypatch):
-        pairs = [(sub("a"), sub("b"), frozenset(F2.ball(2)))]
-        monkeypatch.setattr(BasicOpenSet, "holds_for", lambda self, subgroup: False)
+        pairs = [WitnessPair.of(sub("a"), sub("b"), F2.ball(2))]
+        monkeypatch.setattr(SubgroupAutomaton, "conjugate", lambda self, g: self)
         with pytest.raises(WitnessCertificationError):
             mixing._witness_trial(pairs, UNIFORM, 80, 11, 0)
 
@@ -142,8 +134,8 @@ class TestWitnessCertification:
             F2 = FreeContext(2)
             UNIFORM = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
             sub = lambda t: SubgroupAutomaton.from_generators(2, [F2.parse(t)])
-            pairs = [(sub("a"), sub("b"), frozenset(F2.ball(2)))]
-            mixing.BasicOpenSet.holds_for = lambda self, subgroup: False
+            pairs = [mixing.WitnessPair.of(sub("a"), sub("b"), F2.ball(2))]
+            SubgroupAutomaton.conjugate = lambda self, g: self
             try:
                 mixing._witness_trial(pairs, UNIFORM, 80, 11, 0)
             except mixing.WitnessCertificationError:

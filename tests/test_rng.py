@@ -1,3 +1,5 @@
+import pytest
+
 from hypmix import rng
 
 # Draws from rng.substream(20260808, 0), each from a fresh substream. The
@@ -27,3 +29,39 @@ def test_stream_pin():
     }
     changed = [f"{key}: {got[key]} != {want[key]}" for key in want if got[key] != want[key]]
     assert not changed, "numpy stream changed: " + "; ".join(changed)
+
+
+
+@pytest.mark.parametrize(
+    "threads, trials, cpus, workers",
+    [
+        (100_000, 50, 4, 4),
+        (3, 50, 4, 3),
+        (100_000, 2, 4, 2),
+        (100_000, 50, 1, None),
+        (8, 50, None, None),
+        (1, 50, 4, None),
+    ],
+)
+def test_map_trials_caps_workers(monkeypatch, threads, trials, cpus, workers):
+    # At most min(threads, trials, CPU count) workers; one worker runs
+    # inline. The stand-in pool records its size and starts no thread.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: cpus)
+    assert rng.map_trials(lambda t: t * t, trials, threads) == [t * t for t in range(trials)]
+    assert sizes == ([] if workers is None else [workers])

@@ -183,12 +183,6 @@ class TestFinalPosition:
 
 
 class TestDrift:
-    def test_point_mass_drift_one(self):
-        point = StepMeasure(2, {(1,): Fraction(1)})
-        est = drift_estimate(point, 100, 5, 3, allow_impermissible=True)
-        assert est.d_hat == 1.0
-        assert est.ci_half_width == 0.0
-
     def test_impermissible_rejected(self):
         point = StepMeasure(2, {(1,): Fraction(1)})
         with pytest.raises(MeasureError):
