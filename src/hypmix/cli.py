@@ -247,12 +247,14 @@ def _criteria_ids(args):
 def _cmd_selftest(args) -> int:
     from .selftest import report_rows, selftest
 
+    # The subcommand runs kind = selftest at seed 0; its config checks threads.
+    config = ExperimentConfig(kind="selftest", seed=0, threads=args.threads)
     started = time.perf_counter()
-    results = selftest(_criteria_ids(args), args.threads)
+    results = selftest(_criteria_ids(args), config.threads)
     for result in results:
         print(result.line())
     if args.out:
-        data = emit(report_rows(results, seed=0), args.format)
+        data = emit(report_rows(results, config.seed), args.format)
         _write(args.out, _timing_header(time.perf_counter() - started, args) + data)
     return 0 if all(r.passed for r in results) else 2
 

@@ -45,6 +45,12 @@ class ExperimentConfig:
     out: str | None = None
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # Every command-line entry point builds a config, so a worker count
+        # below 1 is refused here, under the field name a config file uses.
+        if self.threads < 1:
+            raise ConfigError("experiment.threads", f"must be >= 1, got {self.threads}")
+
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         try:
@@ -83,8 +89,6 @@ class ExperimentConfig:
             threads = int(section.get("threads", "1"))
         except ValueError:
             raise ConfigError("experiment.threads", f"not an integer: {section.get('threads')!r}")
-        if threads < 1:
-            raise ConfigError("experiment.threads", "must be >= 1")
         out = section.get("out", "").strip() or None
         params = dict(parser["params"]) if "params" in parser else {}
         return cls(kind=kind, seed=seed, threads=threads, out=out, params=params)

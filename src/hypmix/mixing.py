@@ -21,6 +21,15 @@ A window trace is a subgroup's membership pattern on F. Each estimate reads
 the markers' traces once, into a WitnessPair; a trial compares L's patterns
 with them. check_witness takes the reduced endpoint the walk returns and
 reduces nothing itself.
+
+Flag (b) is read along L's stem. In L's automaton, w L w^-1 is the subgroup
+read at the end of the path spelling u = w^-1 (Kapovich & Myasnikov,
+"Stallings foldings and subgroups of free groups", J. Algebra 2002), but the
+core trim may cut that path short: when H is trivial, or H's base is a hair
+of H, u need not read to its end. So u is read from L's base once, keeping
+the state after each prefix, and each window word f is tested on the
+reduced u f u^-1 = u[:i] m u[:j]^-1, found by cancelling at the two seams
+only.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import rng
-from .freegroup import Word, invert, multiply
+from .freegroup import Word, invert
 from .stallings import SubgroupAutomaton
 from .stats import proportion_ci95
 from .walks import StepMeasure
@@ -121,16 +130,53 @@ def witness_subgroup(
 def check_witness(l_sub: SubgroupAutomaton, pair: WitnessPair, w: Word) -> WitnessOutcome:
     """Evaluate all four witness flags exactly for the reduced endpoint w.
 
-    Flag (b) is read through the word route: f lies in w L w^-1 exactly when
-    the reduced word w^-1 f w lies in L, so no conjugate is folded.
+    Flag (b) is read along L's stem: f lies in w L w^-1 exactly when the
+    reduced w^-1 f w lies in L, and _stem_trace finds that word's path from
+    the states w^-1 passes, so no conjugate is folded and the stem is read
+    once, not once per window word.
     """
-    w_inv = invert(w)
     trace_k = l_sub.trace(pair.window) == pair.trace_k
-    conjugated = frozenset(f for f in pair.window if l_sub.contains(multiply(multiply(w_inv, f), w)))
-    trace_h = conjugated == pair.trace_h
+    trace_h = _stem_trace(l_sub, invert(w), pair.window) == pair.trace_h
     infinite_index = l_sub.index() == math.inf
     free_rank = l_sub.rank_of_subgroup() == pair.h.rank_of_subgroup() + pair.k.rank_of_subgroup()
     return WitnessOutcome(trace_k, trace_h, infinite_index, free_rank)
+
+
+def _stem_trace(l_sub: SubgroupAutomaton, u: Word, window) -> frozenset:
+    """The window words f with u f u^-1 in L, for a reduced word u.
+
+    u is read from L's base once; states[i] is the state u[:i] reaches, up
+    to where L stops reading. The reduced u f u^-1 is u[:i] m u[:j]^-1: the
+    first c letters of f cancel u's tail (i = |u| - c), the last d letters
+    of what is left cancel the head of u^-1 (j = |u| - d), and m is the rest
+    of f. When m is empty the two stems cancel on while u[i-1] == u[j-1];
+    that can stop once both prefixes are read, since in a folded automaton
+    u[:i] u[:j]^-1 reads base to base exactly when states[i] == states[j].
+    The word lies in L exactly when states i and j both exist and reading m
+    from state i ends at state j.
+    """
+    rows = l_sub.transitions
+    states = [0]
+    for letter in u:
+        nxt = rows[states[-1]].get(letter)
+        if nxt is None:
+            break
+        states.append(nxt)
+    n, read = len(u), len(states)
+    out = []
+    for f in window:
+        c = 0
+        while c < len(f) and c < n and f[c] == -u[n - 1 - c]:
+            c += 1
+        i, j, end = n - c, n, len(f)
+        while end > c and j > 0 and f[end - 1] == u[j - 1]:
+            end, j = end - 1, j - 1
+        if end == c:
+            while max(i, j) >= read and i > 0 and j > 0 and u[i - 1] == u[j - 1]:
+                i, j = i - 1, j - 1
+        if i < read and j < read and l_sub.read(states[i], f[c:end]) == states[j]:
+            out.append(f)
+    return frozenset(out)
 
 
 def _require_permissible(measure: StepMeasure):

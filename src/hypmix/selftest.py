@@ -361,7 +361,7 @@ def _all_core_automata(max_states: int) -> list[SubgroupAutomaton]:
                 if any(len(adj[s]) <= 1 for s in range(1, n)):
                     continue
                 sub = SubgroupAutomaton._from_folded(2, adj, 0)
-                canon[sub._key] = sub
+                canon[sub] = sub
     return list(canon.values())
 
 

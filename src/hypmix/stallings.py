@@ -10,9 +10,11 @@ base loop, and the words read on reduced base-to-base loops are exactly the
 elements of the subgroup.
 
 Automata are canonicalized after construction (BFS numbering from the base
-with the fixed letter order a < a^-1 < b < b^-1 < ...), which makes equality
-of subgroups equality of objects. All instances are immutable; every
-operation returns a fresh automaton.
+with the fixed letter order a < a^-1 < b < b^-1 < ...), with each state's row
+listing its letters in that order, so two automata of one subgroup have
+equal rank and equal rows, and equality of subgroups is equality of objects,
+compared row by row. All instances are immutable; every operation returns a
+fresh automaton.
 
 One fold builder makes every automaton from words and automata, and keeps
 its graph folded as it grows (Kapovich & Myasnikov, "Stallings foldings and
@@ -157,7 +159,6 @@ class SubgroupAutomaton:
     __slots__ = (
         "rank",
         "transitions",
-        "_key",
         "_tree_words",
         "_return_dist",
     )
@@ -167,7 +168,6 @@ class SubgroupAutomaton:
         # algebraic operations, all of which canonicalize, dict order included.
         self.rank = rank
         self.transitions = transitions
-        self._key = (rank, len(transitions), tuple(tuple(d.items()) for d in transitions))
         self._tree_words: tuple[Word, ...] | None = None
         self._return_dist: tuple[int, ...] | None = None
 
@@ -235,10 +235,16 @@ class SubgroupAutomaton:
         return sum(len(d) for d in self.transitions) // 2
 
     def __eq__(self, other):
-        return isinstance(other, SubgroupAutomaton) and self._key == other._key
+        # Canonical rows list their letters in the fixed order, so equal
+        # dicts are equal rows.
+        return (
+            isinstance(other, SubgroupAutomaton)
+            and self.rank == other.rank
+            and self.transitions == other.transitions
+        )
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.rank, tuple(tuple(d.items()) for d in self.transitions)))
 
     def __repr__(self):
         return f"SubgroupAutomaton(rank={self.rank}, states={self.n_states}, edges={self.n_edges()})"

@@ -3,7 +3,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypmix.harness import (
@@ -354,6 +354,81 @@ class TestRun:
         assert rows[0].value == 1.0
 
 
+# Small values for each params key: (plain, odd). Plain values mostly run;
+# odd ones are zero, negative, empty, missing (None) or junk. The counts stay
+# small (trials <= 3, n <= 20) so the property runs in seconds: no value
+# leaves both transience's trials (default 100,000) and its horizon (default
+# 10,000) at their defaults.
+_FUZZ_VALUES = {
+    "rank": ([None, "2", "3"], ["1", "0", "-2", "x"]),
+    "measure": (
+        ["uniform: a A b B", "uniform: a A b B c C", "uniform: a A", "entries: ab:1/2 BA:1/2"],
+        [None, "", "uniform: a q", "uniform:", "entries: a:2", "entries: a:x", "junk"],
+    ),
+    "identity_mass": ([None, "0", "1/2"], ["1", "-1/2", "x"]),
+    "n": (["0", "3", "20"], [None, "", "-1", "x"]),
+    "trials": (["1", "3"], ["", "0", "-2", "x"]),
+    "n_list": (["0", "3,20", "10"], [None, "", ",", "-4", "3 x"]),
+    "h": (["a", "ab", "abA"], [None, "", "a b", "q"]),
+    "k": (["b", "ba", "a a"], [None, "", "q"]),
+    "window_radius": ([None, "0", "1", "3"], ["-1", "x"]),
+    "targets": (["a", "a | b", "a |"], [None, "", "|", "a b", "q"]),
+    "g": (["ab", "a"], [None, "", "a b", "q"]),
+    "p_letter": ([None, "1/8", "1/16"], ["0", "1/3", "-1", "x"]),
+    "depth_cap": ([None, "2", "6"], ["0", "1", "-2", "x"]),
+    "horizon": (["1", "20"], ["0", "-3", "x"]),
+    "radius": ([None, "1", "3"], ["0", "-1", "x"]),
+    "u": (["zx", "z", "Z"], [None, "", "zZ", "q", "xyz"]),
+    "pairs": (["zx:zy zz:Zx", "zx:zy"], [None, "", "zx:q", ":", "zx:", "zx:zyz", "zx"]),
+}
+_FUZZ_KINDS = {
+    "walk": ["rank", "measure", "identity_mass", "n"],
+    "drift": ["rank", "measure", "identity_mass", "n", "trials"],
+    "mix": ["rank", "measure", "h", "k", "window_radius", "n_list", "trials"],
+    "freeprod": ["rank", "measure", "h", "n", "trials"],
+    "transverse": ["rank", "targets", "g"],
+    "cantor qn": ["p_letter", "n_list", "trials", "depth_cap"],
+    "cantor transience": ["trials", "horizon", "radius"],
+    "cantor claim1": ["u"],
+    "cantor claim2": ["u"],
+    "cantor claim3": ["pairs"],
+    "cantor junk": [],
+}
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A config of any kind but selftest, or any cantor mode, with at most
+    two odd params, and the params keys its runner reads."""
+    name = draw(st.sampled_from(sorted(_FUZZ_KINDS)))
+    kind, _, mode = name.partition(" ")
+    keys = _FUZZ_KINDS[name]
+    odd = draw(st.sets(st.sampled_from(keys), max_size=2)) if keys else set()
+    params = {"mode": mode} if mode else {}
+    for key in keys:
+        value = draw(st.sampled_from(_FUZZ_VALUES[key][key in odd]))
+        if value is not None:
+            params[key] = value
+    config = ExperimentConfig(kind=kind, seed=draw(st.integers(0, 9)), threads=draw(st.integers(1, 2)), params=params)
+    return config, set(params) | set(keys)
+
+
+class TestConfigFuzz:
+    # kind = selftest is left out: it takes no params and runs the suite.
+
+    @settings(max_examples=300)
+    @given(fuzz_configs())
+    def test_rows_or_named_field(self, case):
+        config, keys = case
+        try:
+            rows = run(config)
+        except ConfigError as exc:
+            assert exc.field_name.startswith("params.")
+            assert exc.field_name[len("params."):] in keys
+        else:
+            assert rows and all(isinstance(r, ResultRow) for r in rows)
+
+
 class TestCli:
     def _hypmix(self, *argv):
         return subprocess.run(
@@ -383,8 +458,9 @@ class TestCli:
             ("kind = mix\n", "config"),
             ("[experiment]\nkind = mix\nno value on this line\n", "config"),
             ("[experiment]\nkind = mix\n[params]\nmeasure = uniform: a%% %(b)\n", "params.measure"),
+            ("[experiment]\nkind = mix\nthreads = 0\n[params]\nh = a\n", "experiment.threads"),
         ],
-        ids=["duplicate-option", "duplicate-section", "no-section-header", "parse-error", "interpolation"],
+        ids=["duplicate-option", "duplicate-section", "no-section-header", "parse-error", "interpolation", "threads-0"],
     )
     def test_malformed_ini_exit_code(self, tmp_path, text, field):
         cfg = tmp_path / "bad.ini"
@@ -393,6 +469,26 @@ class TestCli:
         assert res.returncode == 1
         assert res.stderr.startswith(f"error: [{field}] ")
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("drift", "--n", "10", "--trials", "3", "--threads", "0"),
+            ("drift", "--n", "10", "--trials", "3", "--threads", "-5"),
+            ("mix", "--H", "a", "--K", "b", "--n-list", "10", "--trials", "3", "--threads", "0"),
+            ("freeprod", "--H", "a", "--n", "10", "--trials", "3", "--threads", "0"),
+            ("transverse", "--targets", "a", "--g", "ab", "--threads", "0"),
+            ("cantor", "--qn", "--n-list", "3", "--trials", "3", "--threads", "0"),
+            ("selftest", "--criteria", "2", "--threads", "0"),
+            ("selftest", "--threads", "-1"),
+        ],
+        ids=["drift-0", "drift-neg", "mix", "freeprod", "transverse", "cantor", "selftest-0", "selftest-neg"],
+    )
+    def test_threads_below_one_exit_code(self, argv):
+        res = self._hypmix(*argv)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: [experiment.threads] ")
+        assert res.stdout == ""
 
     def test_transience_zero_trials_exit_code(self):
         res = self._hypmix("cantor", "--transience", "--trials", "0")

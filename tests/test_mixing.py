@@ -4,9 +4,11 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hypmix import mixing, rng, stallings
-from hypmix.freegroup import invert, multiply
+from hypmix.freegroup import FreeContext, invert, multiply, reduce_word
 from hypmix.mixing import (
     MixingSetupError,
     WitnessCertificationError,
@@ -20,7 +22,7 @@ from hypmix.mixing import (
 from hypmix.stallings import SubgroupAutomaton
 from hypmix.walks import StepMeasure, sample_walk
 
-from conftest import F2, src_env
+from conftest import F2, nontrivial_words, src_env, words
 
 UNIFORM = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
 A, B = (1,), (2,)
@@ -106,6 +108,58 @@ class TestCheckWitness:
         for f in F2.ball(2):
             assert l_sub.contains(f) == sub("b").contains(f)
             assert l_sub.conjugate(w).contains(f) == sub("a").contains(f)
+
+
+def _word_route(l_sub, w, window):
+    """Flag (b)'s reference: f lies in w L w^-1 when the reduced w^-1 f w lies in L."""
+    return frozenset(f for f in window if l_sub.contains(multiply(multiply(invert(w), f), w)))
+
+
+@st.composite
+def stem_cases(draw):
+    """(rank, H generators, K generators, w, window radius) on F2 and F3.
+
+    H is trivial, hangs from a hair at its base (x g x^-1), or is drawn
+    freely: the first two make L's core trim cut the stem w^-1 short. w may
+    end in a periodic tail, where the seams cancel far into the stem."""
+    rank = draw(st.sampled_from((2, 3)))
+    shape = draw(st.sampled_from(("trivial", "hair", "free")))
+    if shape == "trivial":
+        h_gens = []
+    elif shape == "hair":
+        x = draw(nontrivial_words(rank, 3))
+        h_gens = [multiply(multiply(x, draw(nontrivial_words(rank, 3))), invert(x))]
+    else:
+        h_gens = draw(st.lists(nontrivial_words(rank, 4), min_size=1, max_size=2))
+    k_gens = draw(st.lists(nontrivial_words(rank, 4), max_size=2))
+    period = draw(nontrivial_words(rank, 2))
+    w = reduce_word(draw(words(rank, 8)) + period * draw(st.integers(0, 6)))
+    return rank, h_gens, k_gens, w, draw(st.integers(0, 3))
+
+
+class TestStemTrace:
+    @given(stem_cases())
+    def test_matches_word_route(self, case):
+        rank, h_gens, k_gens, w, radius = case
+        h = SubgroupAutomaton.from_generators(rank, h_gens)
+        k = SubgroupAutomaton.from_generators(rank, k_gens)
+        l_sub = witness_subgroup(h, k, w)
+        window = FreeContext(rank).ball(radius)
+        assert mixing._stem_trace(l_sub, invert(w), window) == _word_route(l_sub, w, window)
+
+    def test_stem_cut_short_by_a_hair_of_h(self):
+        # H = <a b a^-1> has a hair at its base, and w^-1 = B A A ends in the
+        # letter that cancels it: L's core trim cuts the stem after B A, so
+        # w^-1 does not read in L, yet w L w^-1 still meets the window in H.
+        h, k, w = sub("abA"), sub("b"), F2.parse("aab")
+        l_sub = witness_subgroup(h, k, w)
+        window = F2.ball(3)
+        assert l_sub.read(0, invert(w)) is None
+        assert l_sub.read(0, invert(w)[:2]) is not None
+        got = mixing._stem_trace(l_sub, invert(w), window)
+        assert got == _word_route(l_sub, w, window) == h.trace(window)
+        assert {F2.format(f) for f in got} == {"1", "abA", "aBA"}
+        assert check_witness(l_sub, WitnessPair.of(h, k, window), w).trace_h
 
 
 class TestWitnessCertification:

@@ -8,6 +8,9 @@ ResultRow by column name). Unit tests do not count as users: code or data
 that only a test reaches is either wired into an experiment or deleted. The
 exceptions are the independent references that tests compare the library
 against, listed below.
+
+Every name a src/hypmix module imports is also used in that module, unless
+its import line says `# noqa: F401` (the package's re-exports).
 """
 
 import ast
@@ -100,3 +103,31 @@ def test_no_public_name_is_reached_only_from_tests():
 def test_every_reference_is_still_defined():
     defined, _ = _scan()
     assert REFERENCES.keys() <= defined, sorted(REFERENCES.keys() - defined)
+
+
+def _unused_imports(tree, lines):
+    """Names the module imports but never loads, skipping `# noqa: F401` lines."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" not in lines[node.lineno - 1]:
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in loaded)
+
+
+def test_every_import_is_used():
+    unused = {}
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        found = _unused_imports(ast.parse(text, filename=str(path)), text.splitlines())
+        if found:
+            unused[path.name] = found
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_unused_import_check_sees_one():
+    text = "import os\nfrom .freegroup import invert, multiply  # comment\nfrom . import rng  # noqa: F401\ninvert(())\n"
+    assert _unused_imports(ast.parse(text), text.splitlines()) == ["line 1: os", "line 2: multiply"]
