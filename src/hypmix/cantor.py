@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import rng
-from .freegroup import Word, letter_key
+from .freegroup import Word
 from .stats import proportion_ci95
 
 X, Y, Z = 1, 2, 3
@@ -54,6 +54,7 @@ _NAME_LETTERS = {v: k for k, v in _LETTER_NAMES.items()}
 
 # Allowed extension letters after a given last letter, in order.
 _ALLOWED = {last: tuple(l for l in _LETTERS if l != -last) for last in _LETTERS}
+_LETTER_RANK = {l: i for i, l in enumerate(_LETTERS)}
 _ALLOWED_RANK = {
     last: {l: i for i, l in enumerate(allowed)} for last, allowed in _ALLOWED.items()
 }
@@ -177,8 +178,14 @@ class ConePermutation:
 
 
 # A group element is a word over F(x,y)-letters (ints +-1, +-2) and
-# ConePermutation atoms; the rightmost atom acts first.
+# ConePermutation atoms; the rightmost atom acts first. Internally atoms are
+# raw: an int letter, or a permutation's 18-tuple of targets (its mapping).
 GElement = tuple
+
+
+def _raw_atoms(g: GElement) -> tuple:
+    """g with each ConePermutation replaced by its mapping."""
+    return tuple(int(atom) if isinstance(atom, int) else atom.mapping for atom in g)
 
 
 def invert_element(g: GElement) -> GElement:
@@ -247,15 +254,16 @@ def _xi(u: Word, v: Word, w: Word) -> Word:
 NEEDS_REFINEMENT = None
 
 
-def _advance(g: GElement, label: Word, i: int) -> tuple[Word, int]:
-    """Apply the atoms g[i-1], ..., g[0] (right to left) to Cone(label).
+def _advance(atoms: tuple, label: Word, i: int) -> tuple[Word, int]:
+    """Apply the raw atoms atoms[i-1], ..., atoms[0] (right to left) to
+    Cone(label).
 
     Stops at the first atom that is not determined at the label's depth and
     returns (label, atoms left), with 0 atoms left once every atom has acted.
     """
     while i:
-        atom = g[i - 1]
-        if isinstance(atom, int):
+        atom = atoms[i - 1]
+        if atom.__class__ is int:
             if label[0] != -atom:
                 label = (atom,) + label
             elif len(label) > 1:
@@ -269,7 +277,7 @@ def _advance(g: GElement, label: Word, i: int) -> tuple[Word, int]:
             idx = OMEGA_INDEX.get(prefix)
             # A two-letter prefix inside F(x, y) is fixed pointwise.
             if idx is not None:
-                target = OMEGA[atom.mapping[idx]]
+                target = OMEGA[atom[idx]]
                 if target != prefix:
                     label = _xi(prefix, target, label)
         i -= 1
@@ -284,7 +292,7 @@ def apply_element(g: GElement, label: Sequence[int]):
     no full cancellation for a letter. Restricted to the cone, g acts as the
     positional bijection onto the returned cone.
     """
-    label, left = _advance(g, _check_label(label), len(g))
+    label, left = _advance(_raw_atoms(g), _check_label(label), len(g))
     return NEEDS_REFINEMENT if left else label
 
 
@@ -308,12 +316,16 @@ def _merge_antichain(labels: Iterable[Word]) -> tuple[Word, ...]:
                 current.add(parent)
                 changed = True
                 break
-    out = tuple(sorted(current, key=lambda l: (len(l), tuple(letter_key(x) for x in l))))
-    for i, a in enumerate(out):
-        for b in out:
-            if a is not b and b[: len(a)] == a:
+    for label in current:
+        for j in range(1, len(label)):
+            if label[:j] in current:
                 raise AssertionError("antichain invariant broken")
-    return out
+    return tuple(sorted(current, key=_shortlex_key))
+
+
+def _shortlex_key(label: Word) -> tuple:
+    """The order of freegroup.shortlex_key, read from a rank table."""
+    return (len(label), bytes(map(_LETTER_RANK.__getitem__, label)))
 
 
 def image_antichain(
@@ -329,11 +341,16 @@ def image_antichain(
     DepthCapExceeded is raised when a source label of depth >= depth_cap
     would have to split.
     """
-    work = [(label, len(g), len(label)) for label in map(_check_label, labels)]
+    return _image(_raw_atoms(g), [_check_label(label) for label in labels], depth_cap)
+
+
+def _image(atoms: tuple, labels: Iterable[Word], depth_cap: int) -> tuple[Word, ...]:
+    """image_antichain on raw atoms and labels already checked."""
+    work = [(label, len(atoms), len(label)) for label in labels]
     out = []
     while work:
         label, left, depth = work.pop()
-        label, left = _advance(g, label, left)
+        label, left = _advance(atoms, label, left)
         if not left:
             out.append(_check_label(label))
         elif depth >= depth_cap:
@@ -459,10 +476,7 @@ def cone_routing_element(pairs: Sequence[tuple], depth: int) -> GElement:
     if len(set(us)) != len(us) or len(set(vs)) != len(vs):
         raise ConeError("sources and targets must each be distinct")
 
-    def sort_key(label):
-        return tuple(letter_key(l) for l in label)
-
-    support = sorted(set(us) | set(vs) | {pivot}, key=sort_key)
+    support = sorted(set(us) | set(vs) | {pivot}, key=_shortlex_key)
     perm = dict(zip(us, vs))
     remaining_src = [s for s in support if s not in perm]
     remaining_dst = [t for t in support if t not in set(vs)]
@@ -630,10 +644,10 @@ def estimate_qn(
     antichain images.
 
     Steps put mass p_letter on each of x, x^-1, y, y^-1 and the remainder on
-    a uniformly random permutation of the 18 cone labels (Fisher-Yates from
-    the trial substream). Per-trial decisions are exact; only the average is
-    statistical. The projected-walk ceiling 1/3 applies for every p_letter
-    with 4*p_letter <= 1.
+    a uniformly random permutation of the 18 cone labels (one batched
+    `permuted` draw, the same stream). Per-trial decisions are exact; only
+    the average is statistical. The projected-walk ceiling 1/3 applies for
+    every p_letter with 4*p_letter <= 1.
     """
     p_letter = Fraction(p_letter)
     if p_letter <= 0 or 4 * p_letter > 1:
@@ -644,19 +658,24 @@ def estimate_qn(
         depth_cap = n + 8
     den = p_letter.denominator
     num = p_letter.numerator
+    letter_bound = 4 * num
     letters = (X, -X, Y, -Y)
+    identity = np.arange(18)
 
     def one(trial: int) -> tuple[bool, bool]:
         gen = rng.substream(seed, trial)
         draws = gen.integers(0, den, size=n)
-        atoms = []
-        for r in draws.tolist():
-            if r < 4 * num:
-                atoms.append(letters[r // num])
-            else:
-                atoms.append(ConePermutation(tuple(gen.permutation(18).tolist())))
+        k = int(np.count_nonzero(draws >= letter_bound))
+        rows = gen.permuted(np.tile(identity, (k, 1)), axis=1)
+        # Checked once per trial, explicitly, so it also runs under -O.
+        if not (np.sort(rows, axis=1) == identity).all():
+            raise ConeCertificationError("a drawn row is not a permutation of the 18 cone labels")
+        perms = iter(map(tuple, rows.tolist()))
+        atoms = tuple(
+            letters[r // num] if r < letter_bound else next(perms) for r in draws.tolist()
+        )
         try:
-            image = image_antichain(tuple(atoms), [CONE_Z], depth_cap)
+            image = _image(atoms, [CONE_Z], depth_cap)
         except DepthCapExceeded:
             return False, True
         return antichain_meets_cone(image, CONE_X2), False

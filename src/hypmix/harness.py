@@ -192,8 +192,13 @@ def parse_rows(data: bytes) -> list[ResultRow]:
 
 
 def _get(params: dict, key: str, default=None, required=False) -> str:
-    if key in params and str(params[key]).strip():
-        return str(params[key]).strip()
+    # A key given with an empty value is refused, not read as absent: an
+    # empty `trials =` must not run the default count.
+    if key in params:
+        raw = str(params[key]).strip()
+        if not raw:
+            raise ConfigError(f"params.{key}", "empty value")
+        return raw
     if required:
         raise ConfigError(f"params.{key}", "required")
     return default

@@ -4,6 +4,8 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypmix import cantor, rng
 from hypmix.cantor import (
@@ -272,6 +274,49 @@ class TestImageAntichainReference:
         return "refined" if any(apply_element(g, u) is None for u in sources) else "direct"
 
 
+@st.composite
+def mixed_elements(draw):
+    """An element of F(x, y) letters and ConePermutations, at most 12 atoms."""
+    perm = st.permutations(range(18)).map(lambda m: ConePermutation(tuple(m)))
+    return tuple(draw(st.lists(st.one_of(st.sampled_from((X, -X, Y, -Y)), perm), max_size=12)))
+
+
+@st.composite
+def disjoint_sources(draw):
+    """One to three distinct labels of one length, so their cones are disjoint."""
+    length = draw(st.integers(1, 4))
+    ranks = st.lists(st.integers(0, 4), min_size=length - 1, max_size=length - 1)
+    starts = st.tuples(st.sampled_from(ALL_LETTERS), ranks)
+    out = set()
+    for first, rest in draw(st.lists(starts, min_size=1, max_size=3)):
+        word = [first]
+        for r in rest:
+            word.append([l for l in ALL_LETTERS if l != -word[-1]][r])
+        out.add(tuple(word))
+    return sorted(out)
+
+
+class TestRawAtoms:
+    # estimate_qn hands raw atoms (int letters, 18-tuples of targets) straight
+    # to _image; the public path unwraps ConePermutations itself.
+
+    @staticmethod
+    def outcome(fn, g, sources, cap):
+        try:
+            return fn(g, sources, cap)
+        except DepthCapExceeded as exc:
+            return ("capped", exc.depth)
+
+    @settings(max_examples=200)
+    @given(mixed_elements(), disjoint_sources(), st.integers(1, 6))
+    @example((X,), [(-X,)], 1)  # full cancellation at the cap
+    def test_raw_path_matches_public_path(self, g, sources, cap):
+        raw = tuple(atom if isinstance(atom, int) else atom.mapping for atom in g)
+        assert self.outcome(cantor._image, raw, sources, cap) == self.outcome(
+            image_antichain, g, sources, cap
+        )
+
+
 class TestClaimOne:
     def test_base_case_zx(self):
         f = standardizing_element(lab("zx"))
@@ -315,6 +360,17 @@ class TestClaimOne:
         assert len(f) <= 10
 
 
+class StuckGenerator:
+    """A generator stand-in whose permutation rows all repeat a label."""
+
+    def __init__(self, gen):
+        self.integers = gen.integers
+
+    def permuted(self, rows, axis):
+        rows[:, 0] = rows[:, 1]
+        return rows
+
+
 class TestCertification:
     def test_non_positional_action_raises(self, monkeypatch):
         monkeypatch.setattr(cantor, "xi", lambda u, v, w: v)
@@ -330,6 +386,12 @@ class TestCertification:
         monkeypatch.setattr(cantor.math, "isqrt", lambda value: 1)
         with pytest.raises(ConeCertificationError):
             hit_probability_exact()
+
+    def test_bad_permutation_block_raises(self, monkeypatch):
+        substream = cantor.rng.substream
+        monkeypatch.setattr(cantor.rng, "substream", lambda *path: StuckGenerator(substream(*path)))
+        with pytest.raises(ConeCertificationError):
+            estimate_qn(Fraction(1, 8), 10, 5, 1)
 
     def test_checks_run_under_optimize_flag(self):
         script = textwrap.dedent(
@@ -348,9 +410,34 @@ class TestCertification:
             cantor.math.isqrt = lambda value: 1
             try:
                 cantor.hit_probability_exact()
+                sys.exit("no ConeCertificationError raised")
             except cantor.ConeCertificationError:
-                sys.exit(0)
-            sys.exit("no ConeCertificationError raised")
+                pass
+            try:
+                cantor._merge_antichain([(1, 3), (1,)])
+                sys.exit("a label and its own prefix passed the antichain check")
+            except AssertionError:
+                pass
+            class Stuck:  # its permutation rows repeat a label
+                def __init__(self, gen):
+                    self.integers = gen.integers
+
+                def permuted(self, rows, axis):
+                    rows[:, 0] = rows[:, 1]
+                    return rows
+
+            substream = cantor.rng.substream
+            cantor.rng.substream = lambda *path: Stuck(substream(*path))
+            try:
+                cantor.estimate_qn(1 / 8, 10, 5, 1)
+                sys.exit("a non-permutation row passed the trial's check")
+            except cantor.ConeCertificationError:
+                pass
+            try:
+                cantor.ConePermutation((0,) * 18)
+                sys.exit("a non-permutation passed ConePermutation's check")
+            except cantor.ConeError:
+                pass
             """
         )
         proc = subprocess.run(

@@ -284,6 +284,8 @@ class TestRun:
         [
             ("trials = 0", "params.trials"),
             ("trials = -5", "params.trials"),
+            ("trials =\nhorizon = 5", "params.trials"),
+            ("trials = 5\nhorizon =", "params.horizon"),
             ("trials = 5\nhorizon = 0", "params.horizon"),
             ("trials = 5\nhorizon = -3", "params.horizon"),
             ("trials = 5\nradius = 0", "params.radius"),
@@ -356,9 +358,10 @@ class TestRun:
 
 # Small values for each params key: (plain, odd). Plain values mostly run;
 # odd ones are zero, negative, empty, missing (None) or junk. The counts stay
-# small (trials <= 3, n <= 20) so the property runs in seconds: no value
-# leaves both transience's trials (default 100,000) and its horizon (default
-# 10,000) at their defaults.
+# small (trials <= 3, n <= 20) so the property runs in seconds. An empty value
+# is refused with its field named, so only a missing key falls back to a
+# default, and transience's trials (default 100,000) and horizon (default
+# 10,000) are never missing.
 _FUZZ_VALUES = {
     "rank": ([None, "2", "3"], ["1", "0", "-2", "x"]),
     "measure": (
@@ -376,7 +379,7 @@ _FUZZ_VALUES = {
     "g": (["ab", "a"], [None, "", "a b", "q"]),
     "p_letter": ([None, "1/8", "1/16"], ["0", "1/3", "-1", "x"]),
     "depth_cap": ([None, "2", "6"], ["0", "1", "-2", "x"]),
-    "horizon": (["1", "20"], ["0", "-3", "x"]),
+    "horizon": (["1", "20"], ["", "0", "-3", "x"]),
     "radius": ([None, "1", "3"], ["0", "-1", "x"]),
     "u": (["zx", "z", "Z"], [None, "", "zZ", "q", "xyz"]),
     "pairs": (["zx:zy zz:Zx", "zx:zy"], [None, "", "zx:q", ":", "zx:", "zx:zyz", "zx"]),
@@ -488,6 +491,16 @@ class TestCli:
         res = self._hypmix(*argv)
         assert res.returncode == 1
         assert res.stderr.startswith("error: [experiment.threads] ")
+        assert res.stdout == ""
+
+    def test_empty_value_exit_code(self, tmp_path):
+        # An empty value is refused, not read as absent: `trials =` must not
+        # run transience's default 100,000 trials.
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text("[experiment]\nkind = cantor\nseed = 1\n[params]\nmode = transience\ntrials =\nhorizon = 5\n")
+        res = self._hypmix("run", "--config", str(cfg))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: [params.trials] ")
         assert res.stdout == ""
 
     def test_transience_zero_trials_exit_code(self):

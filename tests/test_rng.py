@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hypmix import rng
@@ -30,6 +31,19 @@ def test_stream_pin():
     changed = [f"{key}: {got[key]} != {want[key]}" for key in want if got[key] != want[key]]
     assert not changed, "numpy stream changed: " + "; ".join(changed)
 
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_batched_permutations_pin(k):
+    # cantor.estimate_qn draws a trial's k permutations in one permuted call.
+    # It must give the rows of k sequential permutation(18) calls and leave
+    # the stream where they leave it; a numpy release that breaks this must
+    # fail here rather than drift criterion 13's rows.
+    batched, sequential = fresh(), fresh()
+    rows = batched.permuted(np.tile(np.arange(18), (k, 1)), axis=1)
+    assert rows.shape == (k, 18)
+    assert rows.tolist() == [sequential.permutation(18).tolist() for _ in range(k)]
+    after = len(INTEGERS_BELOW_8)
+    assert batched.integers(0, 8, size=after).tolist() == sequential.integers(0, 8, size=after).tolist()
 
 
 @pytest.mark.parametrize(
