@@ -5,8 +5,8 @@ Subpackages by concern:
 
 - freegroup: reduced words, the Cayley-tree metric, Gromov products
 - stallings: finitely generated subgroups as folded core automata
-- walks: step measures, exact convolutions, seeded trajectories, drift
-- transverse: power-conjugacy decisions, overlap statistics, and the
+- walks: step measures, exact sampling of walk endpoints, drift
+- transverse: power-conjugacy decisions, overlap bounds, and the
   g^n * a construction of elements transverse to given subgroups
 - mixing: witness subgroups and the Monte Carlo mixing experiments
 - cantor: the boundary action of F2 * S18 on the tree of rank 3 that is
@@ -18,4 +18,4 @@ __version__ = "0.1.0"
 
 from .freegroup import FreeContext, reduce_word, multiply, invert, distance  # noqa: F401
 from .stallings import SubgroupAutomaton  # noqa: F401
-from .walks import StepMeasure, sample_walk, drift_estimate  # noqa: F401
+from .walks import StepMeasure, drift_estimate  # noqa: F401

@@ -12,6 +12,12 @@ frozen in lexicographic order under x < x^-1 < y < y^-1 < z < z^-1):
   Omega via the unique order-preserving bijection, and fixes every point
   whose two-letter prefix uses only x, y letters.
 
+A group element has one form everywhere: a tuple of atoms, each an F(x, y)
+letter (an int) or a permutation written as the 18-tuple of its targets.
+The public entries check every atom and raise ConeError for anything else;
+an estimate_qn trial checks its whole block of drawn permutations at once
+and hands its atoms to the image computation directly.
+
 Both generators preserve the "same order-position" structure: restricted to
 any cone they realize the positional bijection xi between source and target
 cones, which is what makes exact open-set computations possible. Images of
@@ -80,17 +86,11 @@ class DepthCapExceeded(RuntimeError):
 
 
 def parse_label(text: str) -> Word:
-    raw = []
-    for ch in text.strip():
-        if ch not in _NAME_LETTERS:
-            raise ConeError(f"invalid boundary letter {ch!r}")
-        raw.append(_NAME_LETTERS[ch])
-    word = tuple(raw)
-    if not word:
-        raise ConeError("cone labels are nonempty")
-    if any(word[i] == -word[i + 1] for i in range(len(word) - 1)):
-        raise ConeError(f"label {text!r} is not freely reduced")
-    return word
+    try:
+        letters = [_NAME_LETTERS[ch] for ch in text.strip()]
+    except KeyError as exc:
+        raise ConeError(f"invalid boundary letter {exc.args[0]!r}") from None
+    return _check_label(letters)
 
 
 def format_label(label: Word) -> str:
@@ -132,66 +132,62 @@ CONE_ZM2: Word = (-Z, -Z)
 CONE_X2: Word = (X, X)
 
 
-@dataclass(frozen=True)
-class ConePermutation:
-    """A permutation of the 18 Omega labels; fixes the x,y-only labels."""
-
-    mapping: tuple
-
-    def __post_init__(self):
-        if sorted(self.mapping) != list(range(18)):
-            raise ConeError("not a permutation of the 18 cone labels")
-
-    @classmethod
-    def from_assignments(cls, assignments: dict) -> "ConePermutation":
-        """The permutation realizing the given label assignments, completed
-        deterministically (remaining sources to remaining targets in order)."""
-        mapping: dict[int, int] = {}
-        used_targets = set()
-        for src, dst in assignments.items():
-            i, j = OMEGA_INDEX[_check_label(src)], OMEGA_INDEX[_check_label(dst)]
-            if i in mapping and mapping[i] != j:
-                raise ConeError("conflicting images for one cone label")
-            if j in used_targets and mapping.get(i) != j:
-                raise ConeError("two cone labels sent to the same target")
-            mapping[i] = j
-            used_targets.add(j)
-        free_targets = [j for j in range(18) if j not in used_targets]
-        for i in range(18):
-            if i not in mapping:
-                mapping[i] = free_targets.pop(0)
-        return cls(tuple(mapping[i] for i in range(18)))
-
-    def inverse(self) -> "ConePermutation":
-        inv = [0] * 18
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return ConePermutation(tuple(inv))
-
-    def __repr__(self):
-        moved = {
-            format_label(OMEGA[i]): format_label(OMEGA[j])
-            for i, j in enumerate(self.mapping)
-            if i != j
-        }
-        return f"ConePermutation({moved})" if moved else "ConePermutation(id)"
-
-
-# A group element is a word over F(x,y)-letters (ints +-1, +-2) and
-# ConePermutation atoms; the rightmost atom acts first. Internally atoms are
-# raw: an int letter, or a permutation's 18-tuple of targets (its mapping).
+# A group element is a tuple of atoms; the rightmost atom acts first. An atom
+# is an F(x, y) letter (the int +-1 or +-2) or a permutation of Omega given
+# as the 18-tuple of its targets: it sends OMEGA[i] to OMEGA[atom[i]] and
+# fixes the x,y-only labels.
 GElement = tuple
 
+_F2_LETTERS = (X, -X, Y, -Y)
+_TARGETS = list(range(18))
+_TARGET_TYPES = [int] * 18
 
-def _raw_atoms(g: GElement) -> tuple:
-    """g with each ConePermutation replaced by its mapping."""
-    return tuple(int(atom) if isinstance(atom, int) else atom.mapping for atom in g)
+
+def _check_element(g: GElement) -> GElement:
+    """g as a tuple, or ConeError at its first atom that is neither an
+    F(x, y) letter nor a permutation of the 18 cone labels.
+
+    Raised explicitly, so the check also runs under python -O.
+    """
+    g = tuple(g)
+    for atom in g:
+        if atom.__class__ is int:
+            if atom not in _F2_LETTERS:
+                raise ConeError(f"letter {atom} is not in F(x, y)")
+        elif (
+            atom.__class__ is not tuple
+            or list(map(type, atom)) != _TARGET_TYPES
+            or sorted(atom) != _TARGETS
+        ):
+            raise ConeError(f"atom {atom!r} is not a permutation of the 18 cone labels")
+    return g
+
+
+def from_assignments(assignments: dict) -> tuple:
+    """The permutation atom realizing the given label assignments, completed
+    deterministically (remaining sources to remaining targets in order)."""
+    mapping: dict[int, int] = {}
+    used_targets = set()
+    for src, dst in assignments.items():
+        i, j = OMEGA_INDEX[_check_label(src)], OMEGA_INDEX[_check_label(dst)]
+        if i in mapping and mapping[i] != j:
+            raise ConeError("conflicting images for one cone label")
+        if j in used_targets and mapping.get(i) != j:
+            raise ConeError("two cone labels sent to the same target")
+        mapping[i] = j
+        used_targets.add(j)
+    free_targets = [j for j in range(18) if j not in used_targets]
+    for i in range(18):
+        if i not in mapping:
+            mapping[i] = free_targets.pop(0)
+    return tuple(mapping[i] for i in range(18))
 
 
 def invert_element(g: GElement) -> GElement:
     out = []
-    for atom in reversed(g):
-        out.append(-atom if isinstance(atom, int) else atom.inverse())
+    for atom in reversed(_check_element(g)):
+        # The inverse permutation lists the sources in the order of their targets.
+        out.append(-atom if atom.__class__ is int else tuple(sorted(range(18), key=atom.__getitem__)))
     return tuple(out)
 
 
@@ -201,7 +197,7 @@ def format_element(g: GElement) -> str:
         if isinstance(atom, int):
             parts.append(_LETTER_NAMES[atom])
         else:
-            images = ",".join(format_label(OMEGA[j]) for j in atom.mapping)
+            images = ",".join(format_label(OMEGA[j]) for j in atom)
             parts.append(f"perm[{images}]")
     return " ".join(parts) if parts else "1"
 
@@ -255,7 +251,7 @@ NEEDS_REFINEMENT = None
 
 
 def _advance(atoms: tuple, label: Word, i: int) -> tuple[Word, int]:
-    """Apply the raw atoms atoms[i-1], ..., atoms[0] (right to left) to
+    """Apply the atoms atoms[i-1], ..., atoms[0] (right to left) to
     Cone(label).
 
     Stops at the first atom that is not determined at the label's depth and
@@ -292,7 +288,8 @@ def apply_element(g: GElement, label: Sequence[int]):
     no full cancellation for a letter. Restricted to the cone, g acts as the
     positional bijection onto the returned cone.
     """
-    label, left = _advance(_raw_atoms(g), _check_label(label), len(g))
+    g = _check_element(g)
+    label, left = _advance(g, _check_label(label), len(g))
     return NEEDS_REFINEMENT if left else label
 
 
@@ -341,11 +338,11 @@ def image_antichain(
     DepthCapExceeded is raised when a source label of depth >= depth_cap
     would have to split.
     """
-    return _image(_raw_atoms(g), [_check_label(label) for label in labels], depth_cap)
+    return _image(_check_element(g), [_check_label(label) for label in labels], depth_cap)
 
 
 def _image(atoms: tuple, labels: Iterable[Word], depth_cap: int) -> tuple[Word, ...]:
-    """image_antichain on raw atoms and labels already checked."""
+    """image_antichain on atoms and labels already checked."""
     work = [(label, len(atoms), len(label)) for label in labels]
     out = []
     while work:
@@ -372,19 +369,19 @@ def antichain_meets_cone(antichain: Iterable[Word], cone: Word) -> bool:
 # --- the element constructors ---------------------------------------------------
 
 
-def _case_step(u: Word) -> tuple[int, ConePermutation]:
+def _case_step(u: Word) -> tuple[int, tuple]:
     """One recursion step: a letter a and a permutation sigma with
     (a^-1 sigma)[Cone(u)] = Cone(u'), |u'| = |u| - 1, and z^-n -> z^-(n-1)."""
     u2 = u[:2]
     if in_f2_part(u2):
         a = u[0]
-        sigma = ConePermutation.from_assignments({CONE_ZM2: (a, -Z)})
+        sigma = from_assignments({CONE_ZM2: (a, -Z)})
     elif u2 == CONE_ZM2:
         a = X
-        sigma = ConePermutation.from_assignments({CONE_ZM2: (a, -Z)})
+        sigma = from_assignments({CONE_ZM2: (a, -Z)})
     else:
         a = X
-        sigma = ConePermutation.from_assignments({u2: (a, Z), CONE_ZM2: (a, -Z)})
+        sigma = from_assignments({u2: (a, Z), CONE_ZM2: (a, -Z)})
     return a, sigma
 
 
@@ -405,7 +402,7 @@ def standardizing_element(u: Sequence[int]) -> GElement:
     if u == (-Z,) * n:
         raise ConeError("label z^-n is the partner cone, not a valid source")
     if n == 2:
-        sigma = ConePermutation.from_assignments({u: CONE_Z2, CONE_ZM2: CONE_ZM2})
+        sigma = from_assignments({u: CONE_Z2, CONE_ZM2: CONE_ZM2})
         element: GElement = (sigma,)
     else:
         a, sigma = _case_step(u)
@@ -449,7 +446,7 @@ def cone_transposition(u: Sequence[int]) -> GElement:
     if u == (-Z,) * n:
         return ()
     f = standardizing_element(u)
-    tau = ConePermutation.from_assignments({CONE_Z2: CONE_ZM2, CONE_ZM2: CONE_Z2})
+    tau = from_assignments({CONE_Z2: CONE_ZM2, CONE_ZM2: CONE_Z2})
     return invert_element(f) + (tau,) + f
 
 
@@ -652,14 +649,15 @@ def estimate_qn(
     p_letter = Fraction(p_letter)
     if p_letter <= 0 or 4 * p_letter > 1:
         raise ConeError("need 0 < p_letter and 4*p_letter <= 1")
-    if p_letter.denominator >= 2**64:
-        raise ConeError("letter mass denominator too fine for exact 64-bit sampling")
+    # The step integers are drawn below the denominator as int64.
+    if p_letter.denominator > 2**63:
+        raise ConeError("letter mass denominator above 2^63, too fine for exact 64-bit sampling")
     if depth_cap is None:
         depth_cap = n + 8
     den = p_letter.denominator
     num = p_letter.numerator
     letter_bound = 4 * num
-    letters = (X, -X, Y, -Y)
+    letters = _F2_LETTERS
     identity = np.arange(18)
 
     def one(trial: int) -> tuple[bool, bool]:

@@ -139,8 +139,8 @@ def elementary_closure_contains(g: Word, a: Word) -> bool:
 def gromov_product(x: Word, y: Word, s: Word = ()) -> Fraction:
     """(x|y)_s = (d(x,s) + d(y,s) - d(x,y)) / 2, an exact half-integer.
 
-    In a tree this equals the distance from s to the geodesic [x, y];
-    distance_to_geodesic computes that independently.
+    In a tree this equals the distance from s to the geodesic [x, y], the
+    least d(s, v) over the geodesic_vertices v of [x, y].
     """
     return Fraction(distance(x, s) + distance(y, s) - distance(x, y), 2)
 
@@ -151,11 +151,6 @@ def geodesic_vertices(x: Word, y: Word) -> list[Word]:
     down = [x[:i] for i in range(len(x), common, -1)]
     up = [y[:i] for i in range(common, len(y) + 1)]
     return down + up
-
-
-def distance_to_geodesic(s: Word, x: Word, y: Word) -> int:
-    """min over vertices v of [x, y] of d(s, v), by explicit enumeration."""
-    return min(distance(s, v) for v in geodesic_vertices(x, y))
 
 
 def broken_geodesic_check(

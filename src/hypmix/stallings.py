@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .freegroup import Word, WordError, invert, reduce_word
+from .freegroup import Word, WordError, reduce_word
 
 
 class AutomatonError(ValueError):
@@ -249,13 +249,6 @@ class SubgroupAutomaton:
     def __repr__(self):
         return f"SubgroupAutomaton(rank={self.rank}, states={self.n_states}, edges={self.n_edges()})"
 
-    def is_folded(self) -> bool:
-        for s, d in enumerate(self.transitions):
-            for letter, t in d.items():
-                if self.transitions[t].get(-letter) != s:
-                    return False
-        return True
-
     # --- membership and geometry -------------------------------------------
 
     def read(self, state: int, word: Sequence[int]) -> int | None:
@@ -302,29 +295,6 @@ class SubgroupAutomaton:
     def word_to_state(self, state: int) -> Word:
         """A reduced word reading from the base to the given state."""
         return self._tree()[state]
-
-    def basis(self) -> list[Word]:
-        """A free basis of the subgroup from the canonical spanning tree.
-
-        One generator per non-tree edge: tree word in, the edge, tree word
-        back. The list is deterministic and has length rank_of_subgroup().
-        """
-        tree = self._tree()
-        tree_edges = set()
-        for t in range(1, self.n_states):
-            # Last letter of the tree word identifies the parent edge.
-            last = tree[t][-1]
-            parent = self.transitions[t][-last]
-            tree_edges.add((parent, last, t) if last > 0 else (t, -last, parent))
-        out = []
-        for s in range(self.n_states):
-            for letter, t in self.transitions[s].items():
-                if letter < 0:
-                    continue
-                if (s, letter, t) in tree_edges:
-                    continue
-                out.append(reduce_word(tree[s] + (letter,) + invert(tree[t])))
-        return out
 
     def _returns(self) -> tuple[int, ...]:
         """Graph distance from each state back to the base."""

@@ -129,30 +129,6 @@ def power_conjugate_into(h: SubgroupAutomaton, f: Sequence[int]) -> tuple[int, W
     return m, v
 
 
-def minimal_power_in(h: SubgroupAutomaton, g: Sequence[int]) -> int | None:
-    """Minimal m >= 1 with g^m in H itself, or None.
-
-    Write g = u c u^-1; g^m labels a base loop iff u reads base -> q0 and
-    c^m loops at q0, so the same pigeonhole walk decides membership of all
-    powers at once.
-    """
-    g = reduce_word(g, h.rank)
-    if not g:
-        raise TransversalityError("power membership undefined for the identity")
-    core, conj = cyclic_reduce(g)
-    q0 = h.read(0, conj)
-    if q0 is None:
-        return None
-    cur: int | None = q0
-    for m in range(1, h.n_states + 1):
-        cur = h.read(cur, core)
-        if cur is None:
-            return None
-        if cur == q0:
-            return m
-    return None
-
-
 def certificate(h: SubgroupAutomaton, f: Sequence[int]) -> TransversalityCertificate:
     f = reduce_word(f, h.rank)
     found = power_conjugate_into(h, f)
@@ -163,28 +139,6 @@ def certificate(h: SubgroupAutomaton, f: Sequence[int]) -> TransversalityCertifi
     if not h.contains(witness):
         raise CertificateError("witness verification failed")
     return TransversalityCertificate(False, m, v, h.n_states)
-
-
-def overlap_count(
-    h: SubgroupAutomaton,
-    f: Sequence[int],
-    v: Sequence[int],
-    e_bound: int,
-    m_range: Iterable[int],
-) -> int:
-    """|{m in m_range : d(f^m, v*H) <= E}|, exactly.
-
-    d(f^m, v*H) = d(v^-1 f^m, H) is read off the automaton.
-    """
-    if e_bound < 0:
-        raise TransversalityError("neighborhood bound must be >= 0")
-    f = reduce_word(f, h.rank)
-    v_inv = invert(reduce_word(v, h.rank))
-    count = 0
-    for m, word in _powers_over(f, sorted(m_range)):
-        if h.distance_to_orbit(multiply(v_inv, word)) <= e_bound:
-            count += 1
-    return count
 
 
 def _powers_over(f: Word, ms: list[int]):

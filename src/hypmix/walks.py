@@ -2,18 +2,17 @@
 
 A step measure assigns exact rational probabilities to finitely many reduced
 words. The walk w_n = g_1 ... g_n multiplies i.i.d. increments; its law is
-the n-fold convolution of the measure, computed exactly for small n. A
-measure is permissible for the mixing experiments when it is finite
-(automatic here), symmetric, has generating support, and that support
-generates a non-cyclic subgroup; in a free group nothing else can fail, so
-the validation report covers exactly these flags. The uniform measure on a
-symmetric free generating set is the canonical example, with drift
-(2k-2)/(2k): each step extends the current reduced word unless it undoes the
-last letter.
+the n-fold convolution of the measure. A measure is permissible for the
+mixing experiments when it is finite (automatic here), symmetric, has
+generating support, and that support generates a non-cyclic subgroup; in a
+free group nothing else can fail, so the validation report covers exactly
+these flags. The uniform measure on a symmetric free generating set is the
+canonical example, with drift (2k-2)/(2k): each step extends the current
+reduced word unless it undoes the last letter.
 
 Sampling is exact: increments are drawn by scaling the probabilities to a
 common denominator D and drawing unbiased integers below D from the trial's
-Philox substream, so trajectories are reproducible bit for bit from
+Philox substream, so walk endpoints are reproducible bit for bit from
 (measure, n, seed) alone.
 
 Walk endpoints are reduced without the trajectory. A long walk (at least
@@ -34,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import rng
-from .freegroup import Word, invert, multiply, reduce_word, shortlex_key
+from .freegroup import Word, invert, reduce_word, shortlex_key
 from .stallings import SubgroupAutomaton
 from .stats import mean_ci95
 
@@ -47,8 +46,6 @@ class DriftRangeError(RuntimeError):
     """An estimated drift lies outside [0, longest step length]."""
 
 
-CONVOLUTION_CAP = 8
-SUPPORT_CAP = 8
 # Walk endpoints: below SHORT_WALK letters the stack beats a numpy pass
 # (measured crossover between 512 and 2,048 letters); MAX_PASSES bounds
 # the passes before the stack takes over.
@@ -153,41 +150,12 @@ class StepMeasure:
             non_elementary=non_elementary,
         )
 
-    # --- exact convolution ----------------------------------------------------
-
-    def convolve(self, n: int, cap: int = CONVOLUTION_CAP) -> dict[Word, Fraction]:
-        """Exact law of w_n as a map word -> probability.
-
-        Guarded by a cap (default 8 steps with support up to 8 words) since
-        the support of the law grows exponentially.
-        """
-        if n < 0:
-            raise MeasureError("negative convolution power")
-        if n > cap:
-            raise MeasureError(f"convolution power {n} exceeds the cap {cap}")
-        if len(self.entries) > SUPPORT_CAP and n > 1:
-            raise MeasureError(
-                f"support size {len(self.entries)} exceeds the cap {SUPPORT_CAP}"
-            )
-        dist: dict[Word, Fraction] = {(): Fraction(1)}
-        for _ in range(n):
-            nxt: dict[Word, Fraction] = {}
-            for w, p in dist.items():
-                for g, q in self.entries.items():
-                    v = multiply(w, g)
-                    nxt[v] = nxt.get(v, Fraction(0)) + p * q
-            dist = nxt
-        return dist
-
     # --- sampling ---------------------------------------------------------------
 
     def draw_indices(self, gen: np.random.Generator, size: int) -> np.ndarray:
         """Indices into the support, exactly distributed, from one substream."""
         u = gen.integers(0, self._denominator, size=size, dtype=np.uint64)
         return np.searchsorted(self._thresholds, u, side="right")
-
-    def words_by_index(self) -> list[Word]:
-        return self._words
 
     def final_position(self, n: int, gen: np.random.Generator) -> Word:
         """Endpoint of an n-step walk, without storing the trajectory.
@@ -248,33 +216,6 @@ class PermissibilityReport:
             ]
             if not ok
         ]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A sampled walk: increments g_1..g_n and positions 1, w_1, ..., w_n."""
-
-    increments: tuple[Word, ...]
-    positions: tuple[Word, ...]
-    seed: int
-
-    @property
-    def final(self) -> Word:
-        return self.positions[-1]
-
-
-def sample_walk(measure: StepMeasure, n: int, seed: int) -> Trajectory:
-    """Sample an n-step walk; deterministic in (measure, n, seed)."""
-    if n < 0:
-        raise MeasureError("negative walk length")
-    gen = rng.substream(seed)
-    idx = measure.draw_indices(gen, n)
-    words = measure.words_by_index()
-    increments = tuple(words[i] for i in idx.tolist())
-    positions = [()]
-    for g in increments:
-        positions.append(multiply(positions[-1], g))
-    return Trajectory(increments, tuple(positions), seed)
 
 
 @dataclass(frozen=True)

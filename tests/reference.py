@@ -1,0 +1,173 @@
+"""Independent references that the tests compare the library against.
+
+No experiment, CLI path or acceptance criterion reaches these, so they live
+with the tests: a change to a library module cannot change the reference
+that checks it. Each one computes its answer the slow, direct way.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+from hypmix import rng
+from hypmix.freegroup import (
+    Word,
+    cyclic_reduce,
+    distance,
+    geodesic_vertices,
+    invert,
+    multiply,
+    power,
+    reduce_word,
+)
+from hypmix.stallings import SubgroupAutomaton
+from hypmix.transverse import TransversalityError
+from hypmix.walks import MeasureError, StepMeasure
+
+# The law of w_n is computed exactly up to CONVOLUTION_CAP steps, and past
+# one step only for supports of at most SUPPORT_CAP words: it grows
+# exponentially.
+CONVOLUTION_CAP = 8
+SUPPORT_CAP = 8
+
+
+# --- freegroup ---------------------------------------------------------------
+
+
+def distance_to_geodesic(s: Word, x: Word, y: Word) -> int:
+    """min over vertices v of [x, y] of d(s, v), by explicit enumeration."""
+    return min(distance(s, v) for v in geodesic_vertices(x, y))
+
+
+# --- stallings ---------------------------------------------------------------
+
+
+def is_folded(h: SubgroupAutomaton) -> bool:
+    """Whether every edge has its inverse edge, so no state has two edges
+    with one label."""
+    for s, row in enumerate(h.transitions):
+        for letter, t in row.items():
+            if h.transitions[t].get(-letter) != s:
+                return False
+    return True
+
+
+def basis(h: SubgroupAutomaton) -> list[Word]:
+    """A free basis of the subgroup from the canonical spanning tree.
+
+    One generator per non-tree edge: tree word in, the edge, tree word
+    back. The list is deterministic and has length rank_of_subgroup().
+    """
+    tree = [h.word_to_state(t) for t in range(h.n_states)]
+    tree_edges = set()
+    for t in range(1, h.n_states):
+        # Last letter of the tree word identifies the parent edge.
+        last = tree[t][-1]
+        parent = h.transitions[t][-last]
+        tree_edges.add((parent, last, t) if last > 0 else (t, -last, parent))
+    out = []
+    for s in range(h.n_states):
+        for letter, t in h.transitions[s].items():
+            if letter < 0:
+                continue
+            if (s, letter, t) in tree_edges:
+                continue
+            out.append(reduce_word(tree[s] + (letter,) + invert(tree[t])))
+    return out
+
+
+# --- walks -------------------------------------------------------------------
+
+
+def convolve(measure: StepMeasure, n: int, cap: int = CONVOLUTION_CAP) -> dict[Word, Fraction]:
+    """Exact law of w_n as a map word -> probability."""
+    if n < 0:
+        raise MeasureError("negative convolution power")
+    if n > cap:
+        raise MeasureError(f"convolution power {n} exceeds the cap {cap}")
+    if len(measure.entries) > SUPPORT_CAP and n > 1:
+        raise MeasureError(f"support size {len(measure.entries)} exceeds the cap {SUPPORT_CAP}")
+    dist: dict[Word, Fraction] = {(): Fraction(1)}
+    for _ in range(n):
+        nxt: dict[Word, Fraction] = {}
+        for w, p in dist.items():
+            for g, q in measure.entries.items():
+                v = multiply(w, g)
+                nxt[v] = nxt.get(v, Fraction(0)) + p * q
+        dist = nxt
+    return dist
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """A sampled walk: increments g_1..g_n and positions 1, w_1, ..., w_n."""
+
+    increments: tuple[Word, ...]
+    positions: tuple[Word, ...]
+    seed: int
+
+    @property
+    def final(self) -> Word:
+        return self.positions[-1]
+
+
+def sample_walk(measure: StepMeasure, n: int, seed: int) -> Trajectory:
+    """An n-step walk from the draws final_position reads, multiplied out
+    one increment at a time; deterministic in (measure, n, seed)."""
+    if n < 0:
+        raise MeasureError("negative walk length")
+    idx = measure.draw_indices(rng.substream(seed), n)
+    words = list(measure.entries)  # draw_indices indexes the support in this order
+    increments = tuple(words[i] for i in idx.tolist())
+    positions = [()]
+    for g in increments:
+        positions.append(multiply(positions[-1], g))
+    return Trajectory(increments, tuple(positions), seed)
+
+
+# --- transverse --------------------------------------------------------------
+
+
+def minimal_power_in(h: SubgroupAutomaton, g: Sequence[int]) -> int | None:
+    """Minimal m >= 1 with g^m in H itself, or None.
+
+    Write g = u c u^-1; g^m labels a base loop iff u reads base -> q0 and
+    c^m loops at q0, so the same pigeonhole walk decides membership of all
+    powers at once.
+    """
+    g = reduce_word(g, h.rank)
+    if not g:
+        raise TransversalityError("power membership undefined for the identity")
+    core, conj = cyclic_reduce(g)
+    q0 = h.read(0, conj)
+    if q0 is None:
+        return None
+    cur: int | None = q0
+    for m in range(1, h.n_states + 1):
+        cur = h.read(cur, core)
+        if cur is None:
+            return None
+        if cur == q0:
+            return m
+    return None
+
+
+def overlap_count(
+    h: SubgroupAutomaton,
+    f: Sequence[int],
+    v: Sequence[int],
+    e_bound: int,
+    m_range: Iterable[int],
+) -> int:
+    """|{m in m_range : d(f^m, v*H) <= E}|, exactly.
+
+    d(f^m, v*H) = d(v^-1 f^m, H) is read off the automaton; f^m comes from
+    freegroup.power, not from the stepwise powers overlap_bound builds.
+    """
+    if e_bound < 0:
+        raise TransversalityError("neighborhood bound must be >= 0")
+    f = reduce_word(f, h.rank)
+    v_inv = invert(reduce_word(v, h.rank))
+    return sum(h.distance_to_orbit(multiply(v_inv, power(f, m))) <= e_bound for m in m_range)

@@ -3,6 +3,7 @@ import sys
 import textwrap
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,6 @@ from hypmix.cantor import (
     SIGMA,
     ConeCertificationError,
     ConeError,
-    ConePermutation,
     DepthCapExceeded,
     antichain_meets_cone,
     apply_element,
@@ -26,6 +26,7 @@ from hypmix.cantor import (
     cone_transposition,
     estimate_qn,
     format_label,
+    from_assignments,
     hit_probability_exact,
     image_antichain,
     invert_element,
@@ -163,27 +164,27 @@ class TestApply:
         assert apply_element((X,), lab("X")) is None
 
     def test_permutation_on_shallow_label(self):
-        sigma = ConePermutation(tuple(range(18)))
+        sigma = tuple(range(18))
         assert apply_element((sigma,), lab("z")) is None
 
     def test_permutation_moves_cone(self):
-        sigma = ConePermutation.from_assignments({lab("zx"): lab("zy")})
+        sigma = from_assignments({lab("zx"): lab("zy")})
         assert apply_element((sigma,), lab("zxx")) == lab("zyx")
 
     def test_permutation_fixes_f2_prefixes(self):
-        sigma = ConePermutation.from_assignments({lab("zx"): lab("zy")})
+        sigma = from_assignments({lab("zx"): lab("zy")})
         for label in ("xy", "xyz", "YxY"):
             assert apply_element((sigma,), lab(label)) == lab(label)
 
     def test_permutations_fix_all_f2_points_exhaustively(self):
         gen = rng.substream(5)
-        sigma = ConePermutation(tuple(int(i) for i in gen.permutation(18)))
+        sigma = tuple(int(i) for i in gen.permutation(18))
         for label in full_partition(4):
             if all(abs(l) != Z for l in label[:2]):
                 assert apply_element((sigma,), label) == label
 
     def test_atoms_act_right_to_left(self):
-        sigma = ConePermutation.from_assignments({lab("zx"): lab("zy")})
+        sigma = from_assignments({lab("zx"): lab("zy")})
         assert apply_element((X, sigma), lab("zxx")) == lab("xzyx")
 
 
@@ -195,7 +196,7 @@ class TestImageAntichain:
         gen = rng.substream(3)
         six_cones = tuple((l,) for l in ALL_LETTERS)
         for depth in (2, 3, 4):
-            sigma = ConePermutation(tuple(int(i) for i in gen.permutation(18)))
+            sigma = tuple(int(i) for i in gen.permutation(18))
             image = image_antichain((sigma,), full_partition(depth))
             # The image is all of the boundary again; merging collapses it
             # to the six depth-one cones.
@@ -241,7 +242,7 @@ def random_element(gen, n, p_letter):
         if r < 4 * p_letter.numerator:
             atoms.append((X, -X, Y, -Y)[r // p_letter.numerator])
         else:
-            atoms.append(ConePermutation(tuple(gen.permutation(18).tolist())))
+            atoms.append(tuple(gen.permutation(18).tolist()))
     return tuple(atoms)
 
 
@@ -276,8 +277,8 @@ class TestImageAntichainReference:
 
 @st.composite
 def mixed_elements(draw):
-    """An element of F(x, y) letters and ConePermutations, at most 12 atoms."""
-    perm = st.permutations(range(18)).map(lambda m: ConePermutation(tuple(m)))
+    """An element of F(x, y) letters and permutation atoms, at most 12 atoms."""
+    perm = st.permutations(range(18)).map(tuple)
     return tuple(draw(st.lists(st.one_of(st.sampled_from((X, -X, Y, -Y)), perm), max_size=12)))
 
 
@@ -297,8 +298,9 @@ def disjoint_sources(draw):
 
 
 class TestRawAtoms:
-    # estimate_qn hands raw atoms (int letters, 18-tuples of targets) straight
-    # to _image; the public path unwraps ConePermutations itself.
+    # estimate_qn hands its atoms (int letters, 18-tuples of targets) straight
+    # to _image; the public path checks them first and must let every valid
+    # element through unchanged.
 
     @staticmethod
     def outcome(fn, g, sources, cap):
@@ -311,8 +313,7 @@ class TestRawAtoms:
     @given(mixed_elements(), disjoint_sources(), st.integers(1, 6))
     @example((X,), [(-X,)], 1)  # full cancellation at the cap
     def test_raw_path_matches_public_path(self, g, sources, cap):
-        raw = tuple(atom if isinstance(atom, int) else atom.mapping for atom in g)
-        assert self.outcome(cantor._image, raw, sources, cap) == self.outcome(
+        assert self.outcome(cantor._image, g, sources, cap) == self.outcome(
             image_antichain, g, sources, cap
         )
 
@@ -433,11 +434,18 @@ class TestCertification:
                 sys.exit("a non-permutation row passed the trial's check")
             except cantor.ConeCertificationError:
                 pass
-            try:
-                cantor.ConePermutation((0,) * 18)
-                sys.exit("a non-permutation passed ConePermutation's check")
-            except cantor.ConeError:
-                pass
+            entries = (
+                lambda g: cantor.apply_element(g, (3, 3)),
+                lambda g: cantor.image_antichain(g, [(3, 3)]),
+                cantor.invert_element,
+            )
+            for entry in entries:
+                for bad in ((3,), ((0,) * 18,)):
+                    try:
+                        entry(bad)
+                        sys.exit(f"the element {bad} passed the element check")
+                    except cantor.ConeError:
+                        pass
             """
         )
         proc = subprocess.run(
@@ -609,11 +617,30 @@ class TestQn:
 class TestInverse:
     def test_element_inverse_roundtrip(self):
         gen = rng.substream(13)
-        sigma = ConePermutation(tuple(int(i) for i in gen.permutation(18)))
-        g = (X, sigma, -Y, sigma.inverse(), Y)
+        sigma = tuple(int(i) for i in gen.permutation(18))
+        sigma_inv = tuple(sigma.index(j) for j in range(18))
+        g = (X, sigma, -Y, sigma_inv, Y)
         gi = invert_element(g)
         for label in (lab("zx"), lab("Zyx"), lab("xzz")):
             assert image_antichain(gi + g, [label]) == (label,)
+
+
+class TestElementBoundary:
+    # z is not in the acting group, and an atom must be an int letter or the
+    # 18-tuple of a permutation's targets; nothing else reaches the action.
+    @pytest.mark.parametrize(
+        "atom",
+        [Z, -Z, 0, (0,) * 18, tuple(range(17)), np.int64(1), list(range(18)), tuple(np.arange(18))],
+        ids=["z", "Z", "zero", "repeated-target", "17-targets", "numpy-letter", "list", "numpy-targets"],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [lambda g: apply_element(g, CONE_Z2), lambda g: image_antichain(g, [CONE_Z2]), invert_element],
+        ids=["apply_element", "image_antichain", "invert_element"],
+    )
+    def test_refuses_other_atoms(self, entry, atom):
+        with pytest.raises(ConeError):
+            entry((X, atom))
 
 
 class TestElementText:
@@ -640,9 +667,7 @@ class TestPositionalActionLaw:
                 if gen.integers(0, 2):
                     atoms.append([1, -1, 2, -2][int(gen.integers(0, 4))])
                 else:
-                    atoms.append(
-                        ConePermutation(tuple(int(i) for i in gen.permutation(18)))
-                    )
+                    atoms.append(tuple(int(i) for i in gen.permutation(18)))
             g = tuple(atoms)
             u = random_z_label(gen, int(gen.integers(2, 5)))
             image = apply_element(g, u)

@@ -10,7 +10,6 @@ from hypmix.freegroup import (
     broken_geodesic_check,
     cyclic_reduce,
     distance,
-    distance_to_geodesic,
     geodesic_vertices,
     gromov_product,
     invert,
@@ -20,6 +19,7 @@ from hypmix.freegroup import (
 )
 
 from conftest import F2, words, nontrivial_words
+from reference import distance_to_geodesic
 
 A, Ai, B, Bi = (1,), (-1,), (2,), (-2,)
 

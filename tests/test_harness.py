@@ -508,6 +508,18 @@ class TestCli:
         assert res.returncode == 1
         assert "params.trials" in res.stderr
 
+    def test_qn_letter_mass_denominator_bound(self):
+        # Step integers are drawn below the denominator as int64: 2^63 is
+        # the largest denominator that can be drawn.
+        argv = ("cantor", "--qn", "--n-list", "3", "--trials", "2", "--p-letter")
+        above = self._hypmix(*argv, f"1/{2**63 + 1}")
+        assert above.returncode == 1
+        assert above.stderr.startswith("error: [params.p_letter] ")
+        assert above.stdout == ""
+        at = self._hypmix(*argv, f"1/{2**63}")
+        assert at.returncode == 0, at.stderr
+        assert f"p_letter=1/{2**63};trials=2;n=3" in at.stdout
+
     def test_run_config(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(DRIFT_CONFIG)

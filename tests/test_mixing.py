@@ -20,9 +20,10 @@ from hypmix.mixing import (
     witness_subgroup,
 )
 from hypmix.stallings import SubgroupAutomaton
-from hypmix.walks import StepMeasure, sample_walk
+from hypmix.walks import StepMeasure
 
 from conftest import F2, nontrivial_words, src_env, words
+from reference import sample_walk
 
 UNIFORM = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
 A, B = (1,), (2,)

@@ -3,11 +3,12 @@
 Public top-level functions, classes and constants of src/hypmix, and the
 public methods, properties and fields of those classes (dataclass fields and
 the attributes __init__ sets on self), must be used somewhere in src/hypmix
-or bench/: as a name, an attribute, or a string constant (emit reads
-ResultRow by column name). Unit tests do not count as users: code or data
-that only a test reaches is either wired into an experiment or deleted. The
-exceptions are the independent references that tests compare the library
-against, listed below.
+or bench/: as a name or an attribute, or as a string constant where code
+reads a member by that name (emit reads ResultRow by column name). Unit
+tests do not count as users: code or data that only a test reaches is
+either wired into an experiment or deleted. The independent references
+that tests compare the library against live in tests/reference.py; the
+exceptions below are fields that only tests read.
 
 Every name a src/hypmix module imports is also used in that module, unless
 its import line says `# noqa: F401` (the package's re-exports).
@@ -22,15 +23,6 @@ SRC = Path(hypmix.__file__).resolve().parent
 BENCH = SRC.parent.parent / "bench"
 
 REFERENCES = {
-    "distance_to_geodesic": "tests check gromov_product against it",
-    "overlap_count": "tests check overlap_bound against it",
-    "minimal_power_in": "tests check the compute_u0 covering property with it",
-    "convolve": "tests check draw_indices against the exact n-step law",
-    "is_folded": "TestFoldBuilder checks the fold builder's output with it",
-    "basis": "TestFoldBuilder rebuilds the reference automata from it",
-    "sample_walk": "tests check final_position against its step-by-step product",
-    "final": "the endpoint of sample_walk's Trajectory, which tests compare final_position with",
-    "increments": "tests check sample_walk's positions against the product of its increments",
     "depth": "tests compare the depth a DepthCapExceeded reports with the reference refinement's",
     "field_name": "tests check which config field a ConfigError names",
 }
@@ -66,15 +58,45 @@ def _instance_fields(cls):
     }
 
 
-def _scan():
-    """(public names defined in src/hypmix, names used in src/hypmix or bench/).
+def _is_str(node):
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
 
-    A top-level name is used when it appears as a name or an attribute. A
-    class member (method, property, field) is used only when read as an
-    attribute or named by a string constant, since an assignment, a local
-    variable or a keyword argument of the same name reads nothing from it.
+
+def _member_reads(tree):
+    """Member names a module reads: attribute loads, the constant name of a
+    getattr call, and the entries of a module-level tuple of names (such as
+    harness.CSV_COLUMNS, by which emit reads ResultRow). Any other string
+    constant reads nothing, even one that spells a member's name."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+            and _is_str(node.args[1])
+        ):
+            reads.add(node.args[1].value)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+            entries = node.value.elts
+            if entries and all(_is_str(e) and e.value.isidentifier() for e in entries):
+                reads.update(e.value for e in entries)
+    return reads
+
+
+def _scan():
+    """(public top-level names, public class members, names used in
+    src/hypmix or bench/).
+
+    A top-level name is used when it appears as a name or is read as a
+    member. A class member (method, property, field) is used only when read
+    as a member, since an assignment, a local variable or a keyword argument
+    of the same name reads nothing from it.
     """
-    top, members, names, attrs = set(), set(), set(), set()
+    top, members, names, reads = set(), set(), set(), set()
     for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         if path.parent == SRC:
@@ -82,27 +104,34 @@ def _scan():
             for node in tree.body:
                 if isinstance(node, ast.ClassDef):
                     members |= _public(node.body) | _instance_fields(node)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attrs.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                attrs.add(node.value)
-    defined = top | members
-    unused = (top - names - attrs) | (members - attrs)
-    return defined, defined - unused
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        reads |= _member_reads(tree)
+    used = (top & (names | reads)) | (members & reads)
+    return top, members, used
 
 
 def test_no_public_name_is_reached_only_from_tests():
-    defined, used = _scan()
-    unreached = sorted(defined - used - REFERENCES.keys())
+    top, members, used = _scan()
+    unreached = sorted((top | members) - used - REFERENCES.keys())
     assert not unreached, f"public names no library or benchmark code uses: {unreached}"
 
 
 def test_every_reference_is_still_defined():
-    defined, _ = _scan()
-    assert REFERENCES.keys() <= defined, sorted(REFERENCES.keys() - defined)
+    top, members, used = _scan()
+    assert REFERENCES.keys() <= members - top, sorted(REFERENCES.keys() - (members - top))
+    assert not REFERENCES.keys() & used, sorted(REFERENCES.keys() & used)
+
+
+def test_member_reads_see_strings_only_where_a_member_is_read():
+    text = (
+        'COLUMNS = ("kept", "also")\n'
+        'PATHS = ("a.b",)\n'
+        'getattr(row, "read")\n'
+        'row.attr\n'
+        'label = "plain"\n'
+        'def f():\n    local = ("inner",)\n'
+    )
+    assert _member_reads(ast.parse(text)) == {"kept", "also", "read", "attr"}
 
 
 def _unused_imports(tree, lines):

@@ -14,13 +14,12 @@ from hypmix.transverse import (
     certificate,
     compute_u0,
     construct_transverse,
-    minimal_power_in,
     overlap_bound,
-    overlap_count,
     power_conjugate_into,
 )
 
 from conftest import F2, src_env
+from reference import minimal_power_in, overlap_count
 
 A, B = (1,), (2,)
 
