@@ -50,7 +50,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import rng
-from .freegroup import Word
+from .freegroup import FreeContext, Word
 from .stats import proportion_ci95
 
 X, Y, Z = 1, 2, 3
@@ -114,15 +114,12 @@ def in_f2_part(label: Sequence[int]) -> bool:
     return all(abs(l) != Z for l in label)
 
 
-def _all_length2() -> tuple[Word, ...]:
-    out = []
-    for first in _LETTERS:
-        for second in _ALLOWED[first]:
-            out.append((first, second))
-    return tuple(out)
+def _children(label: Word) -> list[Word]:
+    return [label + (l,) for l in _ALLOWED[label[-1]]]
 
 
-SIGMA: tuple[Word, ...] = _all_length2()  # the 30 two-letter labels
+# The 30 two-letter labels.
+SIGMA: tuple[Word, ...] = tuple(u for l in _LETTERS for u in _children((l,)))
 OMEGA: tuple[Word, ...] = tuple(u for u in SIGMA if not in_f2_part(u))  # 18 of them
 OMEGA_INDEX = {u: i for i, u in enumerate(OMEGA)}
 
@@ -163,13 +160,21 @@ def _check_element(g: GElement) -> GElement:
     return g
 
 
+def _omega_index(label: Sequence[int]) -> int:
+    """The position of a cone label in Omega, or ConeError naming it."""
+    label = _check_label(label)
+    if label not in OMEGA_INDEX:
+        raise ConeError(f"label {format_label(label)} is not one of the 18 cone labels")
+    return OMEGA_INDEX[label]
+
+
 def from_assignments(assignments: dict) -> tuple:
     """The permutation atom realizing the given label assignments, completed
     deterministically (remaining sources to remaining targets in order)."""
     mapping: dict[int, int] = {}
     used_targets = set()
     for src, dst in assignments.items():
-        i, j = OMEGA_INDEX[_check_label(src)], OMEGA_INDEX[_check_label(dst)]
+        i, j = _omega_index(src), _omega_index(dst)
         if i in mapping and mapping[i] != j:
             raise ConeError("conflicting images for one cone label")
         if j in used_targets and mapping.get(i) != j:
@@ -212,26 +217,19 @@ def order_cones(u: Sequence[int], depth: int) -> list[Word]:
         raise ConeError("depth must be >= 0")
     level = [u]
     for _ in range(depth):
-        level = [label + (l,) for label in level for l in _ALLOWED[label[-1]]]
+        level = [child for label in level for child in _children(label)]
     return level
 
 
-def xi(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> Word:
+def _xi(u: Word, v: Word, w: Word) -> Word:
     """Order-position transport: the label in Cone(v) at the same
     lexicographic position that w occupies in Cone(u).
 
     Each extension letter is replaced by the letter of equal rank among the
     five allowed continuations on the target side, so the map costs one pass
-    and never enumerates cones.
+    and never enumerates cones. The labels must be valid, with u a prefix
+    of w.
     """
-    u, v, w = _check_label(u), _check_label(v), _check_label(w)
-    if w[: len(u)] != u:
-        raise ConeError("u must be a prefix of w")
-    return _xi(u, v, w)
-
-
-def _xi(u: Word, v: Word, w: Word) -> Word:
-    """xi on labels already known to be valid, with u a prefix of w."""
     out = list(v)
     last_src, last_dst = u[-1], v[-1]
     for letter in w[len(u):]:
@@ -244,6 +242,9 @@ def _xi(u: Word, v: Word, w: Word) -> Word:
 
 # --- the action ---------------------------------------------------------------
 
+
+# The default cap on the source depth of an image computation.
+DEPTH_CAP = 64
 
 # Returned when an action is not determined at the current label depth.
 # Labels are nonempty tuples, so None cannot be mistaken for one.
@@ -293,10 +294,6 @@ def apply_element(g: GElement, label: Sequence[int]):
     return NEEDS_REFINEMENT if left else label
 
 
-def _children(label: Word) -> list[Word]:
-    return [label + (l,) for l in _ALLOWED[label[-1]]]
-
-
 def _merge_antichain(labels: Iterable[Word]) -> tuple[Word, ...]:
     """Replace any full sibling family by its parent, repeatedly."""
     current = set(labels)
@@ -326,7 +323,7 @@ def _shortlex_key(label: Word) -> tuple:
 
 
 def image_antichain(
-    g: GElement, labels: Iterable[Sequence[int]], depth_cap: int = 64
+    g: GElement, labels: Iterable[Sequence[int]], depth_cap: int = DEPTH_CAP
 ) -> tuple[Word, ...]:
     """Exact image of a disjoint union of cones under g, as an antichain.
 
@@ -416,16 +413,23 @@ def standardizing_element(u: Sequence[int]) -> GElement:
 
 
 def _verify_standardizing(element: GElement, u: Word):
+    """The cone equations of a standardizing element for the checked label
+    u, and its positional action two levels below both source cones.
+
+    The element is checked once; the probes then act on its atoms directly.
+    """
+    atoms = _check_element(element)
     n = len(u)
     zmn = (-Z,) * n
-    if image_antichain(element, [u]) != (CONE_Z2,):
+    if _image(atoms, [u], DEPTH_CAP) != (CONE_Z2,):
         raise ConeCertificationError("cone equation for u failed")
-    if image_antichain(element, [zmn]) != (CONE_ZM2,):
+    if _image(atoms, [zmn], DEPTH_CAP) != (CONE_ZM2,):
         raise ConeCertificationError("cone equation for z^-n failed")
     # Pointwise, two levels deeper: the action must be the positional map.
     for source, target in ((u, CONE_Z2), (zmn, CONE_ZM2)):
         for w in order_cones(source, 2):
-            if apply_element(element, w) != xi(source, target, w):
+            image, left = _advance(atoms, w, len(atoms))
+            if left or image != _xi(source, target, w):
                 raise ConeCertificationError(
                     f"action on Cone({format_label(source)}) is not positional at {format_label(w)}"
                 )
@@ -587,13 +591,9 @@ def superharmonic_check(radius: int) -> bool:
     def f(word: Word) -> Fraction:
         return Fraction(1, 3 ** len(word))
 
-    letters = (1, -1, 2, -2)
-    stack: list[Word] = [()]
-    seen = {()}
-    while stack:
-        v = stack.pop()
+    for v in FreeContext(2).ball(radius):
         value = nu_lazy * f(v)
-        for l in letters:
+        for l in _F2_LETTERS:
             if v and v[-1] == -l:
                 value += nu_letter * f(v[:-1])
             else:
@@ -604,13 +604,6 @@ def superharmonic_check(radius: int) -> bool:
         else:
             if not value < f(v):
                 return False
-        if len(v) < radius:
-            for l in letters:
-                if not v or v[-1] != -l:
-                    w = v + (l,)
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
     return True
 
 

@@ -98,11 +98,7 @@ def power(word: Word, n: int) -> Word:
 
 def distance(u: Word, v: Word) -> int:
     """Tree distance between the vertices u and v: |u^-1 v|."""
-    common = 0
-    max_common = min(len(u), len(v))
-    while common < max_common and u[common] == v[common]:
-        common += 1
-    return (len(u) - common) + (len(v) - common)
+    return len(u) + len(v) - 2 * common_prefix_length(u, v)
 
 
 def common_prefix_length(u: Word, v: Word) -> int:

@@ -385,6 +385,8 @@ def _run_transverse(config: ExperimentConfig) -> _Outcome:
     g = parse_words(ctx, _get(config.params, "g", required=True), "g")
     if len(g) != 1:
         raise ConfigError("params.g", "expected a single word")
+    if not g[0]:
+        raise ConfigError("params.g", "cannot build from the identity")
     try:
         got = transverse.construct_transverse(targets, g[0])
     except transverse.TransversalityError as exc:

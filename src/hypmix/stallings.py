@@ -160,7 +160,6 @@ class SubgroupAutomaton:
         "rank",
         "transitions",
         "_tree_words",
-        "_return_dist",
     )
 
     def __init__(self, rank: int, transitions: tuple[dict[int, int], ...]):
@@ -169,7 +168,6 @@ class SubgroupAutomaton:
         self.rank = rank
         self.transitions = transitions
         self._tree_words: tuple[Word, ...] | None = None
-        self._return_dist: tuple[int, ...] | None = None
 
     # --- construction -----------------------------------------------------
 
@@ -276,19 +274,19 @@ class SubgroupAutomaton:
         return math.inf
 
     def _tree(self) -> tuple[Word, ...]:
-        """Canonical spanning-tree words base -> state (BFS, letter order)."""
+        """Canonical spanning-tree words base -> state (BFS, letter order).
+
+        States are numbered in BFS discovery order, so one pass over the
+        rows in state order is that BFS, and each state's word is a shortest
+        path: its length is the state's graph distance to the base.
+        """
         if self._tree_words is None:
             words: list[Word | None] = [None] * self.n_states
             words[0] = ()
-            queue = [0]
-            head = 0
-            while head < len(queue):
-                s = queue[head]
-                head += 1
-                for letter, t in self.transitions[s].items():
+            for s, row in enumerate(self.transitions):
+                for letter, t in row.items():
                     if words[t] is None:
                         words[t] = words[s] + (letter,)  # type: ignore[operator]
-                        queue.append(t)
             self._tree_words = tuple(words)  # type: ignore[assignment]
         return self._tree_words  # type: ignore[return-value]
 
@@ -296,40 +294,24 @@ class SubgroupAutomaton:
         """A reduced word reading from the base to the given state."""
         return self._tree()[state]
 
-    def _returns(self) -> tuple[int, ...]:
-        """Graph distance from each state back to the base."""
-        if self._return_dist is None:
-            dist = [-1] * self.n_states
-            dist[0] = 0
-            queue = [0]
-            head = 0
-            while head < len(queue):
-                s = queue[head]
-                head += 1
-                for t in self.transitions[s].values():
-                    if dist[t] < 0:
-                        dist[t] = dist[s] + 1
-                        queue.append(t)
-            self._return_dist = tuple(dist)
-        return self._return_dist
-
     def distance_to_orbit(self, word: Sequence[int]) -> int:
         """Tree distance from the vertex to the orbit {h : h in H}.
 
         Equals min over readable prefixes w[:i] (ending at state q) of
-        (|w| - i) + dist(q, base): the candidate h = w[:i] * (return word)
-        is at most that far from w, and the decomposition of a nearest h
-        along its common prefix with w attains the minimum.
+        (|w| - i) + dist(q, base), where dist(q, base) is the length of q's
+        spanning-tree word: the candidate h = w[:i] * (tree word of q)^-1 is
+        at most that far from w, and the decomposition of a nearest h along
+        its common prefix with w attains the minimum.
         """
-        returns = self._returns()
-        best = len(word) + returns[0]
+        tree = self._tree()
+        best = len(word)
         state = 0
         for i, letter in enumerate(word):
             nxt = self.transitions[state].get(letter)
             if nxt is None:
                 break
             state = nxt
-            value = (len(word) - i - 1) + returns[state]
+            value = (len(word) - i - 1) + len(tree[state])
             if value < best:
                 best = value
         return best

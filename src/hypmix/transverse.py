@@ -141,26 +141,6 @@ def certificate(h: SubgroupAutomaton, f: Sequence[int]) -> TransversalityCertifi
     return TransversalityCertificate(False, m, v, h.n_states)
 
 
-def _powers_over(f: Word, ms: list[int]):
-    """Yield (m, f^m) over an exponent list, building core powers stepwise."""
-    core, conj = cyclic_reduce(f)
-    conj_inv = invert(conj)
-    core_inv = invert(core)
-    mids: dict[int, Word] = {0: ()}
-    hi = max(ms, default=0)
-    lo = min(ms, default=0)
-    cur: Word = ()
-    for m in range(1, hi + 1):
-        cur = multiply(cur, core)
-        mids[m] = cur
-    cur = ()
-    for m in range(-1, lo - 1, -1):
-        cur = multiply(cur, core_inv)
-        mids[m] = cur
-    for m in ms:
-        yield m, multiply(multiply(conj, mids[m]), conj_inv)
-
-
 def overlap_bound(
     h: SubgroupAutomaton,
     f: Sequence[int],
@@ -168,21 +148,21 @@ def overlap_bound(
     radius: int,
     m_range: Iterable[int],
 ) -> dict[Word, int]:
-    """overlap_count for each conjugator v in the radius ball, by v.
+    """|{m in m_range : d(f^m, v*H) <= e_bound}| for each conjugator v in
+    the radius ball, by v.
 
     Exact for the scanned window. For a transverse f the per-conjugator
     counts stay constant under enlarging the exponent window; a witness pair
     (m0, v0) instead makes the count for v0 grow linearly with the window.
     """
     f = reduce_word(f, h.rank)
-    ms = sorted(m_range)
     ctx = FreeContext(h.rank)
     per: dict[Word, int] = {}
-    powers = list(_powers_over(f, ms))
+    powers = [power(f, m) for m in m_range]
     for v in ctx.ball(radius):
         v_inv = invert(v)
         count = 0
-        for _, word in powers:
+        for word in powers:
             if h.distance_to_orbit(multiply(v_inv, word)) <= e_bound:
                 count += 1
         per[v] = count

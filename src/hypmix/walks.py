@@ -19,8 +19,9 @@ Walk endpoints are reduced without the trajectory. A long walk (at least
 SHORT_WALK letters) is reduced by whole-array numpy passes, each deleting
 the first adjacent inverse pair of every run of them, for at most
 MAX_PASSES passes; a short walk, or what is left when the passes run out,
-finishes on a Python stack. Free reduction is confluent, so the endpoint is
-the same either way, and the draws are one call per walk as before.
+finishes in freegroup.reduce_word. Free reduction is confluent, so the
+endpoint is the same either way, and the draws are one call per walk as
+before.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ class DriftRangeError(RuntimeError):
     """An estimated drift lies outside [0, longest step length]."""
 
 
-# Walk endpoints: below SHORT_WALK letters the stack beats a numpy pass
-# (measured crossover between 512 and 2,048 letters); MAX_PASSES bounds
-# the passes before the stack takes over.
+# Walk endpoints: below SHORT_WALK letters reduce_word's stack beats a numpy
+# pass (measured crossover between 512 and 2,048 letters); MAX_PASSES bounds
+# the passes before reduce_word takes over.
 SHORT_WALK = 1024
 MAX_PASSES = 32
 
@@ -165,10 +166,10 @@ class StepMeasure:
         MAX_PASSES passes, one numpy pass deletes the first adjacent inverse
         pair of every run of them; a pass that finds none has a reduced
         word. A short walk, or a word still unreduced when the passes run
-        out, finishes on a stack. Free reduction is confluent, so deleting
-        any disjoint set of adjacent inverse pairs keeps the reduced word:
-        the endpoint is the stack's, after at most MAX_PASSES + 1 linear
-        passes.
+        out, finishes in reduce_word. Free reduction is confluent, so
+        deleting any disjoint set of adjacent inverse pairs keeps the
+        reduced word: the endpoint is reduce_word's, after at most
+        MAX_PASSES + 1 linear passes.
         """
         idx = self.draw_indices(gen, n)
         a = self._letters[idx].ravel()
@@ -185,15 +186,7 @@ class StepMeasure:
             keep[:-1] &= ~first
             keep[1:] &= ~first
             a = a[keep]
-        stack: list[int] = []
-        push = stack.append
-        pop = stack.pop
-        for x in a.tolist():
-            if stack and stack[-1] == -x:
-                pop()
-            else:
-                push(x)
-        return tuple(stack)
+        return reduce_word(a.tolist())
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from hypmix.freegroup import (
     geodesic_vertices,
     invert,
     multiply,
-    power,
     reduce_word,
 )
 from hypmix.stallings import SubgroupAutomaton
@@ -163,11 +162,19 @@ def overlap_count(
 ) -> int:
     """|{m in m_range : d(f^m, v*H) <= E}|, exactly.
 
-    d(f^m, v*H) = d(v^-1 f^m, H) is read off the automaton; f^m comes from
-    freegroup.power, not from the stepwise powers overlap_bound builds.
+    d(f^m, v*H) = d(v^-1 f^m, H) is read off the automaton; f^m is the m-fold
+    product of f (or of f^-1 for m < 0) by multiply, not freegroup.power,
+    which overlap_bound uses.
     """
     if e_bound < 0:
         raise TransversalityError("neighborhood bound must be >= 0")
     f = reduce_word(f, h.rank)
     v_inv = invert(reduce_word(v, h.rank))
-    return sum(h.distance_to_orbit(multiply(v_inv, power(f, m))) <= e_bound for m in m_range)
+    count = 0
+    for m in m_range:
+        step = f if m >= 0 else invert(f)
+        f_m: Word = ()
+        for _ in range(abs(m)):
+            f_m = multiply(f_m, step)
+        count += h.distance_to_orbit(multiply(v_inv, f_m)) <= e_bound
+    return count

@@ -1,3 +1,4 @@
+import inspect
 import subprocess
 import sys
 import textwrap
@@ -34,7 +35,7 @@ from hypmix.cantor import (
     parse_label,
     simulate_hit_probability,
     superharmonic_check,
-    xi,
+    _xi,
 )
 
 from conftest import src_env
@@ -111,17 +112,13 @@ class TestOrderCones:
 
 class TestXi:
     def test_first_to_first(self):
-        assert xi(lab("zx"), lab("zy"), lab("zxx")) == lab("zyx")
+        assert _xi(lab("zx"), lab("zy"), lab("zxx")) == lab("zyx")
 
     def test_second_to_second(self):
-        assert xi(lab("zx"), lab("zy"), lab("zxy")) == lab("zyX")
+        assert _xi(lab("zx"), lab("zy"), lab("zxy")) == lab("zyX")
 
     def test_identity(self):
-        assert xi(lab("zx"), lab("zx"), lab("zxzz")) == lab("zxzz")
-
-    def test_prefix_required(self):
-        with pytest.raises(ConeError):
-            xi(lab("zx"), lab("zy"), lab("zyx"))
+        assert _xi(lab("zx"), lab("zx"), lab("zxzz")) == lab("zxzz")
 
     def test_matches_order_cones_exhaustively(self):
         pairs = [(lab("zx"), lab("zy")), (lab("Zy"), lab("xz")), (lab("z"), lab("Z"))]
@@ -130,7 +127,7 @@ class TestXi:
                 src = order_cones(u, depth)
                 dst = order_cones(v, depth)
                 for s, d in zip(src, dst):
-                    assert xi(u, v, s) == d
+                    assert _xi(u, v, s) == d
 
     def test_composition_law(self):
         # xi(v,t) . xi(u,v) = xi(u,t) and xi(u,u) = id, exhaustively to depth 3.
@@ -140,16 +137,16 @@ class TestXi:
                 for t in labels:
                     for depth in (1, 2, 3):
                         for w in order_cones(u, depth):
-                            assert xi(v, t, xi(u, v, w)) == xi(u, t, w)
+                            assert _xi(v, t, _xi(u, v, w)) == _xi(u, t, w)
         for u in labels:
             for w in order_cones(u, 3):
-                assert xi(u, u, w) == w
+                assert _xi(u, u, w) == w
 
     def test_order_preservation(self):
         u, v = lab("zx"), lab("yZ")
         src = order_cones(u, 2)
         dst = order_cones(v, 2)
-        images = [xi(u, v, w) for w in src]
+        images = [_xi(u, v, w) for w in src]
         assert images == dst  # same positions, hence order preserved
 
 
@@ -372,10 +369,25 @@ class StuckGenerator:
         return rows
 
 
+def bent(advance):
+    """The action `advance` with each completed image longer than two letters
+    moved to the next of its siblings: every cone still goes onto a cone,
+    but the action inside it is no longer positional."""
+
+    def bent_advance(atoms, label, i):
+        label, left = advance(atoms, label, i)
+        if not left and len(label) > 2:
+            siblings = cantor._ALLOWED[label[-2]]
+            label = label[:-1] + (siblings[(siblings.index(label[-1]) + 1) % 5],)
+        return label, left
+
+    return bent_advance
+
+
 class TestCertification:
     def test_non_positional_action_raises(self, monkeypatch):
-        monkeypatch.setattr(cantor, "xi", lambda u, v, w: v)
-        with pytest.raises(ConeCertificationError):
+        monkeypatch.setattr(cantor, "_advance", bent(cantor._advance))
+        with pytest.raises(ConeCertificationError, match="not positional"):
             standardizing_element(lab("xzx"))
 
     def test_failed_recursion_step_raises(self, monkeypatch):
@@ -395,19 +407,19 @@ class TestCertification:
             estimate_qn(Fraction(1, 8), 10, 5, 1)
 
     def test_checks_run_under_optimize_flag(self):
-        script = textwrap.dedent(
+        # bent is defined first, from this module's source.
+        script = "import sys\nfrom hypmix import cantor\n\n" + inspect.getsource(bent) + textwrap.dedent(
             """
-            import sys
-            from hypmix import cantor
-
             if __debug__:
                 sys.exit("not running under -O")
-            cantor.xi = lambda u, v, w: v
+            advance = cantor._advance
+            cantor._advance = bent(advance)
             try:
                 cantor.standardizing_element((1, 3, 1))
                 sys.exit("non-positional action accepted")
             except cantor.ConeCertificationError:
                 pass
+            cantor._advance = advance
             cantor.math.isqrt = lambda value: 1
             try:
                 cantor.hit_probability_exact()
@@ -449,7 +461,11 @@ class TestCertification:
             """
         )
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
+            [sys.executable, "-O", "-c", script],
+            env=src_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
 
@@ -643,6 +659,17 @@ class TestElementBoundary:
             entry((X, atom))
 
 
+class TestFromAssignments:
+    # A permutation atom acts on the 18 two-letter labels with a z-letter;
+    # any other label is named in a ConeError, not a KeyError.
+    @pytest.mark.parametrize("label", ["xy", "zxz"], ids=["xy-only", "three-letters"])
+    def test_refuses_labels_outside_omega(self, label):
+        with pytest.raises(ConeError, match=label):
+            from_assignments({lab(label): lab("zx")})
+        with pytest.raises(ConeError, match=label):
+            from_assignments({lab("zx"): lab(label)})
+
+
 class TestElementText:
     def test_letter_roundtrip(self):
         from hypmix.cantor import format_element
@@ -676,4 +703,4 @@ class TestPositionalActionLaw:
             for w in order_cones(u, 2):
                 got = apply_element(g, w)
                 assert got is not None
-                assert got == xi(u, image, w)
+                assert got == _xi(u, image, w)

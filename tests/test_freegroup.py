@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from hypmix import rng
 from hypmix.freegroup import (
@@ -14,6 +15,7 @@ from hypmix.freegroup import (
     gromov_product,
     invert,
     multiply,
+    power,
     reduce_word,
     shortlex_key,
 )
@@ -84,6 +86,18 @@ class TestGroupOps:
             t = F2.random_word(gen, int(gen.integers(0, 9)))
             assert multiply(multiply(u, v), t) == multiply(u, multiply(v, t))
             assert reduce_word(u) == u
+
+
+class TestPower:
+    @given(st.one_of(words(2, 10), words(3, 10)))
+    def test_matches_repeated_multiply(self, f):
+        # Cyclically reduced or not: the strategy draws both kinds.
+        for m in range(-12, 13):
+            step = f if m >= 0 else invert(f)
+            expected = ()
+            for _ in range(abs(m)):
+                expected = multiply(expected, step)
+            assert power(f, m) == expected
 
 
 class TestCyclicReduce:

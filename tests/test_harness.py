@@ -588,6 +588,13 @@ class TestCli:
         assert res.returncode == 0
         assert "transverse" in cert.read_text()
 
+    @pytest.mark.parametrize("g", ["1", "aA"])
+    def test_transverse_identity_g_names_g(self, g):
+        res = self._hypmix("transverse", "--targets", "a", "--g", g)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: [params.g] ")
+        assert "Traceback" not in res.stderr
+
     def test_selftest_subset(self):
         res = self._hypmix("selftest", "--criteria", "2")
         assert res.returncode == 0

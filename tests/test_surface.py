@@ -12,9 +12,16 @@ exceptions below are fields that only tests read.
 
 Every name a src/hypmix module imports is also used in that module, unless
 its import line says `# noqa: F401` (the package's re-exports).
+
+Every private top-level function, class and constant of src/hypmix, and
+every private method of its classes, is loaded somewhere in src/hypmix
+outside its own definition, so a helper whose last caller is gone is
+deleted with it. A decorated top-level function counts as used: its
+decorator registers it (selftest's criteria).
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import hypmix
@@ -160,3 +167,63 @@ def test_every_import_is_used():
 def test_unused_import_check_sees_one():
     text = "import os\nfrom .freegroup import invert, multiply  # comment\nfrom . import rng  # noqa: F401\ninvert(())\n"
     assert _unused_imports(ast.parse(text), text.splitlines()) == ["line 1: os", "line 2: multiply"]
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_definitions(tree):
+    """(label, name, node) for each private top-level definition of a module
+    that no decorator registers, and each private method of its classes."""
+    found = []
+    for node in tree.body:
+        name = _defined_name(node)
+        if name and _is_private(name) and not getattr(node, "decorator_list", None):
+            found.append((name, name, node))
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                (f"{node.name}.{member.name}", member.name, member)
+                for member in node.body
+                if isinstance(member, ast.FunctionDef) and _is_private(member.name)
+            )
+    return found
+
+
+def _loads(node):
+    """Names and attribute names loaded inside node, with multiplicity."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def _unloaded_private(trees):
+    """Private definitions that no code outside their own body loads; trees
+    maps a module's file name to its parsed source."""
+    total = sum(map(_loads, trees.values()), Counter())
+    return sorted(
+        f"{module}: {label}"
+        for module, tree in trees.items()
+        for label, name, node in _private_definitions(tree)
+        if total[name] == _loads(node)[name]
+    )
+
+
+def test_every_private_helper_is_loaded():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    unloaded = _unloaded_private(trees)
+    assert not unloaded, f"private helpers nothing in src/hypmix loads: {unloaded}"
+
+
+def test_private_helper_check_sees_one():
+    text = (
+        "def _dead(n):\n    return _dead(n - 1)\n"
+        "def _live():\n    return 1\n"
+        "class _Kept:\n    @classmethod\n    def _unused(cls):\n        pass\n    def _used(self):\n        return 1\n"
+        "@register\ndef _registered():\n    pass\n"
+        "_TABLE = {1: _live}\n"
+        "_Kept()._used()\n"
+    )
+    assert _unloaded_private({"m.py": ast.parse(text)}) == ["m.py: _Kept._unused", "m.py: _TABLE", "m.py: _dead"]
