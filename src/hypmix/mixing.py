@@ -24,12 +24,13 @@ reduces nothing itself.
 
 Flag (b) is read along L's stem. In L's automaton, w L w^-1 is the subgroup
 read at the end of the path spelling u = w^-1 (Kapovich & Myasnikov,
-"Stallings foldings and subgroups of free groups", J. Algebra 2002), but the
-core trim may cut that path short: when H is trivial, or H's base is a hair
-of H, u need not read to its end. So u is read from L's base once, keeping
-the state after each prefix, and each window word f is tested on the
-reduced u f u^-1 = u[:i] m u[:j]^-1, found by cancelling at the two seams
-only.
+"Stallings foldings and subgroups of free groups", J. Algebra 2002). The
+folded graph a trial builds keeps that path whole, but on a canonical L (one
+read from text, say) the core trim may cut it short: when H is trivial, or
+H's base is a hair of H, u need not read to its end. So u is read from L's
+base once, keeping the state after each prefix, and each window word f is
+tested on the reduced u f u^-1 = u[:i] m u[:j]^-1, found by cancelling at
+the two seams only.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Sequence
 
 from . import rng
 from .freegroup import Word, invert
-from .stallings import SubgroupAutomaton
+from .stallings import SubgroupAutomaton, _follow
 from .stats import proportion_ci95
 from .walks import StepMeasure
 
@@ -155,8 +156,8 @@ def _stem_trace(l_sub: SubgroupAutomaton, u: Word, window) -> frozenset:
     The word lies in L exactly when states i and j both exist and reading m
     from state i ends at state j.
     """
-    rows = l_sub.transitions
-    states = [0]
+    rows = l_sub._rows
+    states = [l_sub._base]
     for letter in u:
         nxt = rows[states[-1]].get(letter)
         if nxt is None:
@@ -174,7 +175,7 @@ def _stem_trace(l_sub: SubgroupAutomaton, u: Word, window) -> frozenset:
         if end == c:
             while max(i, j) >= read and i > 0 and j > 0 and u[i - 1] == u[j - 1]:
                 i, j = i - 1, j - 1
-        if i < read and j < read and l_sub.read(states[i], f[c:end]) == states[j]:
+        if i < read and j < read and _follow(rows, states[i], f[c:end]) == states[j]:
             out.append(f)
     return frozenset(out)
 

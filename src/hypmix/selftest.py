@@ -620,9 +620,13 @@ def _criterion_11(threads: int = 1):
             if w not in (u, pivot)
         ]
         for i in gen.integers(0, len(others), size=100):
-            w = others[int(i)]
-            deep = cantor.order_cones(w, 3)
-            probe = deep[int(gen.integers(0, len(deep)))]
+            # The probe is entry j of order_cones(w, 3), the 125 labels of
+            # depth |w| + 3 below w in lexicographic order: the base-5 digits
+            # of j pick one child per level.
+            probe = others[int(i)]
+            j = int(gen.integers(0, 125))
+            for place in (25, 5, 1):
+                probe = cantor._children(probe)[j // place % 5]
             got = cantor.apply_element(g, probe)
             if got != probe:
                 failures += 1

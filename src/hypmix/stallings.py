@@ -4,30 +4,39 @@ A subgroup automaton is a finite connected graph with edges labeled by
 generators, a distinguished base state, and deterministic, co-deterministic
 transitions (no state carries two equally-labeled edges in the same
 direction). Transitions store both directions: following letter -i from a
-state traverses an i-labeled edge backwards. The automaton is a core graph:
-every non-base state has degree >= 2, so every edge lies on some reduced
-base loop, and the words read on reduced base-to-base loops are exactly the
-elements of the subgroup.
+state traverses an i-labeled edge backwards. The words read on reduced
+base-to-base loops are exactly the elements of the subgroup. Its core drops
+the hairs, the non-base states of degree <= 1, until every non-base state
+has degree >= 2, so every edge lies on some reduced base loop.
 
-Automata are canonicalized after construction (BFS numbering from the base
-with the fixed letter order a < a^-1 < b < b^-1 < ...), with each state's row
-listing its letters in that order, so two automata of one subgroup have
-equal rank and equal rows, and equality of subgroups is equality of objects,
-compared row by row. All instances are immutable; every operation returns a
-fresh automaton.
+An automaton keeps the folded graph its builder leaves: rows indexed by the
+builder's states (None for a merged-away state), a base state that need not
+be 0, and possibly hairs. Membership, window traces, rank and index are read
+on that graph: a reduced word never enters a hair and comes back, a hair
+adds one state and one edge, so rank = edges - states + 1 keeps its value,
+and a graph with a hair is no full cover, nor is its core. The canonical
+form is built on first use and cached: the core, numbered breadth-first from
+the base with the fixed letter order a < a^-1 < b < b^-1 < ..., each state's
+row listing its letters in that order. `transitions` returns it, and
+everything that reads state numbers goes through it (n_states, read, the
+spanning tree, text, equality, hashing), so two automata of one subgroup
+have equal rows and equality of subgroups is equality of objects, compared
+row by row. All instances are immutable; every operation returns a fresh
+automaton.
 
 One fold builder makes every automaton from words and automata, and keeps
 its graph folded as it grows (Kapovich & Myasnikov, "Stallings foldings and
 subgroups of free groups", J. Algebra 2002). An automaton goes in as a copy
-of its rows. A word goes in as a path that is read rather than unioned
-state by state: the graph follows as much of the word as it can from both
-ends, fresh states spell only the unread middle, and a path read to the end
-merges its two ends and folds what that forces. Generators are loops read
-in at the base; g H g^-1 copies H's automaton to a fresh state and reads a
-stem spelling g from the base to it; <g H g^-1, K> first copies K's
-automaton at the base. When H's automaton already reads g backwards from its
-base, as L reads w back along its own stem in the mixing certification
-w L w^-1, no state is added and only the base moves.
+of its folded rows, never canonicalized on the way. A word goes in as a path
+that is read rather than unioned state by state: the graph follows as much
+of the word as it can from both ends, fresh states spell only the unread
+middle, and a path read to the end merges its two ends and folds what that
+forces. Generators are loops read in at the base; g H g^-1 copies H's
+automaton in and reads a stem spelling g from the base to H's base;
+<g H g^-1, K> first copies K's automaton in and merges its base with the
+base. When H's automaton already reads g backwards from its base, as L reads w
+back along its own stem in the mixing certification w L w^-1, no state is
+added and only the base moves.
 
 Basepoint convention: all orbit computations measure distances from the
 identity vertex. Moving the basepoint to another vertex t changes the
@@ -48,18 +57,27 @@ class AutomatonError(ValueError):
     """Malformed automaton input or serialization."""
 
 
+def _follow(rows: Sequence[dict[int, int] | None], state: int, word: Sequence[int]) -> int | None:
+    """Follow a word from a state through the rows; None once undefined."""
+    for letter in word:
+        state = rows[state].get(letter)  # type: ignore[union-attr,assignment]
+        if state is None:
+            return None
+    return state
+
+
 class _FoldGraph:
-    """A labeled graph with base state 0, kept folded while it is built.
+    """A labeled graph with base find(0), kept folded while it is built.
 
     Each state has a row, letter -> target, holding both directions of its
     edges, and a union-find parent; a merged-away state's row is None. An
-    automaton goes in by copying its rows into a state with no edges yet. A
-    path is read in: the graph reads as much of its word as it can from both
-    ends, fresh states spell only the unread middle, and when nothing is
-    left unread the two ends are merged. A merge absorbs the state with
-    fewer edges, moves those edges onto the survivor and merges again
-    wherever two equally-labeled edges meet, so every call leaves the graph
-    folded.
+    automaton goes in as a copy of its rows, a component of its own that a
+    merge or a path then joins to the rest. A path is read in: the graph
+    reads as much of its word as it can from both ends, fresh states spell
+    only the unread middle, and when nothing is left unread the two ends are
+    merged. A merge absorbs the state with fewer edges, moves those edges
+    onto the survivor and merges again wherever two equally-labeled edges
+    meet, so every call leaves the graph folded.
     """
 
     def __init__(self, rank: int):
@@ -80,14 +98,15 @@ class _FoldGraph:
         self.parent.extend(range(first, first + count))
         return range(first, first + count)
 
-    def attach(self, automaton: "SubgroupAutomaton", at: int):
-        """Copy the automaton's rows in, its base at state at, which has no
-        edges yet, so the graph stays folded."""
-        offset = len(self.rows) - 1
-        rows = [{letter: t + offset if t else at for letter, t in d.items()} for d in automaton.transitions]
-        self.rows[at] = rows[0]
-        self.rows.extend(rows[1:])
-        self.parent.extend(range(offset + 1, offset + len(rows)))
+    def attach(self, automaton: "SubgroupAutomaton") -> int:
+        """Copy the automaton's folded rows in as a new component, each state
+        shifted by one offset, and return where its base landed."""
+        offset = len(self.rows)
+        self.rows.extend(
+            None if row is None else {letter: t + offset for letter, t in row.items()} for row in automaton._rows
+        )
+        self.parent.extend(range(offset, len(self.rows)))
+        return offset + automaton._base
 
     def attach_path(self, word: Sequence[int], src: int, dst: int):
         """Read in a path spelling the word from src to dst."""
@@ -150,23 +169,37 @@ class _FoldGraph:
                 row[letter] = find(t)  # type: ignore[index]
 
     def fold(self) -> "SubgroupAutomaton":
-        return SubgroupAutomaton._from_folded(self.rank, self.rows, self.find(0))
+        """Hand the rows over as they are: no trim, no numbering."""
+        return SubgroupAutomaton(self.rank, self.rows, self.find(0))
 
 
 class SubgroupAutomaton:
-    """Folded core Stallings automaton of a finitely generated H <= F_k."""
+    """Folded Stallings automaton of a finitely generated H <= F_k, with its
+    canonical core form built when first read."""
 
     __slots__ = (
         "rank",
-        "transitions",
+        "_rows",
+        "_base",
+        "_canonical",
         "_tree_words",
     )
 
-    def __init__(self, rank: int, transitions: tuple[dict[int, int], ...]):
+    def __init__(
+        self,
+        rank: int,
+        rows: Sequence[dict[int, int] | None],
+        base: int,
+        canonical: tuple[dict[int, int], ...] | None = None,
+    ):
         # Internal: callers go through from_generators / from_text / the
-        # algebraic operations, all of which canonicalize, dict order included.
+        # algebraic operations. rows and base are a folded graph, which the
+        # automaton owns from here on; canonical, when given, is its
+        # canonical form.
         self.rank = rank
-        self.transitions = transitions
+        self._rows = rows
+        self._base = base
+        self._canonical = canonical
         self._tree_words: tuple[Word, ...] | None = None
 
     # --- construction -----------------------------------------------------
@@ -187,8 +220,9 @@ class SubgroupAutomaton:
 
     @classmethod
     def _from_folded(cls, rank: int, rows: list[dict[int, int] | None], base: int) -> "SubgroupAutomaton":
-        """Take over folded rows (None for merged-away states), trim them to
-        the core in place and number the states the base reaches."""
+        """The canonical automaton of folded rows (None for merged-away
+        states): trim them to the core in place and number the states the
+        base reaches."""
         # Core trim: drop non-base states of degree <= 1 until none remain.
         # Dropping a state lowers only its neighbour's degree, so a worklist
         # of such states visits each edge once.
@@ -221,13 +255,23 @@ class SubgroupAutomaton:
                         order.append(t)
                     row[letter] = number[t]
             transitions.append(row)
-        return cls(rank, tuple(transitions))
+        canonical = tuple(transitions)
+        return cls(rank, canonical, 0, canonical)
 
     # --- structure --------------------------------------------------------
 
     @property
+    def transitions(self) -> tuple[dict[int, int], ...]:
+        """The canonical rows, built from a copy of the folded rows on first
+        use and cached. The folded rows stay as they are."""
+        if self._canonical is None:
+            rows = [None if row is None else dict(row) for row in self._rows]
+            self._canonical = self._from_folded(self.rank, rows, self._base)._canonical
+        return self._canonical  # type: ignore[return-value]
+
+    @property
     def n_states(self) -> int:
-        return len(self.transitions)
+        return len(self._canonical or self.transitions)
 
     def n_edges(self) -> int:
         return sum(len(d) for d in self.transitions) // 2
@@ -250,27 +294,29 @@ class SubgroupAutomaton:
     # --- membership and geometry -------------------------------------------
 
     def read(self, state: int, word: Sequence[int]) -> int | None:
-        """Follow a reduced word from a state; None once undefined."""
-        for letter in word:
-            nxt = self.transitions[state].get(letter)
-            if nxt is None:
-                return None
-            state = nxt
-        return state
+        """Follow a reduced word from a state, in the canonical numbering;
+        None once undefined."""
+        # Once cached, the rows are fetched without the property call: the
+        # power-conjugacy scan calls this once per state.
+        return _follow(self._canonical or self.transitions, state, word)
 
     def contains(self, word: Sequence[int]) -> bool:
         """Whether the reduced word labels a base-to-base path."""
-        return self.read(0, word) == 0
+        return _follow(self._rows, self._base, word) == self._base
 
     def rank_of_subgroup(self) -> int:
-        """Free rank of the subgroup: edges - states + 1 of the core graph."""
-        return self.n_edges() - self.n_states + 1
+        """Free rank of the subgroup: edges - states + 1 of the folded graph,
+        which a hair leaves as it is on the core."""
+        live = [len(row) for row in self._rows if row is not None]
+        return sum(live) // 2 - len(live) + 1
 
     def index(self) -> int | float:
-        """Subgroup index: the state count when the automaton is a full cover
-        (all 2k directions everywhere), infinity otherwise."""
-        if all(len(d) == 2 * self.rank for d in self.transitions):
-            return self.n_states
+        """Subgroup index: the state count when the folded graph is a full
+        cover (all 2k directions everywhere), infinity otherwise. A graph
+        with a hair is no full cover, and neither is its core."""
+        live = [len(row) for row in self._rows if row is not None]
+        if all(degree == 2 * self.rank for degree in live):
+            return len(live)
         return math.inf
 
     def _tree(self) -> tuple[Word, ...]:
@@ -304,10 +350,11 @@ class SubgroupAutomaton:
         its common prefix with w attains the minimum.
         """
         tree = self._tree()
+        rows = self.transitions
         best = len(word)
         state = 0
         for i, letter in enumerate(word):
-            nxt = self.transitions[state].get(letter)
+            nxt = rows[state].get(letter)
             if nxt is None:
                 break
             state = nxt
@@ -321,9 +368,7 @@ class SubgroupAutomaton:
     def conjugate(self, g: Sequence[int]) -> "SubgroupAutomaton":
         """Automaton of g H g^-1: a stem spelling g from a new base to H's."""
         graph = _FoldGraph(self.rank)
-        [base] = graph.add_states(1)
-        graph.attach(self, base)
-        graph.attach_path(g, 0, base)
+        graph.attach_path(g, 0, graph.attach(self))
         return graph.fold()
 
     def conjugate_join(self, g: Sequence[int], other: "SubgroupAutomaton") -> "SubgroupAutomaton":
@@ -332,16 +377,14 @@ class SubgroupAutomaton:
         if other.rank != self.rank:
             raise AutomatonError("rank mismatch in conjugate_join")
         graph = _FoldGraph(self.rank)
-        graph.attach(other, 0)
-        [base] = graph.add_states(1)
-        graph.attach(self, base)
-        graph.attach_path(g, 0, base)
+        graph._merge(0, graph.attach(other))
+        graph.attach_path(g, 0, graph.attach(self))
         return graph.fold()
 
     def join_words(self, words: Iterable[Sequence[int]]) -> "SubgroupAutomaton":
         """Automaton of <H, words>: one loop per word wedged onto H."""
         graph = _FoldGraph(self.rank)
-        graph.attach(self, 0)
+        graph._merge(0, graph.attach(self))
         for word in words:
             graph.attach_path(word, 0, 0)
         return graph.fold()
@@ -364,7 +407,8 @@ class SubgroupAutomaton:
         A caller that compares many subgroups with one marker reads the
         marker's trace once: mixing.WitnessPair does so once per estimate.
         """
-        return frozenset(w for w in map(tuple, window) if self.contains(w))
+        rows, base = self._rows, self._base
+        return frozenset(w for w in map(tuple, window) if _follow(rows, base, w) == base)
 
     # --- serialization ------------------------------------------------------
 
@@ -375,8 +419,8 @@ class SubgroupAutomaton:
 
         ctx = FreeContext(self.rank)
         lines = [str(self.n_states), "base=0"]
-        for s in range(self.n_states):
-            for letter, t in self.transitions[s].items():
+        for s, row in enumerate(self.transitions):
+            for letter, t in row.items():
                 if letter > 0:
                     lines.append(f"{s} {ctx.format((letter,))} {t}")
         return "\n".join(lines) + "\n"

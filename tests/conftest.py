@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import hypmix
 from hypmix.freegroup import FreeContext, reduce_word
+from hypmix.stallings import SubgroupAutomaton
 
 hypothesis.settings.register_profile(
     "suite", derandomize=True, max_examples=60, deadline=None
@@ -37,3 +38,14 @@ def src_env():
     """The environment for a subprocess that must import this checkout's hypmix."""
     src = os.path.dirname(os.path.dirname(hypmix.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def count_canonical_forms(monkeypatch):
+    """Patch SubgroupAutomaton._from_folded, the one function that trims and
+    numbers an automaton, to log each call; returns the log."""
+    calls = []
+    from_folded = SubgroupAutomaton._from_folded.__func__
+    monkeypatch.setattr(
+        SubgroupAutomaton, "_from_folded", classmethod(lambda cls, *args: calls.append(1) or from_folded(cls, *args))
+    )
+    return calls

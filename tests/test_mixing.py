@@ -22,7 +22,7 @@ from hypmix.mixing import (
 from hypmix.stallings import SubgroupAutomaton
 from hypmix.walks import StepMeasure
 
-from conftest import F2, nontrivial_words, src_env, words
+from conftest import F2, count_canonical_forms, nontrivial_words, src_env, words
 from reference import sample_walk
 
 UNIFORM = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
@@ -63,7 +63,7 @@ class TestWitnessSubgroup:
         # On a success, w L w^-1 hangs L from a new base by a stem spelling
         # w, and L's automaton reads w back along its own stem to w^-1 H w:
         # reading that path in creates no state and moves no edge, only the
-        # base moves.
+        # base moves. L's folded rows go in as they are, after the new base.
         h, k = sub("a"), sub("b")
         w = UNIFORM.final_position(80, rng.substream(11, 0))
         l_sub = witness_subgroup(h, k, w)
@@ -80,10 +80,22 @@ class TestWitnessSubgroup:
         monkeypatch.setattr(stallings._FoldGraph, "attach_path", observed)
         conjugate = l_sub.conjugate(w)
         [(before, after, base)] = seen
-        assert len(after) == len(before) == 1 + l_sub.n_states
+        assert len(after) == len(before) == 1 + len(l_sub._rows)
         assert before[0] == {} and after[0] is None and base != 0
         assert after[1:] == before[1:]
         assert conjugate.contains(A) and conjugate.contains(multiply(multiply(w, B), invert(w)))
+
+
+class TestFoldedWitness:
+    def test_trials_never_build_a_canonical_form(self, monkeypatch):
+        # Seed 11 at n = 2 fails trials and at n = 80 certifies successes;
+        # neither route trims or numbers an automaton.
+        calls = count_canonical_forms(monkeypatch)
+        pairs = [WitnessPair.of(sub("a"), sub("b"), F2.ball(2))]
+        outcomes = [mixing._witness_trial(pairs, UNIFORM, n, 11, t)[0].success for n in (2, 80) for t in range(10)]
+        assert True in outcomes and False in outcomes
+        estimate_mixing(sub("a"), sub("b"), F2.ball(2), UNIFORM, 40, 20, 11)
+        assert calls == []
 
 
 class TestCheckWitness:
@@ -146,21 +158,29 @@ class TestStemTrace:
         k = SubgroupAutomaton.from_generators(rank, k_gens)
         l_sub = witness_subgroup(h, k, w)
         window = FreeContext(rank).ball(radius)
-        assert mixing._stem_trace(l_sub, invert(w), window) == _word_route(l_sub, w, window)
+        # The builder's folded L and its canonical form, whose trim may cut
+        # the stem short.
+        for form in (l_sub, SubgroupAutomaton.from_text(l_sub.to_text(), rank)):
+            assert mixing._stem_trace(form, invert(w), window) == _word_route(form, w, window)
 
     def test_stem_cut_short_by_a_hair_of_h(self):
         # H = <a b a^-1> has a hair at its base, and w^-1 = B A A ends in the
-        # letter that cancels it: L's core trim cuts the stem after B A, so
-        # w^-1 does not read in L, yet w L w^-1 still meets the window in H.
+        # letter that cancels it. The builder's L keeps the hair and reads
+        # w^-1 to its end; in canonical form L's core trim cuts the stem
+        # after B A, so w^-1 does not read, yet w L w^-1 still meets the
+        # window in H.
         h, k, w = sub("abA"), sub("b"), F2.parse("aab")
         l_sub = witness_subgroup(h, k, w)
+        core = SubgroupAutomaton.from_text(l_sub.to_text(), 2)
         window = F2.ball(3)
-        assert l_sub.read(0, invert(w)) is None
-        assert l_sub.read(0, invert(w)[:2]) is not None
-        got = mixing._stem_trace(l_sub, invert(w), window)
-        assert got == _word_route(l_sub, w, window) == h.trace(window)
-        assert {F2.format(f) for f in got} == {"1", "abA", "aBA"}
-        assert check_witness(l_sub, WitnessPair.of(h, k, window), w).trace_h
+        assert stallings._follow(l_sub._rows, l_sub._base, invert(w)) is not None
+        assert core.read(0, invert(w)) is None
+        assert core.read(0, invert(w)[:2]) is not None
+        for form in (l_sub, core):
+            got = mixing._stem_trace(form, invert(w), window)
+            assert got == _word_route(form, w, window) == h.trace(window)
+            assert {F2.format(f) for f in got} == {"1", "abA", "aBA"}
+            assert check_witness(form, WitnessPair.of(h, k, window), w).trace_h
 
 
 class TestWitnessCertification:

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hypmix import rng
-from hypmix.freegroup import invert, multiply, power
+from hypmix.freegroup import FreeContext, invert, multiply, power, reduce_word
 from hypmix.stallings import AutomatonError, SubgroupAutomaton
 
-from conftest import F2, F3, letters, nontrivial_words, words
+from conftest import F2, F3, count_canonical_forms, letters, nontrivial_words, words
 from reference import basis, is_folded
 
 A, B = (1,), (2,)
@@ -574,3 +574,66 @@ class TestReadInBuilder:
         ]:
             assert is_folded(auto)
             assert [list(row.items()) for row in auto.transitions] == batch_fold(graph)
+
+
+def canonical(auto):
+    """The same subgroup read back from its text, so canonical from the start."""
+    return SubgroupAutomaton.from_text(auto.to_text(), auto.rank)
+
+
+class TestFoldedForm:
+    """The builder's folded graph against its canonical form."""
+
+    @pytest.mark.parametrize("rank", [2, 3], ids=["F2", "F3"])
+    @given(data=st.data())
+    def test_reads_agree_with_canonical_form(self, rank, data):
+        h_gens, k_gens, g, loops = data.draw(read_in_cases(rank))
+        h = SubgroupAutomaton.from_generators(rank, h_gens)
+        k = SubgroupAutomaton.from_generators(rank, k_gens)
+        window = FreeContext(rank).ball(2)
+        conjugated = [multiply(multiply(g, b), invert(g)) for b in h_gens]
+        probes = [*window, *h_gens, *k_gens, *(reduce_word(x) for x in loops), g, *conjugated]
+        for auto in [
+            SubgroupAutomaton.from_generators(rank, h_gens + loops),
+            h.conjugate(g),
+            h.conjugate_join(g, k),
+            h.join_words(loops),
+        ]:
+            folded = ([auto.contains(x) for x in probes], auto.trace(window), auto.index(), auto.rank_of_subgroup())
+            core = canonical(auto)
+            assert folded == ([core.contains(x) for x in probes], core.trace(window), core.index(), core.rank_of_subgroup())
+
+    def test_hair_stays_in_the_folded_graph(self):
+        # Conjugating back by u^-1 leaves a 2000-state hair at H's base. The
+        # folded graph keeps it; only the canonical form trims it.
+        u = F2.random_word(rng.substream(59), 2000)
+        h = sub("ab", "bA")
+        auto = h.conjugate(u).conjugate(invert(u))
+        assert sum(row is not None for row in auto._rows) > 1000
+        assert (auto.index(), auto.rank_of_subgroup()) == (math.inf, 2)
+        assert all(auto.contains(x) == h.contains(x) for x in F2.ball(3))
+        assert auto == h and auto.n_states == 2
+
+    def test_read_takes_canonical_states(self):
+        # conjugate_join merges state 0 into K's base, so the folded rows of
+        # L hold a merged-away state and their base is not 0. read numbers
+        # states as the canonical form does.
+        l_sub = sub("a").conjugate_join(F2.parse("abAAb"), sub("b", "aba"))
+        assert l_sub._rows[0] is None and l_sub._base != 0
+        core = canonical(l_sub)
+        for q in range(core.n_states):
+            for x in F2.ball(2):
+                assert l_sub.read(q, x) == core.read(q, x)
+
+    def test_canonical_form_built_once(self, monkeypatch):
+        calls = count_canonical_forms(monkeypatch)
+        u = F2.parse("abbaB")
+        a, b = sub("ab", "bA").conjugate(u), sub("bA", "ab").conjugate(u)
+        assert a.contains(multiply(multiply(u, A), invert(u))) is False
+        assert (a.index(), a.rank_of_subgroup(), a.trace(F2.ball(2))) == (math.inf, 2, b.trace(F2.ball(2)))
+        assert calls == []
+        assert a == b and hash(a) == hash(b) and a.to_text() == b.to_text()
+        assert len(calls) == 2
+        # Reads of the numbering use the cached form.
+        assert a.read(0, A) == 1 and a.distance_to_orbit(()) == 0 and len(b.word_to_state(b.n_states - 1)) > 0
+        assert len(calls) == 2

@@ -88,6 +88,25 @@ class TestPowerConjugateInto:
                 assert brute is not None
                 assert brute[0] == ours[0]  # minimal power agrees
 
+    def test_builder_form_matches_text_form(self):
+        # Loop states are numbered as in the canonical form, not by the
+        # builder's rows. The elements are the scan elements of the
+        # transverse benchmark workload at its default seed.
+        gen = rng.substream(20260808, 1)
+        elements = [F2.random_word(gen, 1 + i % 12) for i in range(24)]
+        gen = rng.substream(57)
+        for _ in range(30):
+            h, k = (
+                SubgroupAutomaton.from_generators(2, [F2.random_word(gen, int(gen.integers(1, 6))) for _ in range(2)])
+                for _ in range(2)
+            )
+            built = h.conjugate_join(F2.random_word(gen, int(gen.integers(0, 5))), k)
+            assert built._rows[0] is None and built._base != 0
+            found = [power_conjugate_into(built, f) for f in elements]
+            assert any(found)
+            text_form = SubgroupAutomaton.from_text(built.to_text(), 2)
+            assert found == [power_conjugate_into(text_form, f) for f in elements]
+
 
 class TestIsTransverse:
     def test_ab_vs_a(self):
