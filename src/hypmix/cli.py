@@ -4,9 +4,19 @@
     hypmix drift|mix|freeprod|transverse|cantor ... (flag forms)
     hypmix selftest [--criteria 1,2,...] [--out report.csv]
 
-Exit codes: 0 success, 1 configuration/validation error, 2 acceptance
-failure in selftest mode. Data outputs are byte-deterministic; wall time
-goes to stderr (or a leading comment block with --timing).
+Exit codes: 0 success, 1 configuration, validation or usage error (the
+message names the field, `[usage]` for a malformed command line), 2
+acceptance failure in selftest mode. Data outputs are byte-deterministic;
+wall time goes to stderr (or a leading comment block with --timing).
+
+A flag form is a config file written as flags. Each kind flag carries its
+raw string into [params] under the key it spells (--n-list: n_list, --H:
+h), and --seed and --threads carry theirs into [experiment]; a flag not
+given leaves no key. config_from_args hands both sections to
+harness.ExperimentConfig.from_sections, the path a config file takes, so
+flags and files share every default and every check, and a flag the kind
+or cantor mode does not read is refused as an unknown key. The one default
+the CLI adds is the walk kinds' measure: uniform on the rank's letters.
 
 Every subcommand makes one run: the experiment subcommands through
 harness.run_with_report, whose report text (a transverse certificate, a
@@ -24,27 +34,149 @@ import sys
 import time
 
 from .freegroup import WordError
-from .harness import ConfigError, ExperimentConfig, config_header, emit, run_with_report
+from .harness import ConfigError, ExperimentConfig, config_header, default_measure, emit, run_with_report
 from .cantor import ConeError
 from .mixing import MixingSetupError
 from .stallings import AutomatonError
 from .transverse import TransversalityError
 from .walks import MeasureError
 
+# The --measure default of the walk kinds, filled in once the rank is known.
+_UNIFORM = object()
 
-def _default_measure(rank: int) -> str:
-    letters = []
-    for i in range(rank):
-        letters.append(chr(ord("a") + i))
-        letters.append(chr(ord("A") + i))
-    return "uniform: " + " ".join(letters)
+_HELP = {
+    "--measure": "e.g. 'uniform: a A b B'; default uniform on the rank's letters",
+    "--H": "generators, e.g. 'a'",
+    "--n-list": "e.g. 10,20,40,80,160",
+    "--targets": "inline: 'a | b' (| separates subgroups)",
+    "--u": "cone label for claims 1 and 2",
+    "--pairs": "claim 3 pairs 'zx:zy zz:Zx'",
+}
 
 
-def _timed_run(config):
-    """Run the experiment; returns its rows, its report and its wall time in seconds."""
-    started = time.perf_counter()
-    rows, report = run_with_report(config)
-    return rows, report, time.perf_counter() - started
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a `[usage]` error, exit code 1
+    like any other input error; exit code 2 stays with a failed acceptance
+    run."""
+
+    def error(self, message):
+        raise ConfigError("usage", f"{self.prog}: {message}")
+
+
+class _Carry(argparse.Action):
+    """Carries a flag's raw string to its dest, `<section>.<key>`; a mode
+    flag carries its const instead (with --claim's number appended). A flag
+    not given sets nothing, and a key given twice is refused, as a config
+    file refuses a repeated key."""
+
+    def __init__(self, *args, default=argparse.SUPPRESS, **kwargs):
+        super().__init__(*args, default=default, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest, self.default) is not self.default:
+            raise ConfigError(self.dest, f"given twice, the second time by {option_string}")
+        setattr(namespace, self.dest, values if self.const is None else self.const + "".join(values))
+
+
+def _carry(parser, section: str, flag: str) -> None:
+    """A flag whose raw string goes into [section] under the key it spells."""
+    key = flag.lstrip("-").replace("-", "_").lower()
+    parser.add_argument(
+        flag,
+        action=_Carry,
+        dest=f"{section}.{key}",
+        metavar=key.upper(),
+        help=_HELP.get(flag),
+        **({"default": _UNIFORM} if flag == "--measure" else {}),
+    )
+
+
+def _add_output(parser) -> None:
+    parser.add_argument("--out")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--timing", action="store_true", help="prepend a wall-time comment")
+
+
+def _kind(sub, kind: str, help: str, *flags: str):
+    parser = sub.add_parser(kind, help=help)
+    for flag in ("--seed", "--threads"):
+        _carry(parser, "experiment", flag)
+    _add_output(parser)
+    for flag in flags:
+        _carry(parser, "params", flag)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="hypmix")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_run = sub.add_parser("run", help="run an experiment from a config file")
+    p_run.add_argument("--config", required=True)
+    _add_output(p_run)
+
+    _kind(sub, "drift", "estimate the walk escape rate", "--rank", "--measure", "--n", "--trials")
+    _kind(
+        sub, "mix", "witness-based mixing curve",
+        "--rank", "--H", "--K", "--window-radius", "--measure", "--n-list", "--trials",
+    )
+    _kind(sub, "freeprod", "free-product absorption experiment", "--rank", "--H", "--measure", "--n", "--trials")
+
+    p_tv = _kind(sub, "transverse", "construct a certified transverse element", "--rank", "--targets", "--g")
+    p_tv.add_argument(
+        "--subgroups",
+        default=argparse.SUPPRESS,
+        help="file with one subgroup per line (whitespace-separated generators)",
+    )
+    p_tv.add_argument("--emit-certificate")
+
+    p_cz = _kind(
+        sub, "cantor", "boundary-action experiments",
+        "--u", "--pairs", "--p-letter", "--n-list", "--trials", "--depth-cap", "--horizon", "--radius",
+    )
+    p_cz.add_argument("--claim", action=_Carry, dest="params.mode", const="claim", choices=("1", "2", "3"))
+    for mode in ("qn", "transience"):
+        p_cz.add_argument(f"--{mode}", action=_Carry, dest="params.mode", const=mode, nargs=0)
+
+    p_st = sub.add_parser("selftest", help="run the acceptance suite")
+    _carry(p_st, "experiment", "--threads")
+    _add_output(p_st)
+    p_st.add_argument("--skip-determinism", action="store_true")
+    p_st.add_argument("--criteria", help="comma list, e.g. 1,4,5")
+    return parser
+
+
+def _read_subgroups(path) -> str:
+    """The --subgroups file as a targets value: one subgroup per line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return " | ".join(line.strip() for line in fh if line.strip())
+    except (OSError, UnicodeDecodeError):
+        raise ConfigError("subgroups", f"cannot read {path}")
+
+
+def config_from_args(args) -> ExperimentConfig:
+    """The config a command line spells, built without running it.
+
+    `run` reads its file. Every other subcommand puts each flag given under
+    its section and key; the mode flag sets mode (--claim N: claimN),
+    --subgroups reads its file into targets, and an absent --measure is
+    uniform on the rank's letters."""
+    if args.command == "run":
+        return ExperimentConfig.from_file(args.config)
+    sections = {"experiment": {"kind": args.command}, "params": {}}
+    for dest, value in vars(args).items():
+        section, _, key = dest.partition(".")
+        if key:
+            sections[section][key] = value
+    params = sections["params"]
+    if "subgroups" in args:
+        if "targets" in params:
+            raise ConfigError("params.targets", "given twice, by --targets and by --subgroups")
+        params["targets"] = _read_subgroups(args.subgroups)
+    if params.get("measure") is _UNIFORM:
+        params["measure"] = default_measure(params)
+    return ExperimentConfig.from_sections(sections["experiment"], params)
 
 
 def _timing_header(elapsed, args) -> bytes:
@@ -52,9 +184,12 @@ def _timing_header(elapsed, args) -> bytes:
     return f"# wall_time_s: {elapsed:.3f}\n".encode() if args.timing else b""
 
 
-def _write(path, data: bytes, what: str = "") -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
+def _write(path, data: bytes, field_name: str, what: str = "") -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise ConfigError(field_name, f"cannot write {path}: {exc.strerror}")
     print(f"wrote {what}{path}", file=sys.stderr)
 
 
@@ -63,171 +198,26 @@ def _write_output(rows, elapsed, args, config):
     if args.format == "csv":
         data = config_header(config) + data
     data = _timing_header(elapsed, args) + data
-    if args.out:
-        _write(args.out, data)
+    if args.out or config.out:
+        _write(args.out or config.out, data, "out" if args.out else "experiment.out")
     else:
         sys.stdout.write(data.decode())
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
 
 
-def _config_from_args(args, kind, params):
-    params = {k: v for k, v in params.items() if v is not None}
-    return ExperimentConfig(
-        kind=kind,
-        seed=args.seed,
-        threads=args.threads,
-        params={k: str(v) for k, v in params.items()},
-    )
-
-
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--timing", action="store_true", help="prepend a wall-time comment")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hypmix")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run an experiment from a config file")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_run.add_argument("--timing", action="store_true")
-
-    p_drift = sub.add_parser("drift", help="estimate the walk escape rate")
-    _add_common(p_drift)
-    p_drift.add_argument("--rank", type=int, default=2)
-    p_drift.add_argument("--measure", default=None, help="e.g. 'uniform: a A b B'")
-    p_drift.add_argument("--n", type=int, required=True)
-    p_drift.add_argument("--trials", type=int, required=True)
-
-    p_mix = sub.add_parser("mix", help="witness-based mixing curve")
-    _add_common(p_mix)
-    p_mix.add_argument("--rank", type=int, default=2)
-    p_mix.add_argument("--H", dest="h", required=True, help="generators, e.g. 'a'")
-    p_mix.add_argument("--K", dest="k", required=True)
-    p_mix.add_argument("--window-radius", type=int, default=2)
-    p_mix.add_argument("--measure", default=None)
-    p_mix.add_argument("--n-list", required=True, help="e.g. 10,20,40,80,160")
-    p_mix.add_argument("--trials", type=int, required=True)
-
-    p_fp = sub.add_parser("freeprod", help="free-product absorption experiment")
-    _add_common(p_fp)
-    p_fp.add_argument("--rank", type=int, default=2)
-    p_fp.add_argument("--H", dest="h", required=True)
-    p_fp.add_argument("--measure", default=None)
-    p_fp.add_argument("--n", type=int, required=True)
-    p_fp.add_argument("--trials", type=int, required=True)
-
-    p_tv = sub.add_parser("transverse", help="construct a certified transverse element")
-    _add_common(p_tv)
-    p_tv.add_argument("--rank", type=int, default=2)
-    p_tv.add_argument(
-        "--subgroups",
-        default=None,
-        help="file with one subgroup per line (whitespace-separated generators)",
-    )
-    p_tv.add_argument("--targets", default=None, help="inline: 'a | b' (| separates subgroups)")
-    p_tv.add_argument("--g", required=True)
-    p_tv.add_argument("--emit-certificate", default=None)
-
-    p_cz = sub.add_parser("cantor", help="boundary-action experiments")
-    _add_common(p_cz)
-    p_cz.add_argument("--claim", type=int, choices=(1, 2, 3), default=None)
-    p_cz.add_argument("--u", default=None, help="cone label for claims 1 and 2")
-    p_cz.add_argument("--pairs", default=None, help="claim 3 pairs 'zx:zy zz:Zx'")
-    p_cz.add_argument("--qn", action="store_true")
-    p_cz.add_argument("--p-letter", default="1/8")
-    p_cz.add_argument("--n-list", default=None)
-    p_cz.add_argument("--trials", type=int, default=None)
-    p_cz.add_argument("--depth-cap", type=int, default=None)
-    p_cz.add_argument("--transience", action="store_true")
-    p_cz.add_argument("--horizon", type=int, default=10_000)
-    p_cz.add_argument("--radius", type=int, default=8)
-
-    p_st = sub.add_parser("selftest", help="run the acceptance suite")
-    p_st.add_argument("--threads", type=int, default=1)
-    p_st.add_argument("--out", default=None)
-    p_st.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_st.add_argument("--timing", action="store_true")
-    p_st.add_argument("--skip-determinism", action="store_true")
-    p_st.add_argument("--criteria", default=None, help="comma list, e.g. 1,4,5")
-    return parser
-
-
-def _cmd_run(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
-    rows, _, elapsed = _timed_run(config)
-    if config.out and not args.out:
-        args.out = config.out
+def _cmd_experiment(args) -> int:
+    """`run` and the flag forms: one run of the config, its rows written."""
+    config = config_from_args(args)
+    started = time.perf_counter()
+    rows, report = run_with_report(config)
+    elapsed = time.perf_counter() - started
+    if args.command == "cantor":
+        sys.stderr.write(report)
+    elif getattr(args, "emit_certificate", None):
+        _write(args.emit_certificate, report.encode(), "emit_certificate", "certificate ")
     _write_output(rows, elapsed, args, config)
-    if config.kind == "selftest" and any(
-        r.metric == "passed" and r.value != 1.0 for r in rows
-    ):
+    if config.kind == "selftest" and any(r.metric == "passed" and r.value != 1.0 for r in rows):
         return 2
-    return 0
-
-
-def _cmd_simple(args, kind, param_names) -> int:
-    params = {
-        name.replace("-", "_"): getattr(args, name.replace("-", "_"))
-        for name in param_names
-    }
-    if "measure" in params and params["measure"] is None:
-        params["measure"] = _default_measure(params.get("rank", 2))
-    config = _config_from_args(args, kind, params)
-    rows, _, elapsed = _timed_run(config)
-    _write_output(rows, elapsed, args, config)
-    return 0
-
-
-def _cmd_transverse(args) -> int:
-    if args.subgroups:
-        with open(args.subgroups) as fh:
-            parts = [line.strip() for line in fh if line.strip()]
-        targets = " | ".join(parts)
-    elif args.targets:
-        targets = args.targets
-    else:
-        raise ConfigError("targets", "pass --subgroups or --targets")
-    config = _config_from_args(args, "transverse", {"rank": args.rank, "targets": targets, "g": args.g})
-    rows, certificate, elapsed = _timed_run(config)
-    if args.emit_certificate:
-        _write(args.emit_certificate, certificate.encode(), "certificate ")
-    _write_output(rows, elapsed, args, config)
-    return 0
-
-
-def _cmd_cantor(args) -> int:
-    if args.claim in (1, 2):
-        params = {"mode": f"claim{args.claim}", "u": args.u}
-    elif args.claim == 3:
-        params = {"mode": "claim3", "pairs": args.pairs}
-    elif args.qn:
-        params = {
-            "mode": "qn",
-            "p_letter": args.p_letter,
-            "n_list": args.n_list,
-            "trials": args.trials,
-            "depth_cap": args.depth_cap,
-        }
-    elif args.transience:
-        params = {
-            "mode": "transience",
-            "trials": args.trials,
-            "horizon": args.horizon,
-            "radius": args.radius,
-        }
-    else:
-        raise ConfigError("mode", "pass --claim, --qn or --transience")
-    config = _config_from_args(args, "cantor", params)
-    rows, transcript, elapsed = _timed_run(config)
-    sys.stderr.write(transcript)
-    _write_output(rows, elapsed, args, config)
     return 0
 
 
@@ -247,39 +237,24 @@ def _criteria_ids(args):
 def _cmd_selftest(args) -> int:
     from .selftest import report_rows, selftest
 
-    # The subcommand runs kind = selftest at seed 0; its config checks threads.
-    config = ExperimentConfig(kind="selftest", seed=0, threads=args.threads)
+    # The subcommand runs kind = selftest at the default seed, 0.
+    config = config_from_args(args)
     started = time.perf_counter()
     results = selftest(_criteria_ids(args), config.threads)
-    for result in results:
-        print(result.line())
+    # The report is written before the PASS lines print, so a report that
+    # cannot be written leaves stdout empty.
     if args.out:
         data = emit(report_rows(results, config.seed), args.format)
-        _write(args.out, _timing_header(time.perf_counter() - started, args) + data)
+        _write(args.out, _timing_header(time.perf_counter() - started, args) + data, "out")
+    for result in results:
+        print(result.line())
     return 0 if all(r.passed for r in results) else 2
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "drift":
-            return _cmd_simple(args, "drift", ["rank", "measure", "n", "trials"])
-        if args.command == "mix":
-            return _cmd_simple(
-                args, "mix", ["rank", "h", "k", "window-radius", "measure", "n-list", "trials"]
-            )
-        if args.command == "freeprod":
-            return _cmd_simple(args, "freeprod", ["rank", "h", "measure", "n", "trials"])
-        if args.command == "transverse":
-            return _cmd_transverse(args)
-        if args.command == "cantor":
-            return _cmd_cantor(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-        parser.error(f"unknown command {args.command}")
+        args = build_parser().parse_args(argv)
+        return (_cmd_selftest if args.command == "selftest" else _cmd_experiment)(args)
     except (
         ConfigError,
         WordError,
@@ -291,7 +266,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

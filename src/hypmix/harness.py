@@ -1,12 +1,18 @@
 """Config-driven experiment runner with deterministic outputs.
 
 Configs are INI files with an [experiment] section (kind, seed, out,
-threads) and a [params] section of kind-specific keys. Every run is a pure
-function of its config: trial substreams are keyed by (seed, trial index),
-aggregation is ordered by trial index, and the emitted CSV/JSON bytes are
-identical across reruns and thread counts. Rows carry no wall-clock time;
-the CLI times a run itself and prints that to stderr (or as a comment header
-on request), so output files stay byte-stable.
+threads) and a [params] section of kind-specific keys; the CLI's flag forms
+build the same two sections from their flags. Both go through one path:
+ExperimentConfig.from_sections reads [experiment], and each runner reads its
+[params] keys through a Params reader, each read stating its default and
+its lower bound. A key no read takes is refused as unknown before any trial
+runs, so a misspelt key is an error, never a run at the default.
+
+Every run is a pure function of its config: trial substreams are keyed by
+(seed, trial index), aggregation is ordered by trial index, and the emitted
+CSV/JSON bytes are identical across reruns and thread counts. Rows carry no
+wall-clock time; the CLI times a run itself and prints that to stderr (or as
+a comment header on request), so output files stay byte-stable.
 
 run_with_report() returns the rows together with the report text rendered
 from the same construction: the certificate of a transverse run and the
@@ -45,12 +51,6 @@ class ExperimentConfig:
     out: str | None = None
     params: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        # Every command-line entry point builds a config, so a worker count
-        # below 1 is refused here, under the field name a config file uses.
-        if self.threads < 1:
-            raise ConfigError("experiment.threads", f"must be >= 1, got {self.threads}")
-
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         try:
@@ -63,35 +63,43 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         """Parse INI text. Malformed INI raises ConfigError naming
-        <section>.<key> where the parser knows the key, else config."""
+        <section>.<key> where the parser knows the key, else config; a
+        section other than [experiment] and [params] is refused."""
         parser = configparser.ConfigParser()
         try:
             parser.read_string(text)
-            return cls._from_parser(parser)
+            if "experiment" not in parser:
+                raise ConfigError("experiment", "missing [experiment] section")
+            for name in parser.sections():
+                if name not in ("experiment", "params"):
+                    raise ConfigError(name, "unknown section")
+            return cls.from_sections(parser["experiment"], parser["params"] if "params" in parser else {})
         except (configparser.DuplicateOptionError, configparser.InterpolationError) as exc:
             raise ConfigError(f"{exc.section}.{exc.option}", exc.message)
         except configparser.Error as exc:
             raise ConfigError("config", exc.message)
 
     @classmethod
-    def _from_parser(cls, parser: configparser.ConfigParser) -> "ExperimentConfig":
-        if "experiment" not in parser:
-            raise ConfigError("experiment", "missing [experiment] section")
-        section = parser["experiment"]
-        kind = section.get("kind", "").strip()
+    def from_sections(cls, experiment, params) -> "ExperimentConfig":
+        """The config of an [experiment] and a [params] mapping of raw strings.
+
+        A config file and the CLI's flag forms both come through here, so
+        kind, seed, threads and out are read and checked in one place; any
+        other [experiment] key is refused. The params are kept raw for the
+        kind's runner to read."""
+        section = Params(experiment, "experiment")
+        kind = section.read("kind")
         if kind not in _RUNNERS:
             raise ConfigError("experiment.kind", f"unknown kind {kind!r}, expected one of {tuple(_RUNNERS)}")
-        try:
-            seed = int(section.get("seed", "0"))
-        except ValueError:
-            raise ConfigError("experiment.seed", f"not an integer: {section.get('seed')!r}")
-        try:
-            threads = int(section.get("threads", "1"))
-        except ValueError:
-            raise ConfigError("experiment.threads", f"not an integer: {section.get('threads')!r}")
-        out = section.get("out", "").strip() or None
-        params = dict(parser["params"]) if "params" in parser else {}
-        return cls(kind=kind, seed=seed, threads=threads, out=out, params=params)
+        config = cls(
+            kind=kind,
+            seed=section.read("seed", int, 0),
+            threads=section.read("threads", int, 1, least=1),
+            out=section.read("out", default=None),
+            params=dict(params),
+        )
+        section.done()
+        return config
 
     def to_text(self) -> str:
         parser = configparser.ConfigParser()
@@ -188,65 +196,74 @@ def parse_rows(data: bytes) -> list[ResultRow]:
     return rows
 
 
-# --- parameter parsing helpers -------------------------------------------------
+# --- parameter reading -----------------------------------------------------------
+
+_REQUIRED = object()
 
 
-def _get(params: dict, key: str, default=None, required=False) -> str:
-    # A key given with an empty value is refused, not read as absent: an
-    # empty `trials =` must not run the default count.
-    if key in params:
-        raw = str(params[key]).strip()
-        if not raw:
-            raise ConfigError(f"params.{key}", "empty value")
-        return raw
-    if required:
-        raise ConfigError(f"params.{key}", "required")
-    return default
-
-
-def _get_int(params: dict, key: str, default=None, required=False) -> int:
-    raw = _get(params, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"params.{key}", f"not an integer: {raw!r}")
-
-
-def _get_fraction(params: dict, key: str, default=None, required=False) -> Fraction:
-    raw = _get(params, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"params.{key}", f"not a rational: {raw!r}")
-
-
-def _get_int_list(params: dict, key: str, required=False) -> list[int]:
-    raw = _get(params, key, None, required)
-    if raw is None:
-        return []
-    try:
-        values = [int(x) for x in raw.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"params.{key}", f"not an integer list: {raw!r}")
-    if required and not values:
-        raise ConfigError(f"params.{key}", f"no entries in {raw!r}")
+def _int_list(raw: str) -> list[int]:
+    values = [int(x) for x in raw.replace(",", " ").split()]
+    if not values:
+        raise ValueError(raw)
     return values
 
 
-def _require_at_least(key: str, value: int, least: int) -> None:
-    if value < least:
-        raise ConfigError(f"params.{key}", f"must be >= {least}, got {value}")
+# What a value that a parser refuses was expected to be.
+_EXPECTED = {int: "an integer", Fraction: "a rational", _int_list: "an integer list"}
 
 
-def _context(params: dict) -> FreeContext:
+class Params:
+    """The raw strings of one config section, read key by key.
+
+    Each read names its key, the parser of its value (str, int, Fraction
+    or _int_list), its default (none: the key is required) and its lower
+    bound (of every entry, for a list), so a value is checked where it is
+    read. A key given with an empty value is refused, not read as absent:
+    an empty `trials =` must not run the default count. Once a runner's
+    reads are done, done() refuses the first key that no read took."""
+
+    def __init__(self, raw, section: str = "params"):
+        self._raw = raw
+        self._section = section
+        self._unread = dict.fromkeys(raw)
+
+    def read(self, key: str, parse=str, default=_REQUIRED, least=None):
+        name = f"{self._section}.{key}"
+        self._unread.pop(key, None)
+        if key not in self._raw:
+            if default is _REQUIRED:
+                raise ConfigError(name, "required")
+            return default
+        raw = str(self._raw[key]).strip()
+        if not raw:
+            raise ConfigError(name, "empty value")
+        try:
+            value = parse(raw)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(name, f"not {_EXPECTED[parse]}: {raw!r}")
+        lowest = min(value) if parse is _int_list else value
+        if least is not None and lowest < least:
+            raise ConfigError(name, f"must be >= {least}, got {lowest}")
+        return value
+
+    def done(self) -> None:
+        if self._unread:
+            raise ConfigError(f"{self._section}.{next(iter(self._unread))}", "unknown key")
+
+
+def _context(params: Params) -> FreeContext:
     try:
-        return FreeContext(_get_int(params, "rank", 2))
+        return FreeContext(params.read("rank", int, 2))
     except WordError as exc:
         raise ConfigError("params.rank", str(exc))
+
+
+def default_measure(params: dict) -> str:
+    """The flag forms' measure when none is given: uniform on the letters of
+    the rank the raw params name. An invalid rank is refused as params.rank,
+    as the run itself would refuse it."""
+    ctx = _context(Params(params))
+    return "uniform: " + " ".join(ctx.format((x,)) for x in ctx.letters())
 
 
 def parse_words(ctx: FreeContext, raw: str, key: str) -> list[Word]:
@@ -256,13 +273,15 @@ def parse_words(ctx: FreeContext, raw: str, key: str) -> list[Word]:
         raise ConfigError(f"params.{key}", str(exc))
 
 
-def parse_measure(params: dict, ctx: FreeContext) -> StepMeasure:
+def parse_measure(params: Params, ctx: FreeContext) -> StepMeasure:
     """Measure syntax: `measure = uniform: a A b B` (optionally
     `identity_mass = 1/2`), or `measure = entries: ab:1/8 BA:7/8`."""
-    raw = _get(params, "measure", required=True)
-    identity_mass = _get_fraction(params, "identity_mass", Fraction(0))
-    if not 0 <= identity_mass < 1:
-        raise ConfigError("params.identity_mass", f"must lie in [0, 1), got {identity_mass}")
+    raw = params.read("measure")
+    if raw.startswith("uniform:"):
+        # Only the uniform form reads identity_mass; beside entries it is refused as unknown.
+        identity_mass = params.read("identity_mass", Fraction, Fraction(0), least=0)
+        if identity_mass >= 1:
+            raise ConfigError("params.identity_mass", f"must be < 1, got {identity_mass}")
     try:
         if raw.startswith("uniform:"):
             words = parse_words(ctx, raw[len("uniform:"):], "measure")
@@ -295,15 +314,16 @@ def run_with_report(config: ExperimentConfig) -> _Outcome:
 
     The report is the certificate of a transverse run or the transcript of a
     cantor claim, rendered from the construction the rows describe; it is
-    empty for every other run."""
-    return _RUNNERS[config.kind](config)
+    empty for every other run. The runner reads its params through one
+    Params reader and calls done() before its first trial."""
+    return _RUNNERS[config.kind](config, Params(config.params))
 
 
-def _run_walk(config: ExperimentConfig) -> _Outcome:
-    ctx = _context(config.params)
-    measure = parse_measure(config.params, ctx)
-    n = _get_int(config.params, "n", required=True)
-    _require_at_least("n", n, 0)
+def _run_walk(config: ExperimentConfig, params: Params) -> _Outcome:
+    ctx = _context(params)
+    measure = parse_measure(params, ctx)
+    n = params.read("n", int, least=0)
+    params.done()
     final = measure.final_position(n, rng.substream(config.seed))
     echo = f"rank={ctx.rank};n={n}"
     return [
@@ -312,13 +332,12 @@ def _run_walk(config: ExperimentConfig) -> _Outcome:
     ], ""
 
 
-def _run_drift(config: ExperimentConfig) -> _Outcome:
-    ctx = _context(config.params)
-    measure = parse_measure(config.params, ctx)
-    n = _get_int(config.params, "n", required=True)
-    trials = _get_int(config.params, "trials", required=True)
-    _require_at_least("n", n, 1)
-    _require_at_least("trials", trials, 1)
+def _run_drift(config: ExperimentConfig, params: Params) -> _Outcome:
+    ctx = _context(params)
+    measure = parse_measure(params, ctx)
+    n = params.read("n", int, least=1)
+    trials = params.read("trials", int, least=1)
+    params.done()
     try:
         est = drift_estimate(measure, n, trials, config.seed, threads=config.threads)
     except MeasureError as exc:  # n and trials are checked above: the measure is at fault
@@ -329,17 +348,15 @@ def _run_drift(config: ExperimentConfig) -> _Outcome:
     ], ""
 
 
-def _run_mix(config: ExperimentConfig) -> _Outcome:
-    ctx = _context(config.params)
-    measure = parse_measure(config.params, ctx)
-    h = parse_subgroup(ctx, _get(config.params, "h", required=True), "h")
-    k = parse_subgroup(ctx, _get(config.params, "k", required=True), "k")
-    radius = _get_int(config.params, "window_radius", 2)
-    trials = _get_int(config.params, "trials", required=True)
-    n_list = _get_int_list(config.params, "n_list", required=True)
-    _require_at_least("window_radius", radius, 0)
-    _require_at_least("trials", trials, 1)
-    _require_at_least("n_list", min(n_list), 0)
+def _run_mix(config: ExperimentConfig, params: Params) -> _Outcome:
+    ctx = _context(params)
+    measure = parse_measure(params, ctx)
+    h = parse_subgroup(ctx, params.read("h"), "h")
+    k = parse_subgroup(ctx, params.read("k"), "k")
+    radius = params.read("window_radius", int, 2, least=0)
+    trials = params.read("trials", int, least=1)
+    n_list = params.read("n_list", _int_list, least=0)
+    params.done()
     window = ctx.ball(radius)
     rows = []
     for n in n_list:
@@ -354,14 +371,13 @@ def _run_mix(config: ExperimentConfig) -> _Outcome:
     return rows, ""
 
 
-def _run_freeprod(config: ExperimentConfig) -> _Outcome:
-    ctx = _context(config.params)
-    measure = parse_measure(config.params, ctx)
-    h = parse_subgroup(ctx, _get(config.params, "h", required=True), "h")
-    n = _get_int(config.params, "n", required=True)
-    trials = _get_int(config.params, "trials", required=True)
-    _require_at_least("n", n, 0)
-    _require_at_least("trials", trials, 1)
+def _run_freeprod(config: ExperimentConfig, params: Params) -> _Outcome:
+    ctx = _context(params)
+    measure = parse_measure(params, ctx)
+    h = parse_subgroup(ctx, params.read("h"), "h")
+    n = params.read("n", int, least=0)
+    trials = params.read("trials", int, least=1)
+    params.done()
     try:
         est = mixing.free_product_experiment(h, measure, n, trials, config.seed, config.threads)
     except mixing.MixingSetupError as exc:
@@ -372,9 +388,11 @@ def _run_freeprod(config: ExperimentConfig) -> _Outcome:
     ], ""
 
 
-def _run_transverse(config: ExperimentConfig) -> _Outcome:
-    ctx = _context(config.params)
-    targets_raw = _get(config.params, "targets", required=True)
+def _run_transverse(config: ExperimentConfig, params: Params) -> _Outcome:
+    ctx = _context(params)
+    targets_raw = params.read("targets")
+    g = params.read("g")
+    params.done()
     targets = [
         parse_subgroup(ctx, part.strip(), "targets")
         for part in targets_raw.split("|")
@@ -382,7 +400,7 @@ def _run_transverse(config: ExperimentConfig) -> _Outcome:
     ]
     if not targets:
         raise ConfigError("params.targets", "need at least one subgroup")
-    g = parse_words(ctx, _get(config.params, "g", required=True), "g")
+    g = parse_words(ctx, g, "g")
     if len(g) != 1:
         raise ConfigError("params.g", "expected a single word")
     if not g[0]:
@@ -435,18 +453,15 @@ def _claim_transcript(element, checks: list[str]) -> str:
     return "\n".join([f"group word: {cantor.format_element(element)}", *checks]) + "\n"
 
 
-def _run_cantor(config: ExperimentConfig) -> _Outcome:
-    mode = _get(config.params, "mode", required=True)
+def _run_cantor(config: ExperimentConfig, params: Params) -> _Outcome:
+    mode = params.read("mode")
     if mode == "qn":
-        p_letter = _get_fraction(config.params, "p_letter", Fraction(1, 8))
-        trials = _get_int(config.params, "trials", required=True)
-        n_list = _get_int_list(config.params, "n_list", required=True)
-        depth_cap = _get_int(config.params, "depth_cap", None)
-        _require_at_least("trials", trials, 1)
-        _require_at_least("n_list", min(n_list), 0)
-        if depth_cap is not None:
-            # The source cone z has depth 1; a cap at or below it forbids every split.
-            _require_at_least("depth_cap", depth_cap, 2)
+        p_letter = params.read("p_letter", Fraction, Fraction(1, 8))
+        trials = params.read("trials", int, least=1)
+        n_list = params.read("n_list", _int_list, least=0)
+        # The source cone z has depth 1; a cap at or below it forbids every split.
+        depth_cap = params.read("depth_cap", int, None, least=2)
+        params.done()
         rows = []
         for n in n_list:
             try:
@@ -462,12 +477,10 @@ def _run_cantor(config: ExperimentConfig) -> _Outcome:
             )
         return rows, ""
     if mode == "transience":
-        trials = _get_int(config.params, "trials", 100_000)
-        horizon = _get_int(config.params, "horizon", 10_000)
-        radius = _get_int(config.params, "radius", 8)
-        _require_at_least("trials", trials, 1)
-        _require_at_least("horizon", horizon, 1)
-        _require_at_least("radius", radius, 1)
+        trials = params.read("trials", int, 100_000, least=1)
+        horizon = params.read("horizon", int, 10_000, least=1)
+        radius = params.read("radius", int, 8, least=1)
+        params.done()
         exact = cantor.hit_probability_exact()
         p, lo, hi = cantor.simulate_hit_probability(trials, horizon, config.seed)
         ok = cantor.superharmonic_check(radius)
@@ -479,8 +492,10 @@ def _run_cantor(config: ExperimentConfig) -> _Outcome:
         ], ""
     if mode in ("claim1", "claim2"):
         build = cantor.standardizing_element if mode == "claim1" else cantor.cone_transposition
+        u = params.read("u")
+        params.done()
         try:
-            u = cantor.parse_label(_get(config.params, "u", required=True))
+            u = cantor.parse_label(u)
             element = build(u)
         except cantor.ConeError as exc:
             raise ConfigError("params.u", str(exc))
@@ -501,7 +516,8 @@ def _run_cantor(config: ExperimentConfig) -> _Outcome:
             ResultRow(f"cantor_{mode}", echo, "verified", 1.0, None, None, config.seed)
         ], _claim_transcript(element, checks)
     if mode == "claim3":
-        raw = _get(config.params, "pairs", required=True)
+        raw = params.read("pairs")
+        params.done()
         pairs = []
         try:
             for tok in raw.split():
@@ -523,9 +539,10 @@ def _run_cantor(config: ExperimentConfig) -> _Outcome:
     raise ConfigError("params.mode", f"unknown cantor mode {mode!r}")
 
 
-def _run_selftest(config: ExperimentConfig) -> _Outcome:
+def _run_selftest(config: ExperimentConfig, params: Params) -> _Outcome:
     from .selftest import report_rows, selftest
 
+    params.done()
     return report_rows(selftest(threads=config.threads), config.seed), ""
 
 

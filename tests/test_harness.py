@@ -1,14 +1,18 @@
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypmix import cantor, cli, harness, mixing, transverse
 from hypmix.harness import (
     ConfigError,
     ExperimentConfig,
+    Params,
     ResultRow,
     emit,
     parse_measure,
@@ -131,6 +135,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="experiment.seed"):
             ExperimentConfig.from_text("[experiment]\nkind = drift\nseed = x\n")
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (MIX_CONFIG.format(threads=1).replace("window_radius", "window_radus"), "params.window_radus"),
+            (DRIFT_CONFIG.replace("seed = 7", "sed = 5"), "experiment.sed"),
+            (DRIFT_CONFIG + "[parms]\nn = 5\n", "parms"),
+            ("[experiment]\nkind = selftest\n[params]\ntrials = 5\n", "params.trials"),
+            (QN_CONFIG + "horizon = 50\n", "params.horizon"),
+            (DRIFT_CONFIG.replace("uniform: a A b B", "entries: a:1/2 A:1/2") + "identity_mass = 1/2\n", "params.identity_mass"),
+        ],
+        ids=["params-typo", "experiment-typo", "unknown-section", "selftest-params", "other-mode-key", "mass-beside-entries"],
+    )
+    def test_unknown_key_names_it(self, text, field):
+        with pytest.raises(ConfigError) as info:
+            run(ExperimentConfig.from_text(text))
+        assert info.value.field_name == field
+        assert str(info.value).startswith(f"[{field}] unknown ")
+
     def test_malformed_word_names_field(self):
         cfg = ExperimentConfig.from_text(
             "[experiment]\nkind = drift\nseed = 1\n"
@@ -141,13 +163,13 @@ class TestConfig:
 
     def test_measure_entries_form(self):
         ctx = FreeContext(2)
-        mu = parse_measure({"measure": "entries: a:1/2 A:1/2"}, ctx)
+        mu = parse_measure(Params({"measure": "entries: a:1/2 A:1/2"}), ctx)
         assert mu.mass((1,)) == mu.mass((-1,))
 
     def test_lazy_uniform(self):
         ctx = FreeContext(2)
         mu = parse_measure(
-            {"measure": "uniform: a A b B", "identity_mass": "1/2"}, ctx
+            Params({"measure": "uniform: a A b B", "identity_mass": "1/2"}), ctx
         )
         assert mu.mass(()) and mu.mass((1,))
 
@@ -334,6 +356,29 @@ class TestRun:
             run(cfg)
         assert info.value.field_name == field
 
+    @pytest.mark.parametrize(
+        "kind, params, estimator",
+        [
+            ("drift", "measure = uniform: a A b B\nn = 10\ntrials = 3", (harness, "drift_estimate")),
+            ("mix", "measure = uniform: a A b B\nh = a\nk = b\nn_list = 10\ntrials = 3", (mixing, "estimate_mixing")),
+            ("freeprod", "measure = uniform: a A b B\nh = a\nn = 10\ntrials = 3", (mixing, "free_product_experiment")),
+            ("transverse", "targets = a | b\ng = ab", (transverse, "construct_transverse")),
+            ("cantor", "mode = qn\nn_list = 10\ntrials = 3", (cantor, "estimate_qn")),
+            ("cantor", "mode = transience\ntrials = 3", (cantor, "simulate_hit_probability")),
+            ("cantor", "mode = claim1\nu = zx", (cantor, "standardizing_element")),
+        ],
+        ids=["drift", "mix", "freeprod", "transverse", "qn", "transience", "claim1"],
+    )
+    def test_unknown_key_refused_before_any_trial(self, monkeypatch, kind, params, estimator):
+        def never(*args, **kwargs):
+            raise AssertionError("a trial ran before the unknown key was refused")
+
+        monkeypatch.setattr(*estimator, never)
+        cfg = ExperimentConfig.from_text(f"[experiment]\nkind = {kind}\n[params]\n{params}\ntrails = 5\n")
+        with pytest.raises(ConfigError) as info:
+            run(cfg)
+        assert info.value.field_name == "params.trails"
+
     def test_transverse_kind(self):
         cfg = ExperimentConfig.from_text(
             "[experiment]\nkind = transverse\nseed = 1\n"
@@ -397,12 +442,21 @@ _FUZZ_KINDS = {
     "cantor claim3": ["pairs"],
     "cantor junk": [],
 }
+# Strays the fuzz adds: a misspelling of a key the runner reads, or a key no
+# [experiment] section takes.
+_EXPERIMENT_STRAYS = ["sed", "seeds", "thread", "output", "kinds", "n", "trials"]
+
+
+def _misspellings(key: str) -> set[str]:
+    """The key with one letter dropped, an s appended or its _ dropped."""
+    return {key[:i] + key[i + 1:] for i in range(len(key))} | {key + "s", key.replace("_", "")}
 
 
 @st.composite
 def fuzz_configs(draw):
     """A config of any kind but selftest, or any cantor mode, with at most
-    two odd params, and the params keys its runner reads."""
+    two odd params; the params keys its runner reads; and at most one stray
+    (section, key) to add to it."""
     name = draw(st.sampled_from(sorted(_FUZZ_KINDS)))
     kind, _, mode = name.partition(" ")
     keys = _FUZZ_KINDS[name]
@@ -413,7 +467,10 @@ def fuzz_configs(draw):
         if value is not None:
             params[key] = value
     config = ExperimentConfig(kind=kind, seed=draw(st.integers(0, 9)), threads=draw(st.integers(1, 2)), params=params)
-    return config, set(params) | set(keys)
+    reads = set(keys) | {"mode"} if mode else set(keys)
+    typos = sorted({t for key in reads for t in _misspellings(key)} - reads - {""})
+    strays = [("params", t) for t in typos] + [("experiment", k) for k in _EXPERIMENT_STRAYS]
+    return config, set(params) | set(keys), draw(st.none() | st.sampled_from(strays))
 
 
 class TestConfigFuzz:
@@ -422,14 +479,31 @@ class TestConfigFuzz:
     @settings(max_examples=300)
     @given(fuzz_configs())
     def test_rows_or_named_field(self, case):
-        config, keys = case
+        config, keys, stray = case
+        refused = None
         try:
             rows = run(config)
         except ConfigError as exc:
-            assert exc.field_name.startswith("params.")
-            assert exc.field_name[len("params."):] in keys
+            refused = exc.field_name
+            assert refused.startswith("params.")
+            assert refused[len("params."):] in keys
         else:
             assert rows and all(isinstance(r, ResultRow) for r in rows)
+        if stray is None:
+            return
+        # With the stray added the config is refused, naming the stray; a
+        # params fault the runner meets before its reads are done may still
+        # be named first.
+        section, key = stray
+        sections = {
+            "experiment": {"kind": config.kind, "seed": str(config.seed), "threads": str(config.threads)},
+            "params": dict(config.params),
+        }
+        sections[section][key] = "5"
+        with pytest.raises(ConfigError) as info:
+            run(ExperimentConfig.from_sections(sections["experiment"], sections["params"]))
+        named = f"{section}.{key}"
+        assert info.value.field_name == named or (section == "params" and info.value.field_name == refused)
 
 
 class TestCli:
@@ -462,8 +536,14 @@ class TestCli:
             ("[experiment]\nkind = mix\nno value on this line\n", "config"),
             ("[experiment]\nkind = mix\n[params]\nmeasure = uniform: a%% %(b)\n", "params.measure"),
             ("[experiment]\nkind = mix\nthreads = 0\n[params]\nh = a\n", "experiment.threads"),
+            (MIX_CONFIG.format(threads=1).replace("window_radius", "window_radus"), "params.window_radus"),
+            (DRIFT_CONFIG.replace("seed = 7", "sed = 5"), "experiment.sed"),
+            (DRIFT_CONFIG.replace("seed = 7", "seed = 7\nout = /no-such-dir/x.csv"), "experiment.out"),
         ],
-        ids=["duplicate-option", "duplicate-section", "no-section-header", "parse-error", "interpolation", "threads-0"],
+        ids=[
+            "duplicate-option", "duplicate-section", "no-section-header", "parse-error", "interpolation", "threads-0",
+            "params-typo", "experiment-typo", "unwritable-out",
+        ],
     )
     def test_malformed_ini_exit_code(self, tmp_path, text, field):
         cfg = tmp_path / "bad.ini"
@@ -471,6 +551,7 @@ class TestCli:
         res = self._hypmix("run", "--config", str(cfg))
         assert res.returncode == 1
         assert res.stderr.startswith(f"error: [{field}] ")
+        assert res.stdout == ""
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize(
@@ -492,6 +573,66 @@ class TestCli:
         assert res.returncode == 1
         assert res.stderr.startswith("error: [experiment.threads] ")
         assert res.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("cantor", "--transience", "--trials", "1000", "--horizon", "50", "--n-list", "10", "--depth-cap", "3"), "params.n_list"),
+            (("cantor", "--qn", "--transience", "--trials", "1000", "--n-list", "10"), "params.mode"),
+            (("cantor", "--claim", "1", "--u", "zx", "--qn"), "params.mode"),
+            (("transverse", "--targets", "a", "--subgroups", "SUBGROUPS", "--g", "ab"), "params.targets"),
+            (("drift", "--n", "abc", "--trials", "3"), "params.n"),
+            (("drift", "--trials", "3"), "params.n"),
+            (("drift", "--n", "10", "--n", "20", "--trials", "3"), "params.n"),
+            (("drift", "--n", "10", "--trials", "3", "--seed", "x"), "experiment.seed"),
+            (("drift", "--rank", "x", "--n", "10", "--trials", "3"), "params.rank"),
+            (("selftest", "--threads", "x"), "experiment.threads"),
+            (("transverse", "--subgroups", "MISSING", "--g", "ab"), "subgroups"),
+            (("drift", "--n", "10", "--trials", "3", "--out", "UNWRITABLE"), "out"),
+            (("selftest", "--criteria", "2", "--out", "UNWRITABLE"), "out"),
+            (("transverse", "--targets", "a", "--g", "ab", "--emit-certificate", "UNWRITABLE"), "emit_certificate"),
+            (("drift", "--format", "xml", "--n", "10", "--trials", "3"), "usage"),
+            (("cantor", "--claim", "4", "--u", "zx"), "usage"),
+            (("drift", "--n", "10", "--trials", "3", "--bogus", "1"), "usage"),
+            (("run",), "usage"),
+            ((), "usage"),
+        ],
+        ids=[
+            "transience-ignores-qn-flags", "two-modes", "claim-and-qn", "targets-and-subgroups",
+            "n-not-int", "n-missing", "n-twice", "seed-not-int", "rank-not-int", "selftest-threads",
+            "subgroups-unreadable", "drift-out", "selftest-out", "certificate-out",
+            "format-xml", "claim-4", "unknown-flag", "run-without-config", "no-command",
+        ],
+    )
+    def test_bad_command_line_exit_code(self, tmp_path, argv, field):
+        # Each fails as a bad config file would: the field named, exit 1, no
+        # output and no traceback; a malformed command line is [usage].
+        subgroups = tmp_path / "subgroups.txt"
+        subgroups.write_text("b\n")
+        paths = {
+            "SUBGROUPS": subgroups,
+            "MISSING": tmp_path / "missing.txt",
+            "UNWRITABLE": tmp_path / "no-such-dir" / "x.csv",
+        }
+        res = self._hypmix(*(str(paths.get(arg, arg)) for arg in argv))
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"error: [{field}] ")
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("argv", [("--help",), ("cantor", "--help")])
+    def test_help_exit_code(self, argv):
+        res = self._hypmix(*argv)
+        assert res.returncode == 0
+        assert res.stdout.startswith("usage: hypmix")
+
+    def test_flag_form_header_echoes_given_flags(self):
+        # As in a config file, only the keys given (and the CLI's default
+        # measure) are echoed; harness defaults such as rank stay unwritten.
+        res = self._hypmix("drift", "--n", "10", "--trials", "3")
+        assert res.returncode == 0
+        header = [line for line in res.stdout.splitlines() if line.startswith("#")]
+        assert header[header.index("# [params]") + 1:] == ["# measure = uniform: a A b B", "# n = 10", "# trials = 3"]
 
     def test_empty_value_exit_code(self, tmp_path):
         # An empty value is refused, not read as absent: `trials =` must not
@@ -645,3 +786,33 @@ class TestCli:
         res = self._hypmix("mix", "--H", "a b", "--K", "b", "--n-list", "10", "--trials", "5")
         assert res.returncode == 1
         assert "infinite index" in res.stderr
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands() -> list[str]:
+    """The `hypmix ...` commands of README's CLI block, continuations joined."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("hypmix ")]
+
+
+class _ReadsDone(Exception):
+    """Raised where a runner has read its params, before its first trial."""
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_command_builds_a_config_the_runner_reads(monkeypatch, command):
+    # Parse and build the config by the CLI's own path, then run it only as
+    # far as the runner's reads: a renamed flag or key fails here.
+    monkeypatch.chdir(README.parent)
+    config = cli.config_from_args(cli.build_parser().parse_args(shlex.split(command, comments=True)[1:]))
+    done = Params.done
+
+    def stop_after_reads(params):
+        done(params)
+        raise _ReadsDone
+
+    monkeypatch.setattr(Params, "done", stop_after_reads)
+    with pytest.raises(_ReadsDone):
+        run(config)
