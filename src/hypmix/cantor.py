@@ -617,7 +617,6 @@ class QnEstimate:
     p_hat: float
     ci_low: float
     ci_high: float
-    seed: int
     depth_cap: int
     depth_cap_exceeded: int
 
@@ -675,4 +674,4 @@ def estimate_qn(
     successes = sum(hit for hit, _ in results)
     exceeded = sum(exc for _, exc in results)
     p, lo, hi = proportion_ci95(successes, trials)
-    return QnEstimate(n, trials, successes, p, lo, hi, seed, depth_cap, exceeded)
+    return QnEstimate(n, trials, successes, p, lo, hi, depth_cap, exceeded)

@@ -34,7 +34,7 @@ import sys
 import time
 
 from .freegroup import WordError
-from .harness import ConfigError, ExperimentConfig, config_header, default_measure, emit, run_with_report
+from .harness import ConfigError, ExperimentConfig, _int_list, config_header, default_measure, emit, run_with_report
 from .cantor import ConeError
 from .mixing import MixingSetupError
 from .stallings import AutomatonError
@@ -64,17 +64,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Carry(argparse.Action):
-    """Carries a flag's raw string to its dest, `<section>.<key>`; a mode
-    flag carries its const instead (with --claim's number appended). A flag
-    not given sets nothing, and a key given twice is refused, as a config
-    file refuses a repeated key."""
+    """Carries a flag's raw string to its dest: `<section>.<key>` for a kind
+    flag, the bare name for --out, --format, --emit-certificate, --config
+    and --criteria. A mode flag carries its const instead (with --claim's
+    number appended). A kind flag not given sets nothing. A dest given twice
+    is refused, as a config file refuses a repeated key: the namespace's
+    `given` set records each dest carried."""
 
     def __init__(self, *args, default=argparse.SUPPRESS, **kwargs):
         super().__init__(*args, default=default, **kwargs)
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest, self.default) is not self.default:
+        given = vars(namespace).setdefault("given", set())
+        if self.dest in given:
             raise ConfigError(self.dest, f"given twice, the second time by {option_string}")
+        given.add(self.dest)
         setattr(namespace, self.dest, values if self.const is None else self.const + "".join(values))
 
 
@@ -92,8 +96,8 @@ def _carry(parser, section: str, flag: str) -> None:
 
 
 def _add_output(parser) -> None:
-    parser.add_argument("--out")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--out", action=_Carry, default=None)
+    parser.add_argument("--format", action=_Carry, choices=("csv", "json"), default="csv")
     parser.add_argument("--timing", action="store_true", help="prepend a wall-time comment")
 
 
@@ -112,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
-    p_run.add_argument("--config", required=True)
+    p_run.add_argument("--config", action=_Carry, required=True)
     _add_output(p_run)
 
     _kind(sub, "drift", "estimate the walk escape rate", "--rank", "--measure", "--n", "--trials")
@@ -128,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="file with one subgroup per line (whitespace-separated generators)",
     )
-    p_tv.add_argument("--emit-certificate")
+    p_tv.add_argument("--emit-certificate", action=_Carry, default=None)
 
     p_cz = _kind(
         sub, "cantor", "boundary-action experiments",
@@ -142,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     _carry(p_st, "experiment", "--threads")
     _add_output(p_st)
     p_st.add_argument("--skip-determinism", action="store_true")
-    p_st.add_argument("--criteria", help="comma list, e.g. 1,4,5")
+    p_st.add_argument("--criteria", action=_Carry, default=None, help="comma list, e.g. 1,4,5")
     return parser
 
 
@@ -223,15 +227,12 @@ def _cmd_experiment(args) -> int:
 
 def _criteria_ids(args):
     """The criterion ids to run: --criteria, else 1-13 or all 14."""
-    if not args.criteria:
+    if args.criteria is None:
         return range(1, 14) if args.skip_determinism else range(1, 15)
     try:
-        ids = {int(x) for x in args.criteria.replace(",", " ").split()}
+        return _int_list(args.criteria)
     except ValueError:
         raise ConfigError("criteria", f"not an integer list: {args.criteria!r}")
-    if not ids:
-        raise ConfigError("criteria", f"no criterion ids in {args.criteria!r}")
-    return ids
 
 
 def _cmd_selftest(args) -> int:

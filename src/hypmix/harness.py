@@ -33,7 +33,7 @@ from typing import Sequence
 from .freegroup import FreeContext, Word, WordError
 from .stallings import SubgroupAutomaton
 from .walks import MeasureError, StepMeasure, drift_estimate
-from . import cantor, mixing, rng, transverse
+from . import cantor, mixing, transverse
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
@@ -319,19 +319,6 @@ def run_with_report(config: ExperimentConfig) -> _Outcome:
     return _RUNNERS[config.kind](config, Params(config.params))
 
 
-def _run_walk(config: ExperimentConfig, params: Params) -> _Outcome:
-    ctx = _context(params)
-    measure = parse_measure(params, ctx)
-    n = params.read("n", int, least=0)
-    params.done()
-    final = measure.final_position(n, rng.substream(config.seed))
-    echo = f"rank={ctx.rank};n={n}"
-    return [
-        ResultRow("walk", echo, "endpoint_distance", float(len(final)), None, None, config.seed),
-        ResultRow("walk", echo + f";word={ctx.format(final)}", "endpoint_recorded", 1.0, None, None, config.seed),
-    ], ""
-
-
 def _run_drift(config: ExperimentConfig, params: Params) -> _Outcome:
     ctx = _context(params)
     measure = parse_measure(params, ctx)
@@ -357,14 +344,16 @@ def _run_mix(config: ExperimentConfig, params: Params) -> _Outcome:
     trials = params.read("trials", int, least=1)
     n_list = params.read("n_list", _int_list, least=0)
     params.done()
-    window = ctx.ball(radius)
+    try:
+        results = mixing.joint_mixing(
+            [(h, k, ctx.ball(radius))], measure, n_list, trials, config.seed, config.threads
+        )
+    except mixing.MixingSetupError as exc:
+        raise ConfigError(f"params.{exc.argument}", str(exc))
     rows = []
-    for n in n_list:
-        try:
-            est = mixing.estimate_mixing(h, k, window, measure, n, trials, config.seed, config.threads)
-        except mixing.MixingSetupError as exc:
-            raise ConfigError(f"params.{exc.argument}", str(exc))
-        echo = f"rank={ctx.rank};window_radius={radius};trials={trials};n={n}"
+    for result in results:
+        est = result.marginals[0]
+        echo = f"rank={ctx.rank};window_radius={radius};trials={trials};n={est.n}"
         rows.append(
             ResultRow("mix", echo, "p_hat", est.p_hat, est.ci_low, est.ci_high, config.seed)
         )
@@ -547,7 +536,6 @@ def _run_selftest(config: ExperimentConfig, params: Params) -> _Outcome:
 
 
 _RUNNERS = {
-    "walk": _run_walk,
     "drift": _run_drift,
     "mix": _run_mix,
     "freeprod": _run_freeprod,

@@ -17,7 +17,12 @@ failing trial proves nothing, so estimates are reported as lower bounds.
 Everything per trial is exact; only the aggregation over trials is
 statistical.
 
-A window trace is a subgroup's membership pattern on F. Each estimate reads
+joint_mixing is the one witness estimator. Mixing is its one-pair case:
+the single marginal of one (H, K, F) pair. Transitivity asks one endpoint
+to certify several pairs at once, its joint count. One call covers a whole
+schedule of walk lengths n and checks its set-up once for all of them.
+
+A window trace is a subgroup's membership pattern on F. joint_mixing reads
 the markers' traces once, into a WitnessPair; a trial compares L's patterns
 with them. check_witness takes the reduced endpoint the walk returns and
 reduces nothing itself.
@@ -43,7 +48,7 @@ from . import rng
 from .freegroup import Word, invert
 from .stallings import SubgroupAutomaton, _follow
 from .stats import proportion_ci95
-from .walks import StepMeasure
+from .walks import MeasureError, StepMeasure
 
 
 class MixingSetupError(ValueError):
@@ -103,12 +108,11 @@ class MixingEstimate:
     p_hat: float
     ci_low: float
     ci_high: float
-    seed: int
 
     @classmethod
-    def from_counts(cls, n, trials, successes, seed) -> "MixingEstimate":
+    def from_counts(cls, n, trials, successes) -> "MixingEstimate":
         p, lo, hi = proportion_ci95(successes, trials)
-        return cls(n, trials, successes, p, lo, hi, seed)
+        return cls(n, trials, successes, p, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -180,32 +184,19 @@ def _stem_trace(l_sub: SubgroupAutomaton, u: Word, window) -> frozenset:
     return frozenset(out)
 
 
-def _require_permissible(measure: StepMeasure):
-    report = measure.validate()
-    if not report.passed:
-        raise MixingSetupError(
-            "measure", f"measure fails permissibility: {', '.join(report.failures())}"
-        )
-
-
-def _require_infinite_index(**subs: SubgroupAutomaton):
-    for name, s in subs.items():
+def _require_setup(measure: StepMeasure, markers, trials: int) -> None:
+    """The checks a witness estimate makes once, before any trial: a
+    permissible measure, each (name, subgroup) marker of infinite index, and
+    at least one trial."""
+    try:
+        measure.require_permissible()
+    except MeasureError as exc:
+        raise MixingSetupError("measure", str(exc))
+    for name, s in markers:
         if s.index() != math.inf:
             raise MixingSetupError(name, "marker subgroups must have infinite index")
-
-
-def _witness_pairs(pairs, measure: StepMeasure, trials: int) -> list[WitnessPair]:
-    """Check the setup of a witness estimate and read each pair's traces."""
-    _require_permissible(measure)
-    if not pairs:
-        raise MixingSetupError("pairs", "need at least one pair")
-    out = []
-    for h, k, window in pairs:
-        _require_infinite_index(h=h, k=k)
-        out.append(WitnessPair.of(h, k, window))
     if trials <= 0:
         raise MixingSetupError("trials", "need at least one trial")
-    return out
 
 
 def _witness_trial(pairs: list[WitnessPair], measure, n, seed, trial) -> list[WitnessOutcome]:
@@ -233,56 +224,42 @@ def _witness_trial(pairs: list[WitnessPair], measure, n, seed, trial) -> list[Wi
     return outcomes
 
 
-def estimate_mixing(
-    h: SubgroupAutomaton,
-    k: SubgroupAutomaton,
-    window,
-    measure: StepMeasure,
-    n: int,
-    trials: int,
-    seed: int,
-    threads: int = 1,
-) -> MixingEstimate:
-    """Fraction of walk endpoints whose witness subgroup certifies mixing.
-
-    A lower bound for the chance that the endpoint maps the open set around
-    K into the open set around H; witness failure does not refute that.
-    """
-    pairs = _witness_pairs([(h, k, window)], measure, trials)
-    results = rng.map_trials(
-        lambda t: _witness_trial(pairs, measure, n, seed, t)[0].success,
-        trials,
-        threads,
-    )
-    return MixingEstimate.from_counts(n, trials, sum(results), seed)
-
-
 def joint_mixing(
     pairs,
     measure: StepMeasure,
-    n: int,
+    n_list: Sequence[int],
     trials: int,
     seed: int,
     threads: int = 1,
-) -> JointMixingResult:
-    """Joint witness success for several (H, K, window) pairs on one walk.
+) -> list[JointMixingResult]:
+    """Joint witness success for several (H, K, window) pairs on one walk,
+    at each walk length of n_list.
 
     The same endpoint must certify every pair simultaneously, the diagonal
     form of transitivity; marginal estimates come along for the union-bound
-    comparison.
+    comparison. A marginal is a lower bound for the chance that the endpoint
+    maps the open set around K into the open set around H; witness failure
+    does not refute that. With one pair, marginals[0] is the mixing estimate.
+    The set-up is checked and the marker traces are read once, for every n.
     """
-    pairs = _witness_pairs(pairs, measure, trials)
-    per_trial = rng.map_trials(
-        lambda t: [o.success for o in _witness_trial(pairs, measure, n, seed, t)],
-        trials,
-        threads,
-    )
-    joint = sum(all(flags) for flags in per_trial)
-    marginals = tuple(
-        MixingEstimate.from_counts(n, trials, sum(flags[i] for flags in per_trial), seed)
-        for i in range(len(pairs))
-    )
-    return JointMixingResult(MixingEstimate.from_counts(n, trials, joint, seed), marginals)
+    if not pairs:
+        raise MixingSetupError("pairs", "need at least one pair")
+    _require_setup(measure, [m for h, k, _ in pairs for m in (("h", h), ("k", k))], trials)
+    pairs = [WitnessPair.of(h, k, window) for h, k, window in pairs]
+    results = []
+    for n in n_list:
+        per_trial = rng.map_trials(
+            lambda t: [o.success for o in _witness_trial(pairs, measure, n, seed, t)],
+            trials,
+            threads,
+        )
+        joint = sum(all(flags) for flags in per_trial)
+        marginals = tuple(
+            MixingEstimate.from_counts(n, trials, sum(flags[i] for flags in per_trial))
+            for i in range(len(pairs))
+        )
+        results.append(JointMixingResult(MixingEstimate.from_counts(n, trials, joint), marginals))
+    return results
 
 
 def free_product_experiment(
@@ -301,10 +278,7 @@ def free_product_experiment(
     subgroups is again finitely generated, hence acts cocompactly on its
     orbit hull, so that part needs no per-trial check.
     """
-    _require_permissible(measure)
-    _require_infinite_index(h=h)
-    if trials <= 0:
-        raise MixingSetupError("trials", "need at least one trial")
+    _require_setup(measure, [("h", h)], trials)
 
     def one(trial: int) -> bool:
         gen = rng.substream(seed, trial)
@@ -314,4 +288,4 @@ def free_product_experiment(
         return h.certify_free_product(w)
 
     results = rng.map_trials(one, trials, threads)
-    return MixingEstimate.from_counts(n, trials, sum(results), seed)
+    return MixingEstimate.from_counts(n, trials, sum(results))

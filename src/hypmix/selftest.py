@@ -477,12 +477,10 @@ def _standard_instance():
 
 @_criterion(8, "mixing witness curve on the standard instance")
 def _criterion_8(threads: int = 1):
-    h, k, window = _standard_instance()
-    estimates = []
-    for n in GOLDEN_MIXING_SCHEDULE:
-        estimates.append(
-            mixing.estimate_mixing(h, k, window, UNIFORM_F2, n, 500, MASTER_SEED, threads)
-        )
+    results = mixing.joint_mixing(
+        [_standard_instance()], UNIFORM_F2, GOLDEN_MIXING_SCHEDULE, 500, MASTER_SEED, threads
+    )
+    estimates = [r.marginals[0] for r in results]
     golden_ok = tuple(e.successes for e in estimates) == GOLDEN_MIXING_SUCCESSES
     sigma2 = 2 * math.sqrt(0.25 / 500)
     monotone = all(
@@ -549,8 +547,8 @@ def _criterion_10(threads: int = 1):
     rows = []
     ok = True
     summary = []
-    for n in GOLDEN_MIXING_SCHEDULE:
-        res = mixing.joint_mixing(pairs, UNIFORM_F2, n, 500, MASTER_SEED, threads)
+    for res in mixing.joint_mixing(pairs, UNIFORM_F2, GOLDEN_MIXING_SCHEDULE, 500, MASTER_SEED, threads):
+        n = res.joint.n
         slack = sum(1 - m.p_hat for m in res.marginals)
         sigma = math.sqrt(
             max(res.joint.p_hat * (1 - res.joint.p_hat), 1e-9) / res.joint.trials

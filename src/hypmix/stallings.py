@@ -405,7 +405,8 @@ class SubgroupAutomaton:
         """Membership pattern on a window: the window words in the subgroup.
 
         A caller that compares many subgroups with one marker reads the
-        marker's trace once: mixing.WitnessPair does so once per estimate.
+        marker's trace once: mixing.WitnessPair does so once per joint_mixing
+        call.
         """
         rows, base = self._rows, self._base
         return frozenset(w for w in map(tuple, window) if _follow(rows, base, w) == base)

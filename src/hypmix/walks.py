@@ -151,6 +151,12 @@ class StepMeasure:
             non_elementary=non_elementary,
         )
 
+    def require_permissible(self) -> None:
+        """Raise MeasureError naming the failed flags unless validate() passes."""
+        report = self.validate()
+        if not report.passed:
+            raise MeasureError(f"measure fails permissibility: {', '.join(report.failures())}")
+
     # --- sampling ---------------------------------------------------------------
 
     def draw_indices(self, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -219,7 +225,6 @@ class DriftEstimate:
     n: int
     trials: int
     ci_half_width: float
-    seed: int
 
     @property
     def ci_low(self) -> float:
@@ -246,9 +251,7 @@ def drift_estimate(
         raise MeasureError("need at least one trial")
     if n <= 0:
         raise MeasureError("need a positive walk length")
-    report = measure.validate()
-    if not report.passed:
-        raise MeasureError(f"measure fails permissibility: {', '.join(report.failures())}")
+    measure.require_permissible()
 
     def one(trial: int) -> float:
         gen = rng.substream(seed, trial)
@@ -256,7 +259,7 @@ def drift_estimate(
 
     values = rng.map_trials(one, trials, threads)
     mean, half = mean_ci95(values)
-    est = DriftEstimate(mean, n, trials, half, seed)
+    est = DriftEstimate(mean, n, trials, half)
     if not 0.0 <= est.d_hat <= measure.max_step_length() + 1e-12:
         raise DriftRangeError(
             f"drift {est.d_hat} outside [0, {measure.max_step_length()}]"

@@ -1,7 +1,6 @@
 import shlex
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,7 @@ from hypmix.harness import (
     run,
 )
 from hypmix.freegroup import FreeContext
+from hypmix.walks import StepMeasure
 from hypmix.selftest import CRITERIA, report_rows
 
 from conftest import src_env
@@ -128,8 +128,11 @@ class TestConfig:
         assert again == cfg
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError, match="experiment.kind"):
-            ExperimentConfig.from_text("[experiment]\nkind = nope\n")
+        # kind = walk is deleted: only tests ran it. It is refused like any
+        # other unknown kind.
+        for kind in ("nope", "walk"):
+            with pytest.raises(ConfigError, match=r"\[experiment.kind\] unknown kind"):
+                ExperimentConfig.from_text(f"[experiment]\nkind = {kind}\n")
 
     def test_bad_seed_names_field(self):
         with pytest.raises(ConfigError, match="experiment.seed"):
@@ -240,28 +243,16 @@ class TestRun:
         metrics = {r.metric for r in rows}
         assert metrics == {"q_hat", "depth_cap_exceeded"}
 
-    def test_walk_kind(self):
-        cfg = ExperimentConfig.from_text(
-            "[experiment]\nkind = walk\nseed = 42\n"
-            "[params]\nrank = 2\nmeasure = uniform: a A b B\nn = 3\n"
-        )
-        rows = run(cfg)
-        assert rows[0].metric == "endpoint_distance"
-        assert rows[0].value == 3.0  # golden endpoint BBa has length 3
-
-    def test_walk_kind_keeps_only_the_endpoint(self):
-        # Keeping every position w_0 ... w_n would allocate about 120 MB here.
-        cfg = ExperimentConfig.from_text(
-            "[experiment]\nkind = walk\nseed = 42\n"
-            "[params]\nrank = 2\nmeasure = uniform: a A b B\nn = 8000\n"
-        )
-        tracemalloc.start()
-        try:
-            run(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 2**20
+    def test_mix_schedule_validates_the_measure_once(self, monkeypatch):
+        # Five walk lengths, one set-up: the measure's support is folded
+        # once for the whole schedule, not once per n.
+        calls = []
+        validate = StepMeasure.validate
+        monkeypatch.setattr(StepMeasure, "validate", lambda self: calls.append(1) or validate(self))
+        text = MIX_CONFIG.format(threads=1).replace("n_list = 10,20", "n_list = 10,20,40,80,160")
+        rows = run(ExperimentConfig.from_text(text))
+        assert [r.params.rsplit(";n=", 1)[1] for r in rows] == ["10", "20", "40", "80", "160"]
+        assert calls == [1]
 
     @pytest.mark.parametrize(
         "kind, params, field",
@@ -269,7 +260,6 @@ class TestRun:
             ("drift", "n = 0\ntrials = 5", "params.n"),
             ("drift", "n = -3\ntrials = 5", "params.n"),
             ("drift", "n = 10\ntrials = 0", "params.trials"),
-            ("walk", "n = -3", "params.n"),
             ("mix", "h = a\nk = b\ntrials = 5\nn_list = ,", "params.n_list"),
             ("mix", "h = a\nk = b\ntrials = 5\nn_list = -4", "params.n_list"),
             ("mix", "h = a\nk = b\ntrials = 5\nn_list = 10\nwindow_radius = -1", "params.window_radius"),
@@ -284,7 +274,7 @@ class TestRun:
             ("drift", "measure = uniform: a A\nn = 10\ntrials = 5", "params.measure"),
             ("drift", "rank = 1\nn = 10\ntrials = 5", "params.rank"),
             ("mix", "rank = 27\nh = a\nk = b\ntrials = 5\nn_list = 10", "params.rank"),
-            ("walk", "identity_mass = 1\nn = 3", "params.identity_mass"),
+            ("drift", "identity_mass = 1\nn = 3\ntrials = 5", "params.identity_mass"),
             ("drift", "identity_mass = -1/2\nn = 10\ntrials = 5", "params.identity_mass"),
         ],
     )
@@ -360,7 +350,7 @@ class TestRun:
         "kind, params, estimator",
         [
             ("drift", "measure = uniform: a A b B\nn = 10\ntrials = 3", (harness, "drift_estimate")),
-            ("mix", "measure = uniform: a A b B\nh = a\nk = b\nn_list = 10\ntrials = 3", (mixing, "estimate_mixing")),
+            ("mix", "measure = uniform: a A b B\nh = a\nk = b\nn_list = 10\ntrials = 3", (mixing, "joint_mixing")),
             ("freeprod", "measure = uniform: a A b B\nh = a\nn = 10\ntrials = 3", (mixing, "free_product_experiment")),
             ("transverse", "targets = a | b\ng = ab", (transverse, "construct_transverse")),
             ("cantor", "mode = qn\nn_list = 10\ntrials = 3", (cantor, "estimate_qn")),
@@ -430,7 +420,6 @@ _FUZZ_VALUES = {
     "pairs": (["zx:zy zz:Zx", "zx:zy"], [None, "", "zx:q", ":", "zx:", "zx:zyz", "zx"]),
 }
 _FUZZ_KINDS = {
-    "walk": ["rank", "measure", "identity_mass", "n"],
     "drift": ["rank", "measure", "identity_mass", "n", "trials"],
     "mix": ["rank", "measure", "h", "k", "window_radius", "n_list", "trials"],
     "freeprod": ["rank", "measure", "h", "n", "trials"],
@@ -619,6 +608,30 @@ class TestCli:
         assert res.stderr.startswith(f"error: [{field}] ")
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("selftest", "--criteria", "99", "--criteria", "2"), "criteria"),
+            (("selftest", "--criteria", "2", "--out", "a.csv", "--out", "b.csv"), "out"),
+            (("run", "--config", "x.ini", "--config", "y.ini"), "config"),
+            (("run", "--config", "x.ini", "--out", "a.csv", "--out", "b.csv"), "out"),
+            (("drift", "--n", "10", "--trials", "3", "--format", "csv", "--format", "json"), "format"),
+            (("transverse", "--targets", "a", "--g", "ab", "--emit-certificate", "a", "--emit-certificate", "b"),
+             "emit_certificate"),
+        ],
+        ids=["criteria", "selftest-out", "config", "run-out", "format", "emit-certificate"],
+    )
+    def test_repeated_flag_refused(self, tmp_path, monkeypatch, capsys, argv, field):
+        # A flag that is no config key is refused when repeated, as a kind
+        # flag is: the second value would silently win. Nothing runs and
+        # nothing is written.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(list(argv)) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: [{field}] given twice")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [("--help",), ("cantor", "--help")])
     def test_help_exit_code(self, argv):

@@ -14,7 +14,6 @@ from hypmix.mixing import (
     WitnessCertificationError,
     WitnessPair,
     check_witness,
-    estimate_mixing,
     free_product_experiment,
     joint_mixing,
     witness_subgroup,
@@ -94,7 +93,7 @@ class TestFoldedWitness:
         pairs = [WitnessPair.of(sub("a"), sub("b"), F2.ball(2))]
         outcomes = [mixing._witness_trial(pairs, UNIFORM, n, 11, t)[0].success for n in (2, 80) for t in range(10)]
         assert True in outcomes and False in outcomes
-        estimate_mixing(sub("a"), sub("b"), F2.ball(2), UNIFORM, 40, 20, 11)
+        joint_mixing([(sub("a"), sub("b"), F2.ball(2))], UNIFORM, [2, 40], 20, 11)
         assert calls == []
 
 
@@ -224,40 +223,45 @@ class TestWitnessCertification:
         assert proc.returncode == 0, proc.stderr
 
 
+def mixing_estimates(h, k, window, measure, n_list, trials, seed, threads=1):
+    """The mixing estimate at each n: joint_mixing's marginal of one pair."""
+    return [r.marginals[0] for r in joint_mixing([(h, k, window)], measure, n_list, trials, seed, threads)]
+
+
 class TestEstimateMixing:
+    # Mixing is joint_mixing's one-pair case.
+
     def test_rejects_impermissible(self):
         bad = StepMeasure.uniform_on(2, [(1,), (-1,)])
-        with pytest.raises(MixingSetupError):
-            estimate_mixing(sub("a"), sub("b"), F2.ball(1), bad, 10, 5, 1)
+        with pytest.raises(MixingSetupError) as info:
+            mixing_estimates(sub("a"), sub("b"), F2.ball(1), bad, [10], 5, 1)
+        assert info.value.argument == "measure"
 
     def test_rejects_finite_index(self):
-        with pytest.raises(MixingSetupError):
-            estimate_mixing(sub("a", "b"), sub("b"), F2.ball(1), UNIFORM, 10, 5, 1)
+        with pytest.raises(MixingSetupError) as info:
+            mixing_estimates(sub("a", "b"), sub("b"), F2.ball(1), UNIFORM, [10], 5, 1)
+        assert info.value.argument == "h"
 
     def test_n0_deterministic(self):
-        est = estimate_mixing(sub("a"), sub("b"), F2.ball(1), UNIFORM, 0, 20, 3)
-        assert est.p_hat in (0.0, 1.0)
+        [est] = mixing_estimates(sub("a"), sub("b"), F2.ball(1), UNIFORM, [0], 20, 3)
         assert est.p_hat == 0.0  # w = 1 puts a into L
 
     def test_single_trial_reproducible(self):
-        a = estimate_mixing(sub("a"), sub("b"), F2.ball(2), UNIFORM, 40, 1, 5)
-        b = estimate_mixing(sub("a"), sub("b"), F2.ball(2), UNIFORM, 40, 1, 5)
+        a = mixing_estimates(sub("a"), sub("b"), F2.ball(2), UNIFORM, [40], 1, 5)
+        b = mixing_estimates(sub("a"), sub("b"), F2.ball(2), UNIFORM, [40], 1, 5)
         assert a == b
 
     def test_thread_invariance(self):
-        a = estimate_mixing(sub("a"), sub("b"), F2.ball(2), UNIFORM, 30, 40, 7, threads=1)
-        b = estimate_mixing(sub("a"), sub("b"), F2.ball(2), UNIFORM, 30, 40, 7, threads=4)
+        a = mixing_estimates(sub("a"), sub("b"), F2.ball(2), UNIFORM, [10, 30], 40, 7, threads=1)
+        b = mixing_estimates(sub("a"), sub("b"), F2.ball(2), UNIFORM, [10, 30], 40, 7, threads=4)
         assert a == b
 
     def test_high_rate_at_moderate_n(self):
-        est = estimate_mixing(sub("a"), sub("b"), F2.ball(2), UNIFORM, 80, 100, 11)
+        [est] = mixing_estimates(sub("a"), sub("b"), F2.ball(2), UNIFORM, [80], 100, 11)
         assert est.p_hat > 0.8
 
     def test_monotone_trend(self):
-        rates = []
-        for n in (10, 40, 160):
-            est = estimate_mixing(sub("a"), sub("b"), F2.ball(2), UNIFORM, n, 120, 13)
-            rates.append(est.p_hat)
+        rates = [e.p_hat for e in mixing_estimates(sub("a"), sub("b"), F2.ball(2), UNIFORM, [10, 40, 160], 120, 13)]
         sigma = 2 * math.sqrt(0.25 / 120)
         assert rates[1] >= rates[0] - sigma
         assert rates[2] >= rates[1] - sigma
@@ -265,18 +269,43 @@ class TestEstimateMixing:
 
 class TestJointMixing:
     def test_single_pair_matches_estimate(self):
+        # With one pair the joint count is the pair's own: the joint
+        # estimate equals the marginal field for field, at every n.
         pair = (sub("a"), sub("b"), frozenset(F2.ball(1)))
-        joint = joint_mixing([pair], UNIFORM, 30, 50, 17)
-        direct = estimate_mixing(sub("a"), sub("b"), F2.ball(1), UNIFORM, 30, 50, 17)
-        assert joint.joint.successes == direct.successes
-        assert joint.marginals[0].successes == direct.successes
+        results = joint_mixing([pair], UNIFORM, [0, 30], 50, 17)
+        assert [r.joint.n for r in results] == [0, 30]
+        for r in results:
+            assert r.marginals == (r.joint,)
+
+    def test_schedule_matches_single_n_calls(self):
+        # A schedule is the single-n calls in order, field for field: each n
+        # reruns the same trial substreams.
+        pairs = [
+            (sub("a"), sub("b"), frozenset(F2.ball(1))),
+            (sub("ab"), sub("ba"), frozenset(F2.ball(1))),
+        ]
+        schedule = [10, 40, 10]
+        together = joint_mixing(pairs, UNIFORM, schedule, 30, 23)
+        assert together == [joint_mixing(pairs, UNIFORM, [n], 30, 23)[0] for n in schedule]
+
+    def test_setup_checked_once_per_call(self, monkeypatch):
+        # One permissibility fold and one read of each marker trace for the
+        # whole schedule.
+        validated, traced = [], []
+        validate, trace = StepMeasure.validate, SubgroupAutomaton.trace
+        monkeypatch.setattr(StepMeasure, "validate", lambda self: validated.append(1) or validate(self))
+        monkeypatch.setattr(SubgroupAutomaton, "trace", lambda self, w: traced.append(self) or trace(self, w))
+        h, k = sub("a"), sub("b")
+        joint_mixing([(h, k, F2.ball(1))], UNIFORM, [10, 20, 40, 80, 160], 3, 1)
+        assert validated == [1]
+        assert sum(t is h for t in traced) == sum(t is k for t in traced) == 1
 
     def test_union_bound(self):
         pairs = [
             (sub("a"), sub("b"), frozenset(F2.ball(1))),
             (sub("ab"), sub("ba"), frozenset(F2.ball(1))),
         ]
-        res = joint_mixing(pairs, UNIFORM, 60, 120, 19)
+        [res] = joint_mixing(pairs, UNIFORM, [60], 120, 19)
         slack = sum(1 - m.p_hat for m in res.marginals)
         sigma = math.sqrt(max(res.joint.p_hat * (1 - res.joint.p_hat), 1e-9) / res.joint.trials)
         assert res.joint.p_hat >= 1 - slack - 3 * sigma
@@ -284,7 +313,7 @@ class TestJointMixing:
     def test_finite_index_pair_rejected(self):
         pairs = [(sub("aa", "ab", "bb"), sub("b"), frozenset(F2.ball(1)))]
         with pytest.raises(MixingSetupError):
-            joint_mixing(pairs, UNIFORM, 10, 5, 1)
+            joint_mixing(pairs, UNIFORM, [10], 5, 1)
 
 
 class TestFreeProduct:

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,19 @@ class TestFinalPosition:
     )
     def test_matches_multiply(self, measure, n, seed):
         assert measure.final_position(n, rng.substream(seed)) == sample_walk(measure, n, seed).final
+
+    def test_golden_endpoint_seed_42(self):
+        assert UNIFORM_F2.final_position(3, rng.substream(42)) == GOLDEN_WALK_42
+
+    def test_keeps_only_the_endpoint(self):
+        # Keeping every position w_0 ... w_n would allocate about 120 MB here.
+        tracemalloc.start()
+        try:
+            UNIFORM_F2.final_position(8000, rng.substream(42))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pass_budget_exhausted(self, seed):
