@@ -259,6 +259,8 @@ class TestRun:
         [
             ("drift", "n = 0\ntrials = 5", "params.n"),
             ("drift", "n = -3\ntrials = 5", "params.n"),
+            # A bad n is named before the missing trials key is reached.
+            ("drift", "n = -3", "params.n"),
             ("drift", "n = 10\ntrials = 0", "params.trials"),
             ("mix", "h = a\nk = b\ntrials = 5\nn_list = ,", "params.n_list"),
             ("mix", "h = a\nk = b\ntrials = 5\nn_list = -4", "params.n_list"),
