@@ -554,21 +554,29 @@ def simulate_hit_probability(
     1 and absorbed at 0. A trial whose distance exceeds the steps remaining
     is a certain miss and is abandoned early; that pruning is exact.
     Returns (p_hat, ci_low, ci_high).
+
+    Each step draws one integer below 4 per live trial and updates the
+    distances in place. The live trials are compacted only on a step where
+    one of them leaves. After t steps every distance is at most 1 + t and
+    has the parity of 1 + t, so while t is even and 1 + t <= remaining no
+    trial can hit 0 or be pruned, and the step looks no further.
     """
     gen = rng.substream(seed)
     dist = np.ones(trials, dtype=np.int64)
     hits = 0
-    remaining = horizon
-    while dist.size and remaining > 0:
-        steps = np.where(
-            gen.integers(0, 4, size=dist.size) == 0, -1, 1
-        )
-        dist = dist + steps
-        remaining -= 1
-        hit_now = dist == 0
-        hits += int(hit_now.sum())
-        alive = ~hit_now & (dist <= remaining)
-        dist = dist[alive]
+    for t in range(1, horizon + 1):
+        if not dist.size:
+            break
+        remaining = horizon - t
+        down = gen.integers(0, 4, size=dist.size) == 0
+        # Read as int8, the steps -1 and +1 stay one byte wide.
+        dist += 1 - 2 * down.view(np.int8)
+        if t % 2 == 0 and 1 + t <= remaining:
+            continue
+        hit = int(np.count_nonzero(dist == 0))
+        if hit or dist.max() > remaining:
+            hits += hit
+            dist = dist[(dist != 0) & (dist <= remaining)]
     p, lo, hi = proportion_ci95(hits, trials)
     return p, lo, hi
 
@@ -653,7 +661,7 @@ def estimate_qn(
     identity = np.arange(18)
 
     def one(trial: int) -> tuple[bool, bool]:
-        gen = rng.substream(seed, trial)
+        gen = rng.trial_stream(seed, trial)
         draws = gen.integers(0, den, size=n)
         k = int(np.count_nonzero(draws >= letter_bound))
         rows = gen.permuted(np.tile(identity, (k, 1)), axis=1)

@@ -210,7 +210,7 @@ def _witness_trial(pairs: list[WitnessPair], measure, n, seed, trial) -> list[Wi
     python -O. A failing trial folds once (L) and a success twice (L and
     w L w^-1).
     """
-    gen = rng.substream(seed, trial)
+    gen = rng.trial_stream(seed, trial)
     w = measure.final_position(n, gen)
     outcomes = []
     for pair in pairs:
@@ -281,7 +281,7 @@ def free_product_experiment(
     _require_setup(measure, [("h", h)], trials)
 
     def one(trial: int) -> bool:
-        gen = rng.substream(seed, trial)
+        gen = rng.trial_stream(seed, trial)
         w = measure.final_position(n, gen)
         if not w:
             return False

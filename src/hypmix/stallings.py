@@ -31,12 +31,13 @@ of its folded rows, never canonicalized on the way. A word goes in as a path
 that is read rather than unioned state by state: the graph follows as much
 of the word as it can from both ends, fresh states spell only the unread
 middle, and a path read to the end merges its two ends and folds what that
-forces. Generators are loops read in at the base; g H g^-1 copies H's
-automaton in and reads a stem spelling g from the base to H's base;
-<g H g^-1, K> first copies K's automaton in and merges its base with the
-base. When H's automaton already reads g backwards from its base, as L reads w
-back along its own stem in the mixing certification w L w^-1, no state is
-added and only the base moves.
+forces. Generators are loops read in at the base. g H g^-1 starts from a
+copy of H's rows, targets unshifted, adds a new base after them and reads a
+stem spelling g from that base to H's base; <g H g^-1, K> first copies K's
+automaton in and merges its base with the base. When H's automaton already
+reads g backwards from its base, as L reads w back along its own stem in the
+mixing certification w L w^-1, the new base merges away at once: no other
+state is added, no edge moves, and only the base moves.
 
 Basepoint convention: all orbit computations measure distances from the
 identity vertex. Moving the basepoint to another vertex t changes the
@@ -67,10 +68,11 @@ def _follow(rows: Sequence[dict[int, int] | None], state: int, word: Sequence[in
 
 
 class _FoldGraph:
-    """A labeled graph with base find(0), kept folded while it is built.
+    """A labeled graph with base find(base), kept folded while it is built.
 
     Each state has a row, letter -> target, holding both directions of its
-    edges, and a union-find parent; a merged-away state's row is None. An
+    edges, and a union-find parent; a merged-away state's row is None. The
+    graph starts from given folded rows, or from one empty base state. An
     automaton goes in as a copy of its rows, a component of its own that a
     merge or a path then joins to the rest. A path is read in: the graph
     reads as much of its word as it can from both ends, fresh states spell
@@ -80,10 +82,11 @@ class _FoldGraph:
     meet, so every call leaves the graph folded.
     """
 
-    def __init__(self, rank: int):
+    def __init__(self, rank: int, rows: list[dict[int, int] | None] | None = None):
         self.rank = rank
-        self.rows: list[dict[int, int] | None] = [{}]
-        self.parent = [0]
+        self.rows: list[dict[int, int] | None] = [{}] if rows is None else rows
+        self.parent = list(range(len(self.rows)))
+        self.base = 0
 
     def find(self, s: int) -> int:
         parent = self.parent
@@ -170,7 +173,7 @@ class _FoldGraph:
 
     def fold(self) -> "SubgroupAutomaton":
         """Hand the rows over as they are: no trim, no numbering."""
-        return SubgroupAutomaton(self.rank, self.rows, self.find(0))
+        return SubgroupAutomaton(self.rank, self.rows, self.find(self.base))
 
 
 class SubgroupAutomaton:
@@ -366,9 +369,13 @@ class SubgroupAutomaton:
     # --- algebra ------------------------------------------------------------
 
     def conjugate(self, g: Sequence[int]) -> "SubgroupAutomaton":
-        """Automaton of g H g^-1: a stem spelling g from a new base to H's."""
-        graph = _FoldGraph(self.rank)
-        graph.attach_path(g, 0, graph.attach(self))
+        """Automaton of g H g^-1: a stem spelling g from a new base to H's.
+
+        H's folded rows are copied as they are, their targets unshifted, and
+        the new base goes after them."""
+        graph = _FoldGraph(self.rank, [None if row is None else row.copy() for row in self._rows])
+        [graph.base] = graph.add_states(1)
+        graph.attach_path(g, graph.base, self._base)
         return graph.fold()
 
     def conjugate_join(self, g: Sequence[int], other: "SubgroupAutomaton") -> "SubgroupAutomaton":

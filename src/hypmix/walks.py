@@ -254,7 +254,7 @@ def drift_estimate(
     measure.require_permissible()
 
     def one(trial: int) -> float:
-        gen = rng.substream(seed, trial)
+        gen = rng.trial_stream(seed, trial)
         return len(measure.final_position(n, gen)) / n
 
     values = rng.map_trials(one, trials, threads)

@@ -178,3 +178,23 @@ def overlap_count(
             f_m = multiply(f_m, step)
         count += h.distance_to_orbit(multiply(v_inv, f_m)) <= e_bound
     return count
+
+
+# --- cantor ------------------------------------------------------------------
+
+
+def hit_count(trials: int, horizon: int, seed: int) -> int:
+    """Trials of the distance chain of simulate_hit_probability that hit 0
+    within the horizon, compacting the live trials after every step."""
+    import numpy as np
+
+    gen = rng.substream(seed)
+    dist = np.ones(trials, dtype=np.int64)
+    hits = 0
+    remaining = horizon
+    while dist.size and remaining > 0:
+        dist = dist + np.where(gen.integers(0, 4, size=dist.size) == 0, -1, 1)
+        remaining -= 1
+        hits += int((dist == 0).sum())
+        dist = dist[(dist != 0) & (dist <= remaining)]
+    return hits

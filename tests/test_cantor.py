@@ -39,6 +39,7 @@ from hypmix.cantor import (
 )
 
 from conftest import src_env
+from reference import hit_count
 
 X, Y, Z = 1, 2, 3
 ALL_LETTERS = (1, -1, 2, -2, 3, -3)
@@ -401,8 +402,8 @@ class TestCertification:
             hit_probability_exact()
 
     def test_bad_permutation_block_raises(self, monkeypatch):
-        substream = cantor.rng.substream
-        monkeypatch.setattr(cantor.rng, "substream", lambda *path: StuckGenerator(substream(*path)))
+        trial_stream = cantor.rng.trial_stream
+        monkeypatch.setattr(cantor.rng, "trial_stream", lambda *path: StuckGenerator(trial_stream(*path)))
         with pytest.raises(ConeCertificationError):
             estimate_qn(Fraction(1, 8), 10, 5, 1)
 
@@ -439,8 +440,8 @@ class TestCertification:
                     rows[:, 0] = rows[:, 1]
                     return rows
 
-            substream = cantor.rng.substream
-            cantor.rng.substream = lambda *path: Stuck(substream(*path))
+            trial_stream = cantor.rng.trial_stream
+            cantor.rng.trial_stream = lambda *path: Stuck(trial_stream(*path))
             try:
                 cantor.estimate_qn(1 / 8, 10, 5, 1)
                 sys.exit("a non-permutation row passed the trial's check")
@@ -580,6 +581,19 @@ class TestTransience:
         p, lo, hi = simulate_hit_probability(20_000, 2_000, 101)
         assert abs(p - 1 / 3) < 0.02
         assert lo <= 1 / 3 <= hi
+
+    @pytest.mark.parametrize(
+        "trials, horizon, seed",
+        [(3_001, 500, s) for s in range(5)]
+        + [(2_000, h, 3) for h in (1, 2, 4, 6, 12)]
+        + [(1, 7, 1), (777, 31, 9), (50, 0, 2)],
+    )
+    def test_chain_matches_compacting_every_step(self, trials, horizon, seed):
+        # The chain updates in place and compacts only when a trial leaves;
+        # the draw sizes, and so the hits, must be those of the chain that
+        # compacts after every step.
+        p, _, _ = simulate_hit_probability(trials, horizon, seed)
+        assert p == hit_count(trials, horizon, seed) / trials
 
     def test_superharmonic_radius1_matches_radius4(self):
         assert superharmonic_check(1) == superharmonic_check(4) == True  # noqa: E712

@@ -62,7 +62,8 @@ class TestWitnessSubgroup:
         # On a success, w L w^-1 hangs L from a new base by a stem spelling
         # w, and L's automaton reads w back along its own stem to w^-1 H w:
         # reading that path in creates no state and moves no edge, only the
-        # base moves. L's folded rows go in as they are, after the new base.
+        # base moves. L's folded rows come first, unshifted, and the new
+        # base after them merges away.
         h, k = sub("a"), sub("b")
         w = UNIFORM.final_position(80, rng.substream(11, 0))
         l_sub = witness_subgroup(h, k, w)
@@ -74,14 +75,15 @@ class TestWitnessSubgroup:
             before = [None if row is None else dict(row) for row in self.rows]
             attach_path(self, word, src, dst)
             after = [None if row is None else dict(row) for row in self.rows]
-            seen.append((before, after, self.find(0)))
+            seen.append((before, after, self.find(self.base)))
 
         monkeypatch.setattr(stallings._FoldGraph, "attach_path", observed)
         conjugate = l_sub.conjugate(w)
         [(before, after, base)] = seen
-        assert len(after) == len(before) == 1 + len(l_sub._rows)
-        assert before[0] == {} and after[0] is None and base != 0
-        assert after[1:] == before[1:]
+        assert len(after) == len(before) == len(l_sub._rows) + 1
+        assert before[:-1] == list(l_sub._rows) and before[-1] == {}
+        assert after[-1] is None and after[:-1] == before[:-1]
+        assert conjugate._base == base != l_sub._base
         assert conjugate.contains(A) and conjugate.contains(multiply(multiply(w, B), invert(w)))
 
 

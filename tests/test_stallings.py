@@ -334,6 +334,23 @@ class TestFoldBuilder:
             assert h.conjugate_join((), k) == SubgroupAutomaton.from_generators(ctx.rank, basis(h) + basis(k))
             assert h.join_words(words) == SubgroupAutomaton.from_generators(ctx.rank, basis(h) + words)
 
+    @pytest.mark.parametrize("rank", [2, 3], ids=["F2", "F3"])
+    @given(data=st.data())
+    def test_conjugate_against_conjugated_generators(self, rank, data):
+        # conjugate copies H's folded rows as they are; the reference folds
+        # the conjugated generators of H anew. A chain of conjugates
+        # carries earlier stems into the rows the next one copies, and a
+        # step back along the last stem leaves it as a hair.
+        gens = data.draw(st.lists(nontrivial_words(rank, 6), max_size=3))
+        h, conjugated, g = SubgroupAutomaton.from_generators(rank, gens), gens, ()
+        for back in data.draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+            g = invert(g) if back else data.draw(words(rank, 6))
+            h = h.conjugate(g)
+            conjugated = [multiply(multiply(g, b), invert(g)) for b in conjugated]
+            reference = SubgroupAutomaton.from_generators(rank, conjugated)
+            assert h == reference
+            assert (h.index(), h.rank_of_subgroup()) == (reference.index(), reference.rank_of_subgroup())
+
     def test_trivial_h(self):
         g = F2.parse("abA")
         assert sub().conjugate(g) == sub() == refolded_conjugate(sub(), g)
