@@ -1,8 +1,7 @@
 """Command line driver.
 
     hypmix run --config exp.ini [--out results.csv] [--format csv|json]
-    hypmix drift|mix|freeprod|transverse|cantor ... (flag forms)
-    hypmix selftest [--criteria 1,2,...] [--out report.csv]
+    hypmix drift|mix|freeprod|transverse|cantor|selftest ... (flag forms)
 
 Exit codes: 0 success, 1 configuration, validation or usage error (the
 message names the field, `[usage]` for a malformed command line), 2
@@ -11,20 +10,22 @@ wall time goes to stderr (or a leading comment block with --timing).
 
 A flag form is a config file written as flags. Each kind flag carries its
 raw string into [params] under the key it spells (--n-list: n_list, --H:
-h), and --seed and --threads carry theirs into [experiment]; a flag not
-given leaves no key. config_from_args hands both sections to
-harness.ExperimentConfig.from_sections, the path a config file takes, so
-flags and files share every default and every check, and a flag the kind
-or cantor mode does not read is refused as an unknown key. The one default
-the CLI adds is the walk kinds' measure: uniform on the rank's letters.
+h, --criteria: criteria), and --seed and --threads carry theirs into
+[experiment]; a flag not given leaves no key. config_from_args hands both
+sections to harness.ExperimentConfig.from_sections, the path a config file
+takes, so flags and files share every default and every check, and a flag
+the kind or cantor mode does not read is refused as an unknown key. The
+one default the CLI adds is the walk kinds' measure: uniform on the rank's
+letters.
 
-Every subcommand makes one run: the experiment subcommands through
+Every subcommand, `selftest` included, makes one run through
 harness.run_with_report, whose report text (a transverse certificate, a
-cantor claim transcript) comes from the same construction as the rows, and
-`selftest` through selftest.selftest, the runner kind = selftest uses too,
-with rows from the same selftest.report_rows. The CLI times each call as a
-whole for --timing and the `elapsed:` line; each criterion's own time is
-taken where selftest registers it.
+cantor claim transcript, the PASS/FAIL lines of the criteria) comes from
+the same construction as the rows. The report goes to the
+--emit-certificate file when one is given, else to stderr after the rows;
+--timing is refused with --format json, which a comment line would break.
+The CLI times each run as a whole for --timing and the `elapsed:` line;
+each criterion's own time is taken where selftest registers it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import sys
 import time
 
 from .freegroup import WordError
-from .harness import ConfigError, ExperimentConfig, _int_list, config_header, default_measure, emit, run_with_report
+from .harness import ConfigError, ExperimentConfig, config_header, default_measure, emit, run_with_report
 from .cantor import ConeError
 from .mixing import MixingSetupError
 from .stallings import AutomatonError
@@ -51,6 +52,7 @@ _HELP = {
     "--targets": "inline: 'a | b' (| separates subgroups)",
     "--u": "cone label for claims 1 and 2",
     "--pairs": "claim 3 pairs 'zx:zy zz:Zx'",
+    "--criteria": "comma list, e.g. 1,4,5; default all 14",
 }
 
 
@@ -65,11 +67,12 @@ class _Parser(argparse.ArgumentParser):
 
 class _Carry(argparse.Action):
     """Carries a flag's raw string to its dest: `<section>.<key>` for a kind
-    flag, the bare name for --out, --format, --emit-certificate, --config
-    and --criteria. A mode flag carries its const instead (with --claim's
-    number appended). A kind flag not given sets nothing. A dest given twice
-    is refused, as a config file refuses a repeated key: the namespace's
-    `given` set records each dest carried."""
+    flag, the bare name for --out, --format, --emit-certificate and
+    --config. A mode flag (--claim, --qn, --transience, --skip-determinism)
+    carries its const instead, with --claim's number appended. A kind flag
+    not given sets nothing. A dest given twice is refused, as a config file
+    refuses a repeated key: the namespace's `given` set records each dest
+    carried."""
 
     def __init__(self, *args, default=argparse.SUPPRESS, **kwargs):
         super().__init__(*args, default=default, **kwargs)
@@ -142,11 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     for mode in ("qn", "transience"):
         p_cz.add_argument(f"--{mode}", action=_Carry, dest="params.mode", const=mode, nargs=0)
 
-    p_st = sub.add_parser("selftest", help="run the acceptance suite")
-    _carry(p_st, "experiment", "--threads")
-    _add_output(p_st)
-    p_st.add_argument("--skip-determinism", action="store_true")
-    p_st.add_argument("--criteria", action=_Carry, default=None, help="comma list, e.g. 1,4,5")
+    p_st = _kind(sub, "selftest", "run the acceptance suite", "--criteria")
+    p_st.add_argument(
+        "--skip-determinism", action=_Carry, dest="params.criteria", const="1,2,3,4,5,6,7,8,9,10,11,12,13", nargs=0,
+        help="criteria 1-13, without the reruns of 14",
+    )
     return parser
 
 
@@ -183,11 +186,6 @@ def config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig.from_sections(sections["experiment"], params)
 
 
-def _timing_header(elapsed, args) -> bytes:
-    """The wall-time comment line that --timing prepends to the output."""
-    return f"# wall_time_s: {elapsed:.3f}\n".encode() if args.timing else b""
-
-
 def _write(path, data: bytes, field_name: str, what: str = "") -> None:
     try:
         with open(path, "wb") as fh:
@@ -201,61 +199,39 @@ def _write_output(rows, elapsed, args, config):
     data = emit(rows, args.format)
     if args.format == "csv":
         data = config_header(config) + data
-    data = _timing_header(elapsed, args) + data
+    if args.timing:
+        data = f"# wall_time_s: {elapsed:.3f}\n".encode() + data
     if args.out or config.out:
         _write(args.out or config.out, data, "out" if args.out else "experiment.out")
     else:
         sys.stdout.write(data.decode())
-    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
 
 
 def _cmd_experiment(args) -> int:
-    """`run` and the flag forms: one run of the config, its rows written."""
+    """Every subcommand: one run of its config. A report bound for the
+    --emit-certificate file is written before the rows, one bound for stderr
+    after them, so a file that cannot be written leaves stdout empty."""
+    if args.timing and args.format == "json":
+        raise ConfigError("timing", "a comment line would make the JSON invalid; use --format csv")
     config = config_from_args(args)
     started = time.perf_counter()
     rows, report = run_with_report(config)
     elapsed = time.perf_counter() - started
-    if args.command == "cantor":
-        sys.stderr.write(report)
-    elif getattr(args, "emit_certificate", None):
-        _write(args.emit_certificate, report.encode(), "emit_certificate", "certificate ")
+    certificate = getattr(args, "emit_certificate", None)
+    if certificate:
+        _write(certificate, report.encode(), "emit_certificate", "certificate ")
     _write_output(rows, elapsed, args, config)
+    if not certificate:
+        sys.stderr.write(report)
+    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     if config.kind == "selftest" and any(r.metric == "passed" and r.value != 1.0 for r in rows):
         return 2
     return 0
 
 
-def _criteria_ids(args):
-    """The criterion ids to run: --criteria, else 1-13 or all 14."""
-    if args.criteria is None:
-        return range(1, 14) if args.skip_determinism else range(1, 15)
-    try:
-        return _int_list(args.criteria)
-    except ValueError:
-        raise ConfigError("criteria", f"not an integer list: {args.criteria!r}")
-
-
-def _cmd_selftest(args) -> int:
-    from .selftest import report_rows, selftest
-
-    # The subcommand runs kind = selftest at the default seed, 0.
-    config = config_from_args(args)
-    started = time.perf_counter()
-    results = selftest(_criteria_ids(args), config.threads)
-    # The report is written before the PASS lines print, so a report that
-    # cannot be written leaves stdout empty.
-    if args.out:
-        data = emit(report_rows(results, config.seed), args.format)
-        _write(args.out, _timing_header(time.perf_counter() - started, args) + data, "out")
-    for result in results:
-        print(result.line())
-    return 0 if all(r.passed for r in results) else 2
-
-
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return (_cmd_selftest if args.command == "selftest" else _cmd_experiment)(args)
+        return _cmd_experiment(build_parser().parse_args(argv))
     except (
         ConfigError,
         WordError,

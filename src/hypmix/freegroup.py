@@ -204,12 +204,6 @@ class FreeContext:
     def __repr__(self):
         return f"FreeContext(rank={self.rank})"
 
-    def __eq__(self, other):
-        return isinstance(other, FreeContext) and self.rank == other.rank
-
-    def __hash__(self):
-        return hash(("FreeContext", self.rank))
-
     def letters(self) -> list[int]:
         """All 2k letters in the order a < a^-1 < b < b^-1 < ..."""
         out = []

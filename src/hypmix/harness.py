@@ -15,8 +15,9 @@ wall-clock time; the CLI times a run itself and prints that to stderr (or as
 a comment header on request), so output files stay byte-stable.
 
 run_with_report() returns the rows together with the report text rendered
-from the same construction: the certificate of a transverse run and the
-transcript of a cantor claim. Nothing is built twice to be shown.
+from the same construction: the certificate of a transverse run, the
+transcript of a cantor claim, and the PASS/FAIL line of each criterion a
+selftest run checks. Nothing is built twice to be shown.
 """
 
 from __future__ import annotations
@@ -312,10 +313,11 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
 def run_with_report(config: ExperimentConfig) -> _Outcome:
     """The rows of the experiment and the report text of the same run.
 
-    The report is the certificate of a transverse run or the transcript of a
-    cantor claim, rendered from the construction the rows describe; it is
-    empty for every other run. The runner reads its params through one
-    Params reader and calls done() before its first trial."""
+    The report is the certificate of a transverse run, the transcript of a
+    cantor claim or the PASS/FAIL lines of a selftest run, rendered from the
+    results the rows describe; it is empty for drift, mix, freeprod and the
+    cantor estimates. The runner reads its params through one Params reader
+    and calls done() before its first trial."""
     return _RUNNERS[config.kind](config, Params(config.params))
 
 
@@ -424,16 +426,12 @@ def _certificate_text(ctx: FreeContext, construction) -> str:
         f"avoided {ctx.format(construction.avoided)}",
         f"exponent {construction.exponent}",
     ]
+    # construct_transverse returns only when every certificate is transverse.
     for i, cert in enumerate(construction.certificates):
-        if cert.transverse:
-            lines.append(
-                f"target {i}: transverse (no power up to pigeonhole bound "
-                f"{cert.pigeonhole_bound} conjugates into the subgroup)"
-            )
-        else:  # pragma: no cover - constructor never returns these
-            lines.append(
-                f"target {i}: witness power {cert.power} conjugator {ctx.format(cert.conjugator)}"
-            )
+        lines.append(
+            f"target {i}: transverse (no power up to pigeonhole bound "
+            f"{cert.pigeonhole_bound} conjugates into the subgroup)"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -531,8 +529,10 @@ def _run_cantor(config: ExperimentConfig, params: Params) -> _Outcome:
 def _run_selftest(config: ExperimentConfig, params: Params) -> _Outcome:
     from .selftest import report_rows, selftest
 
+    criteria = params.read("criteria", _int_list, range(1, 15), least=1)
     params.done()
-    return report_rows(selftest(threads=config.threads), config.seed), ""
+    results = selftest(criteria, config.threads)
+    return report_rows(results, config.seed), "".join(f"{r.line()}\n" for r in results)
 
 
 _RUNNERS = {

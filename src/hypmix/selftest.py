@@ -744,7 +744,7 @@ def selftest(criteria: Iterable[int] = range(1, 15), threads: int = 1) -> list[C
     wanted = sorted(set(criteria))
     unknown = [cid for cid in wanted if cid not in CRITERIA and cid != 14]
     if unknown:
-        raise ConfigError("criteria", f"unknown criterion {unknown[0]}")
+        raise ConfigError("params.criteria", f"unknown criterion {unknown[0]}")
     first_ids = sorted(CRITERIA) if wanted == [14] else [cid for cid in wanted if cid != 14]
     first = {cid: CRITERIA[cid](threads=threads) for cid in first_ids}
     results = list(first.values())

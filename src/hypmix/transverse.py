@@ -75,8 +75,8 @@ class TransversalityCertificate:
     pigeonhole_bound: int
 
     def __post_init__(self):
-        if self.transverse != (self.power is None):
-            raise CertificateError("a certificate is transverse exactly when it has no power")
+        if self.transverse != (self.power is None) or self.transverse != (self.conjugator is None):
+            raise CertificateError("a certificate is transverse exactly when it has no witness power and conjugator")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from hypmix.harness import (
     parse_measure,
     parse_rows,
     run,
+    run_with_report,
 )
 from hypmix.freegroup import FreeContext
 from hypmix.walks import StepMeasure
@@ -582,6 +583,7 @@ class TestCli:
             (("drift", "--n", "10", "--trials", "3", "--out", "UNWRITABLE"), "out"),
             (("selftest", "--criteria", "2", "--out", "UNWRITABLE"), "out"),
             (("transverse", "--targets", "a", "--g", "ab", "--emit-certificate", "UNWRITABLE"), "emit_certificate"),
+            (("drift", "--n", "100", "--trials", "5", "--format", "json", "--timing"), "timing"),
             (("drift", "--format", "xml", "--n", "10", "--trials", "3"), "usage"),
             (("cantor", "--claim", "4", "--u", "zx"), "usage"),
             (("drift", "--n", "10", "--trials", "3", "--bogus", "1"), "usage"),
@@ -591,7 +593,7 @@ class TestCli:
         ids=[
             "transience-ignores-qn-flags", "two-modes", "claim-and-qn", "targets-and-subgroups",
             "n-not-int", "n-missing", "n-twice", "seed-not-int", "rank-not-int", "selftest-threads",
-            "subgroups-unreadable", "drift-out", "selftest-out", "certificate-out",
+            "subgroups-unreadable", "drift-out", "selftest-out", "certificate-out", "json-timing",
             "format-xml", "claim-4", "unknown-flag", "run-without-config", "no-command",
         ],
     )
@@ -614,7 +616,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, field",
         [
-            (("selftest", "--criteria", "99", "--criteria", "2"), "criteria"),
+            (("selftest", "--criteria", "99", "--criteria", "2"), "params.criteria"),
+            (("selftest", "--skip-determinism", "--criteria", "2"), "params.criteria"),
             (("selftest", "--criteria", "2", "--out", "a.csv", "--out", "b.csv"), "out"),
             (("run", "--config", "x.ini", "--config", "y.ini"), "config"),
             (("run", "--config", "x.ini", "--out", "a.csv", "--out", "b.csv"), "out"),
@@ -622,7 +625,10 @@ class TestCli:
             (("transverse", "--targets", "a", "--g", "ab", "--emit-certificate", "a", "--emit-certificate", "b"),
              "emit_certificate"),
         ],
-        ids=["criteria", "selftest-out", "config", "run-out", "format", "emit-certificate"],
+        ids=[
+            "criteria", "skip-determinism-and-criteria", "selftest-out", "config", "run-out", "format",
+            "emit-certificate",
+        ],
     )
     def test_repeated_flag_refused(self, tmp_path, monkeypatch, capsys, argv, field):
         # A flag that is no config key is refused when repeated, as a kind
@@ -751,10 +757,27 @@ class TestCli:
         assert res.stderr.startswith("error: [params.g] ")
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("config", ["claim1", "transverse.ini"])
+    def test_run_config_prints_the_report(self, tmp_path, config):
+        # `run --config` sends the report that run_with_report renders to
+        # stderr, as the flag forms do: a claim transcript, a certificate.
+        path = Path(__file__).resolve().parents[1] / "configs" / config
+        if config == "claim1":
+            path = tmp_path / "claim1.ini"
+            path.write_text("[experiment]\nkind = cantor\n[params]\nmode = claim1\nu = zx\n")
+        res = self._hypmix("run", "--config", str(path))
+        assert res.returncode == 0, res.stderr
+        _, report = run_with_report(ExperimentConfig.from_file(str(path)))
+        assert report
+        assert "".join(
+            line for line in res.stderr.splitlines(keepends=True) if not line.startswith("elapsed: ")
+        ) == report
+
     def test_selftest_subset(self):
         res = self._hypmix("selftest", "--criteria", "2")
         assert res.returncode == 0
-        assert "criterion  2 [PASS]" in res.stdout
+        assert "criterion  2 [PASS]" in res.stderr
+        assert "\ncriterion_2,rank-index law on finite covers,passed,1.0,,,0\n" in res.stdout
 
     def test_selftest_timing(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -763,7 +786,9 @@ class TestCli:
         first, rest = out.read_bytes().split(b"\n", 1)
         assert first.startswith(b"# wall_time_s: ")
         float(first.split(b": ")[1])
-        assert rest.startswith(b"experiment,params,metric")
+        config = cli.config_from_args(cli.build_parser().parse_args(["selftest", "--criteria", "2"]))
+        echo = harness.config_header(config)
+        assert rest.startswith(echo + b"experiment,params,metric")
 
     def test_selftest_criterion_14_reruns_the_others(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -778,7 +803,7 @@ class TestCli:
     def test_selftest_unknown_criterion(self):
         res = self._hypmix("selftest", "--criteria", "99")
         assert res.returncode == 1
-        assert "[criteria]" in res.stderr
+        assert res.stderr.startswith("error: [params.criteria] unknown criterion 99")
 
     def test_selftest_rows_under_optimize(self, tmp_path):
         # Criteria 8, 11 and 13 certify their results by explicit checks;
@@ -794,7 +819,11 @@ class TestCli:
         first_pass = getattr(sys.modules.get("test_acceptance"), "_cache", {})
         results = [first_pass.get(cid) or CRITERIA[cid](threads=1) for cid in (8, 11, 13)]
         assert proc.wait() == 0
-        assert out.read_bytes() == emit(report_rows(results, seed=0))
+        config = cli.config_from_args(cli.build_parser().parse_args(["selftest", "--criteria", "8,11,13"]))
+        echo = harness.config_header(config)
+        data = out.read_bytes()
+        assert data.startswith(echo)
+        assert data[len(echo):] == emit(report_rows(results, seed=0))
 
     def test_module_error_exit_code(self):
         # finite-index marker surfaces as a clean validation failure

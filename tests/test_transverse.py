@@ -131,6 +131,8 @@ class TestCertification:
             TransversalityCertificate(True, 1, None, 1)
         with pytest.raises(CertificateError):
             TransversalityCertificate(False, None, (), 1)
+        with pytest.raises(CertificateError):
+            TransversalityCertificate(False, 1, None, 1)
 
     def test_failing_witness_raises(self, monkeypatch):
         monkeypatch.setattr(SubgroupAutomaton, "contains", lambda self, word: False)
