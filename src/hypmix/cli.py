@@ -53,6 +53,7 @@ _HELP = {
     "--u": "cone label for claims 1 and 2",
     "--pairs": "claim 3 pairs 'zx:zy zz:Zx'",
     "--criteria": "comma list, e.g. 1,4,5; default all 14",
+    "--threads": "worker processes that run the trials; default 1",
 }
 
 

@@ -10,9 +10,10 @@ runs, so a misspelt key is an error, never a run at the default.
 
 Every run is a pure function of its config: trial substreams are keyed by
 (seed, trial index), aggregation is ordered by trial index, and the emitted
-CSV/JSON bytes are identical across reruns and thread counts. Rows carry no
-wall-clock time; the CLI times a run itself and prints that to stderr (or as
-a comment header on request), so output files stay byte-stable.
+CSV/JSON bytes are identical across reruns and worker-process counts. Rows
+carry no wall-clock time; the CLI times a run itself and prints that to
+stderr (or as a comment header on request), so output files stay
+byte-stable.
 
 run_with_report() returns the rows together with the report text rendered
 from the same construction: the certificate of a transverse run, the

@@ -5,10 +5,10 @@ generator with published round constants, wrapped by numpy. Each trial of an
 experiment draws from its own substream, keyed by SplitMix64-mixing the master
 seed with the trial index (and any further path components). Substreams are
 therefore independent of scheduling: a trial produces identical bits whether
-it runs first, last, or on another worker thread.
+it runs first, last, or in another worker process.
 
 A stream that a caller keeps comes from substream, a new generator. A trial
-loop draws from trial_stream instead: each thread keeps one generator and
+loop draws from trial_stream instead: each process keeps one generator and
 re-keys its Philox per trial, to the key, zero counter and empty buffers a
 new Philox holds, as a counter-based generator is meant to be used (Salmon
 et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). The draws are
@@ -18,8 +18,6 @@ the same; the cost of building a generator per trial is not paid.
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -60,57 +58,69 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=substream_key(master_seed, *path)))
 
 
-class _ThreadStream(threading.local):
-    """One generator per thread, built on the thread's first trial so that
-    importing the package does not load numpy.random, and the Philox state a
-    new substream has, its key left to fill in. The state is per thread too:
-    a trial writes its key into it before handing it over."""
-
-    gen = None
-
-    def __init__(self):
-        self.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-
-_thread_stream = _ThreadStream()
+# This process's one trial generator, built on first use so that importing
+# the package does not load numpy.random, and the Philox state of a new
+# substream, its key left to fill in.
+_gen = None
+_state = {
+    "bit_generator": "Philox",
+    "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+    "buffer": (0, 0, 0, 0),
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+# fn of the running map_trials call: forked workers inherit it, so no
+# closure is pickled.
+_trial_fn = None
 
 
 def trial_stream(master_seed: int, *path: int) -> np.random.Generator:
-    """The calling thread's generator, re-keyed to draw what
+    """The process's generator, re-keyed to draw what
     substream(master_seed, *path) draws.
 
     Its Philox gets the key substream would give, a zero counter and empty
     buffers, so nothing of an earlier trial carries over. The generator is
-    valid until the same thread calls trial_stream again: a trial draws from
-    it and keeps no reference to it.
+    valid until trial_stream is called again: a trial draws from it and
+    keeps no reference to it.
     """
-    local = _thread_stream
-    if local.gen is None:
-        local.gen = np.random.Generator(np.random.Philox(0))
+    global _gen
+    if _gen is None:
+        _gen = np.random.Generator(np.random.Philox(0))
     key = substream_key(master_seed, *path)
-    local.state["state"]["key"] = (key & _MASK64, key >> 64)
-    local.gen.bit_generator.state = local.state
-    return local.gen
+    _state["state"]["key"] = (key & _MASK64, key >> 64)
+    _gen.bit_generator.state = _state
+    return _gen
+
+
+def _run_chunk(start: int, stop: int) -> list:
+    return [_trial_fn(t) for t in range(start, stop)]
 
 
 def map_trials(fn, trials: int, threads: int = 1) -> list:
     """Evaluate fn(trial_index) for 0 <= trial_index < trials.
 
-    Results come back ordered by trial index no matter the thread count, so
+    Results come back ordered by trial index no matter the worker count, so
     any reduction over them is scheduling-independent. fn seeds itself,
     drawing from trial_stream keyed by its trial index, so a trial's draws
-    do not depend on the thread that runs it. At most
-    min(threads, trials, CPU count) workers start, however large threads is.
+    do not depend on the worker that runs it. At most
+    min(threads, trials, CPU count) worker processes are forked, each to run
+    one contiguous chunk of trial indices; one worker, or a platform without
+    fork, runs inline. A trial's exception reaches the caller, and no worker
+    outlives the call.
     """
+    global _trial_fn
     workers = min(threads, trials, os.cpu_count() or 1)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [trials * i // workers for i in range(workers + 1)]
+    _trial_fn = fn
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            chunks = list(pool.map(_run_chunk, bounds[:-1], bounds[1:]))
+    finally:
+        _trial_fn = None
+    return [result for chunk in chunks for result in chunk]

@@ -5,7 +5,7 @@ words. The walk w_n = g_1 ... g_n multiplies i.i.d. increments; its law is
 the n-fold convolution of the measure. A measure is permissible for the
 mixing experiments when it is finite (automatic here), symmetric, has
 generating support, and that support generates a non-cyclic subgroup; in a
-free group nothing else can fail, so the validation report covers exactly
+free group nothing else can fail, so require_permissible checks exactly
 these flags. The uniform measure on a symmetric free generating set is the
 canonical example, with drift (2k-2)/(2k): each step extends the current
 reduced word unless it undoes the last letter.
@@ -123,16 +123,14 @@ class StepMeasure:
     def __repr__(self):
         return f"StepMeasure(rank={self.rank}, support={len(self.entries)})"
 
-    def mass(self, word: Sequence[int]) -> Fraction:
-        return self.entries.get(tuple(word), Fraction(0))
-
     def max_step_length(self) -> int:
         return max(len(w) for w in self.entries)
 
     # --- validation ---------------------------------------------------------
 
-    def validate(self) -> "PermissibilityReport":
-        """Check the walk-theoretic hypotheses this measure must satisfy.
+    def require_permissible(self) -> None:
+        """Raise MeasureError naming each walk-theoretic hypothesis the
+        measure fails.
 
         symmetric: mu(g) = mu(g^-1). generating: the support generates all
         of F_k (folded support has index 1). non_elementary: the support
@@ -141,21 +139,15 @@ class StepMeasure:
         triviality of the maximal finite subgroup normalized by the support,
         is automatic in a free group, so neither is tested.
         """
-        symmetric = all(self.mass(invert(w)) == p for w, p in self.entries.items())
         folded = SubgroupAutomaton.from_generators(self.rank, list(self.entries))
-        generating = folded.index() == 1
-        non_elementary = folded.rank_of_subgroup() >= 2
-        return PermissibilityReport(
-            symmetric=symmetric,
-            generating=generating,
-            non_elementary=non_elementary,
-        )
-
-    def require_permissible(self) -> None:
-        """Raise MeasureError naming the failed flags unless validate() passes."""
-        report = self.validate()
-        if not report.passed:
-            raise MeasureError(f"measure fails permissibility: {', '.join(report.failures())}")
+        flags = {
+            "symmetric": all(self.entries.get(invert(w)) == p for w, p in self.entries.items()),
+            "generating": folded.index() == 1,
+            "non_elementary": folded.rank_of_subgroup() >= 2,
+        }
+        failures = [name for name, ok in flags.items() if not ok]
+        if failures:
+            raise MeasureError(f"measure fails permissibility: {', '.join(failures)}")
 
     # --- sampling ---------------------------------------------------------------
 
@@ -196,28 +188,6 @@ class StepMeasure:
 
 
 @dataclass(frozen=True)
-class PermissibilityReport:
-    symmetric: bool
-    generating: bool
-    non_elementary: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.symmetric and self.generating and self.non_elementary
-
-    def failures(self) -> list[str]:
-        return [
-            name
-            for name, ok in [
-                ("symmetric", self.symmetric),
-                ("generating", self.generating),
-                ("non_elementary", self.non_elementary),
-            ]
-            if not ok
-        ]
-
-
-@dataclass(frozen=True)
 class DriftEstimate:
     """Monte Carlo estimate of the linear escape rate d(1, w_n)/n."""
 
@@ -245,7 +215,7 @@ def drift_estimate(
     """Estimate the drift of the walk over independent trials.
 
     Each trial runs on its own substream, so the estimate is identical for
-    any thread count. Refuses impermissible measures.
+    any number of worker processes. Refuses impermissible measures.
     """
     if trials <= 0:
         raise MeasureError("need at least one trial")

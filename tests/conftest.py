@@ -40,6 +40,17 @@ def src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+class StuckGenerator:
+    """A generator stand-in whose permutation rows all repeat a label."""
+
+    def __init__(self, gen):
+        self.integers = gen.integers
+
+    def permuted(self, rows, axis):
+        rows[:, 0] = rows[:, 1]
+        return rows
+
+
 def count_canonical_forms(monkeypatch):
     """Patch SubgroupAutomaton._from_folded, the one function that trims and
     numbers an automaton, to log each call; returns the log."""

@@ -38,7 +38,7 @@ from hypmix.cantor import (
     _xi,
 )
 
-from conftest import src_env
+from conftest import StuckGenerator, src_env
 from reference import hit_count
 
 X, Y, Z = 1, 2, 3
@@ -357,17 +357,6 @@ class TestClaimOne:
     def test_word_length_linear(self):
         f = standardizing_element(lab("xzxzx"))
         assert len(f) <= 10
-
-
-class StuckGenerator:
-    """A generator stand-in whose permutation rows all repeat a label."""
-
-    def __init__(self, gen):
-        self.integers = gen.integers
-
-    def permuted(self, rows, axis):
-        rows[:, 0] = rows[:, 1]
-        return rows
 
 
 def bent(advance):

@@ -168,14 +168,14 @@ class TestConfig:
     def test_measure_entries_form(self):
         ctx = FreeContext(2)
         mu = parse_measure(Params({"measure": "entries: a:1/2 A:1/2"}), ctx)
-        assert mu.mass((1,)) == mu.mass((-1,))
+        assert mu.entries[(1,)] == mu.entries[(-1,)]
 
     def test_lazy_uniform(self):
         ctx = FreeContext(2)
         mu = parse_measure(
             Params({"measure": "uniform: a A b B", "identity_mass": "1/2"}), ctx
         )
-        assert mu.mass(()) and mu.mass((1,))
+        assert mu.entries[()] and mu.entries[(1,)]
 
 
 class TestEmit:
@@ -248,8 +248,8 @@ class TestRun:
         # Five walk lengths, one set-up: the measure's support is folded
         # once for the whole schedule, not once per n.
         calls = []
-        validate = StepMeasure.validate
-        monkeypatch.setattr(StepMeasure, "validate", lambda self: calls.append(1) or validate(self))
+        require = StepMeasure.require_permissible
+        monkeypatch.setattr(StepMeasure, "require_permissible", lambda self: calls.append(1) or require(self))
         text = MIX_CONFIG.format(threads=1).replace("n_list = 10,20", "n_list = 10,20,40,80,160")
         rows = run(ExperimentConfig.from_text(text))
         assert [r.params.rsplit(";n=", 1)[1] for r in rows] == ["10", "20", "40", "80", "160"]

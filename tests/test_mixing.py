@@ -294,8 +294,8 @@ class TestJointMixing:
         # One permissibility fold and one read of each marker trace for the
         # whole schedule.
         validated, traced = [], []
-        validate, trace = StepMeasure.validate, SubgroupAutomaton.trace
-        monkeypatch.setattr(StepMeasure, "validate", lambda self: validated.append(1) or validate(self))
+        require, trace = StepMeasure.require_permissible, SubgroupAutomaton.trace
+        monkeypatch.setattr(StepMeasure, "require_permissible", lambda self: validated.append(1) or require(self))
         monkeypatch.setattr(SubgroupAutomaton, "trace", lambda self, w: traced.append(self) or trace(self, w))
         h, k = sub("a"), sub("b")
         joint_mixing([(h, k, F2.ball(1))], UNIFORM, [10, 20, 40, 80, 160], 3, 1)

@@ -1,16 +1,21 @@
+import multiprocessing
+import os
+import subprocess
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hypmix import rng
-from hypmix.cantor import estimate_qn
-from hypmix.mixing import joint_mixing
+from hypmix.cantor import ConeCertificationError, estimate_qn
+from hypmix.freegroup import FreeContext
+from hypmix.mixing import WitnessCertificationError, joint_mixing
 from hypmix.stallings import SubgroupAutomaton
 from hypmix.walks import StepMeasure, drift_estimate
+
+from conftest import StuckGenerator, src_env
 
 # Draws from rng.substream(20260808, 0), each from a fresh substream. The
 # goldens rest on numpy's Philox output and on its bounded-integer and
@@ -67,13 +72,14 @@ def test_batched_permutations_pin(k):
     ],
 )
 def test_map_trials_caps_workers(monkeypatch, threads, trials, cpus, workers):
-    # At most min(threads, trials, CPU count) workers; one worker runs
-    # inline. The stand-in pool records its size and starts no thread.
-    sizes = []
+    # At most min(threads, trials, CPU count) workers, forked; one worker
+    # runs inline. The stand-in executor records its size and start method
+    # and starts no process.
+    pools = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class RecordingExecutor:
+        def __init__(self, max_workers, mp_context):
+            pools.append((max_workers, mp_context.get_start_method()))
 
         def __enter__(self):
             return self
@@ -81,13 +87,32 @@ def test_map_trials_caps_workers(monkeypatch, threads, trials, cpus, workers):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
-    monkeypatch.setattr(rng, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(rng.os, "cpu_count", lambda: cpus)
     assert rng.map_trials(lambda t: t * t, trials, threads) == [t * t for t in range(trials)]
-    assert sizes == ([] if workers is None else [workers])
+    assert pools == ([] if workers is None else [(workers, "fork")])
+    assert rng._trial_fn is None
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Two worker processes on any host. After every map_trials call, one
+    whose trial raised included, no worker is left running and the module
+    global holding the trial function is clear."""
+    map_trials = rng.map_trials
+
+    def checked(fn, trials, threads=1):
+        try:
+            return map_trials(fn, trials, threads)
+        finally:
+            assert multiprocessing.active_children() == []
+            assert rng._trial_fn is None
+
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(rng, "map_trials", checked)
 
 
 # Seeds and paths for the re-keying pins: seeds on both sides of 2^63 and
@@ -114,7 +139,7 @@ def mixed_draws(gen: np.random.Generator) -> list:
 
 
 def test_trial_stream_matches_substream():
-    # Before each re-key the thread's generator holds a half-used uint32
+    # Before each re-key the process's generator holds a half-used uint32
     # from an odd-sized integers(0, 8) draw; none of it may reach the next
     # trial.
     differ = []
@@ -138,58 +163,24 @@ def test_trial_stream_state_is_a_new_philox():
         assert (want["buffer_pos"], want["has_uint32"], want["uinteger"]) == (4, 0, 0)
 
 
-def test_threads_keep_their_own_trial_stream():
-    # Two threads take turns: each re-keys, draws, and yields to the other
-    # before drawing again. Each must still read its own substream on.
-    turns = [threading.Event() for _ in range(6)]
-    got = {}
-
-    def worker(name, seed, steps):
-        draws = []
-        for step in steps:
-            assert turns[step].wait(timeout=60)
-            if step < 2:
-                gen = rng.trial_stream(seed, 0)
-            draws.append(gen.integers(0, 8, size=3).tolist())
-            if step + 1 < len(turns):
-                turns[step + 1].set()
-        got[name] = (draws, gen)
-
-    threads = [
-        threading.Thread(target=worker, args=("even", 11, [0, 2, 4]), daemon=True),
-        threading.Thread(target=worker, args=("odd", 12, [1, 3, 5]), daemon=True),
-    ]
-    for t in threads:
-        t.start()
-    turns[0].set()
-    for t in threads:
-        t.join(timeout=60)
-    assert not any(t.is_alive() for t in threads)
-    for name, seed in (("even", 11), ("odd", 12)):
-        fresh_gen = rng.substream(seed, 0)
-        assert got[name][0] == [fresh_gen.integers(0, 8, size=3).tolist() for _ in range(3)]
-    assert got["even"][1] is not got["odd"][1]
+def uneven_draws(gen: np.random.Generator, t: int) -> list:
+    return gen.integers(0, 8, size=t % 7 + 1).tolist() + gen.integers(0, 2**40, size=2).tolist()
 
 
-def test_trial_stream_under_thread_stress():
-    # More workers than cores and a short switch interval: a generator shared
-    # between threads would hand one trial's buffer or counter to another.
-    def one(t):
-        gen = rng.trial_stream(31, t)
-        return gen.integers(0, 8, size=t % 7 + 1).tolist() + gen.integers(0, 2**40, size=2).tolist()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(one, range(400), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    want = []
-    for t in range(400):
-        gen = rng.substream(31, t)
-        want.append(gen.integers(0, 8, size=t % 7 + 1).tolist() + gen.integers(0, 2**40, size=2).tolist())
-    assert got == want, "re-keyed stream differs from substream"
+def test_trial_stream_in_worker_processes(two_workers):
+    # The parent builds its generator first, so each forked worker inherits
+    # it mid-stream; every trial must still draw its own substream, and the
+    # parent's generator must still re-key to substream's draws afterwards.
+    rng.trial_stream(31, 0).integers(0, 8)
+    got = rng.map_trials(lambda t: (os.getpid(), uneven_draws(rng.trial_stream(31, t), t)), 400, 2)
+    want = [uneven_draws(rng.substream(31, t), t) for t in range(400)]
+    assert [draws for _, draws in got] == want, "re-keyed stream differs from substream"
+    # Two forked workers, one contiguous chunk each.
+    pids = [pid for pid, _ in got]
+    assert len(set(pids[:200])) == len(set(pids[200:])) == 1
+    assert len({pids[0], pids[200], os.getpid()}) == 3
+    for seed, path in REKEY_CASES:
+        assert mixed_draws(rng.trial_stream(seed, *path)) == mixed_draws(rng.substream(seed, *path))
 
 
 UNIFORM = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
@@ -211,9 +202,57 @@ def _qn_run(threads):
 
 
 @pytest.mark.parametrize("run", [_witness_run, _drift_run, _qn_run], ids=["joint_mixing", "drift_estimate", "estimate_qn"])
-def test_trial_loops_equal_at_one_and_two_threads(monkeypatch, run):
-    # The re-keyed streams give the same estimate at 1 and 2 threads, and
-    # the same as a new substream per trial.
+def test_trial_loops_equal_at_one_and_two_threads(monkeypatch, two_workers, run):
+    # The re-keyed streams give the same estimate at 1 and 2 worker
+    # processes, and the same as a new substream per trial.
     one, two = run(1), run(2)
     monkeypatch.setattr(rng, "trial_stream", rng.substream)
     assert one == two == run(1)
+
+
+F2 = FreeContext(2)
+
+
+def _uncertified_witness(monkeypatch):
+    # Trial 0 of seed 11 at n = 80 passes every witness flag; with a
+    # conjugate that skips the stem its certification fails.
+    monkeypatch.setattr(SubgroupAutomaton, "conjugate", lambda self, g: self)
+    h = SubgroupAutomaton.from_generators(2, [(1,)])
+    k = SubgroupAutomaton.from_generators(2, [(2,)])
+    return lambda threads: joint_mixing([(h, k, F2.ball(2))], UNIFORM, [80], 6, 11, threads)
+
+
+def _stuck_permutation_block(monkeypatch):
+    trial_stream = rng.trial_stream
+    monkeypatch.setattr(rng, "trial_stream", lambda *path: StuckGenerator(trial_stream(*path)))
+    return lambda threads: estimate_qn(Fraction(1, 8), 10, 5, 1, threads=threads)
+
+
+@pytest.mark.parametrize(
+    "broken, error",
+    [(_uncertified_witness, WitnessCertificationError), (_stuck_permutation_block, ConeCertificationError)],
+    ids=["witness", "cone"],
+)
+def test_trial_exception_reaches_the_caller(monkeypatch, two_workers, broken, error):
+    # A trial that raises in a worker process raises the same exception, by
+    # type and message, as it does inline.
+    run = broken(monkeypatch)
+    with pytest.raises(error) as inline:
+        run(1)
+    with pytest.raises(error) as forked:
+        run(2)
+    assert type(forked.value) is error
+    assert str(forked.value) == str(inline.value)
+
+
+def test_cli_import_loads_no_pool_or_random():
+    # The pool modules load only when a run forks workers, and numpy.random
+    # on the first trial; a fresh import, which the benchmark times, loads
+    # neither.
+    script = (
+        "import sys\nimport hypmix.cli\n"
+        "print(' '.join(m for m in ('numpy.random', 'concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -45,8 +45,8 @@ class TestConstruction:
         lazy = StepMeasure.uniform_on(
             2, [(1,), (-1,), (2,), (-2,)], identity_mass=Fraction(1, 2)
         )
-        assert lazy.mass(()) == Fraction(1, 2)
-        assert lazy.mass((1,)) == Fraction(1, 8)
+        assert lazy.entries[()] == Fraction(1, 2)
+        assert lazy.entries[(1,)] == Fraction(1, 8)
 
     def test_identity_needs_laziness(self):
         with pytest.raises(MeasureError):
@@ -61,28 +61,31 @@ class TestConstruction:
             StepMeasure(2, {(1,): Fraction(1, 2)})
 
 
+def failed_flags(measure: StepMeasure) -> list[str]:
+    """The flags require_permissible names, [] when it passes."""
+    try:
+        measure.require_permissible()
+    except MeasureError as exc:
+        prefix = "measure fails permissibility: "
+        assert str(exc).startswith(prefix)
+        return str(exc)[len(prefix):].split(", ")
+    return []
+
+
 class TestValidation:
     def test_uniform_passes(self):
-        report = UNIFORM_F2.validate()
-        assert report.passed
-        assert report.failures() == []
+        assert failed_flags(UNIFORM_F2) == []
 
     def test_cyclic_support_fails_non_elementary(self):
-        report = StepMeasure.uniform_on(2, [(1,), (-1,)]).validate()
-        assert not report.non_elementary
-        assert report.symmetric
+        assert failed_flags(StepMeasure.uniform_on(2, [(1,), (-1,)])) == ["generating", "non_elementary"]
 
     def test_asymmetric_flagged(self):
-        report = StepMeasure.uniform_on(2, [(1,), (2,)]).validate()
-        assert not report.symmetric
-        assert report.generating  # as a subgroup, <a, b> is everything
+        # As a subgroup, <a, b> is everything.
+        assert failed_flags(StepMeasure.uniform_on(2, [(1,), (2,)])) == ["symmetric"]
 
     def test_infinite_index_support_fails_generating(self):
         mu = StepMeasure.uniform_on(2, [F2.parse(t) for t in ("aa", "AA", "b", "B")])
-        report = mu.validate()
-        assert report.symmetric
-        assert not report.generating
-        assert report.non_elementary
+        assert failed_flags(mu) == ["generating"]
 
 
 class TestConvolve:
