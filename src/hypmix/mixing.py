@@ -21,6 +21,11 @@ joint_mixing is the one witness estimator. Mixing is its one-pair case:
 the single marginal of one (H, K, F) pair. Transitivity asks one endpoint
 to certify several pairs at once, its joint count. One call covers a whole
 schedule of walk lengths n and checks its set-up once for all of them.
+Trial t walks once for the whole schedule, on its own substream: its
+endpoint at each n is the prefix w_n of that one walk, which is the walk a
+call at that n alone would draw, so one rng.map_trials call covers every n.
+Each endpoint folds L once per pair; a success folds nothing more, since its
+certifying conjugate w L w^-1 shares L's rows.
 
 A window trace is a subgroup's membership pattern on F. joint_mixing reads
 the markers' traces once, into a WitnessPair; a trial compares L's patterns
@@ -48,7 +53,7 @@ from . import rng
 from .freegroup import Word, invert
 from .stallings import SubgroupAutomaton, _follow
 from .stats import proportion_ci95
-from .walks import MeasureError, StepMeasure
+from .walks import MeasureError, StepMeasure, require_schedule
 
 
 class MixingSetupError(ValueError):
@@ -126,8 +131,9 @@ def witness_subgroup(
 ) -> SubgroupAutomaton:
     """L = <w^-1 H w, K>, folded in one pass.
 
-    A trial that succeeds folds twice: once here for L, and once for the
-    conjugate w L w^-1 that certifies it in _witness_trial.
+    This is the only fold of a trial, a success included: the conjugate
+    w L w^-1 that certifies a success in _witness_trial reads w back along
+    L's own stem, so it shares L's rows and only moves the base.
     """
     return h.conjugate_join(invert(w), k)
 
@@ -184,10 +190,11 @@ def _stem_trace(l_sub: SubgroupAutomaton, u: Word, window) -> frozenset:
     return frozenset(out)
 
 
-def _require_setup(measure: StepMeasure, markers, trials: int) -> None:
+def _require_setup(measure: StepMeasure, markers, trials: int, lengths) -> None:
     """The checks a witness estimate makes once, before any trial: a
-    permissible measure, each (name, subgroup) marker of infinite index, and
-    at least one trial."""
+    permissible measure, each (name, subgroup) marker of infinite index, at
+    least one trial, and walk lengths >= 0, where lengths is the (name,
+    lengths) pair of the argument that holds them."""
     try:
         measure.require_permissible()
     except MeasureError as exc:
@@ -197,31 +204,40 @@ def _require_setup(measure: StepMeasure, markers, trials: int) -> None:
             raise MixingSetupError(name, "marker subgroups must have infinite index")
     if trials <= 0:
         raise MixingSetupError("trials", "need at least one trial")
+    name, ns = lengths
+    try:
+        require_schedule(sorted(ns))
+    except MeasureError as exc:
+        raise MixingSetupError(name, str(exc))
 
 
-def _witness_trial(pairs: list[WitnessPair], measure, n, seed, trial) -> list[WitnessOutcome]:
-    """Witness outcomes of one walk endpoint for each pair.
+def _witness_trial(pairs: list[WitnessPair], measure, ns, seed, trial) -> list[list[WitnessOutcome]]:
+    """Witness outcomes for each pair at each endpoint of one walk, walked
+    once for the ascending schedule ns.
 
     Flag (b) of a success is certified independently: by the automaton
-    route, the folded conjugate w L w^-1 must lie in the open set around H,
-    that is, show H's trace on the window. Flag (a) is not re-checked, since
-    the open set around K compares the very traces check_witness already
-    compared. A disagreement raises WitnessCertificationError, also under
-    python -O. A failing trial folds once (L) and a success twice (L and
-    w L w^-1).
+    route, the conjugate w L w^-1 must lie in the open set around H, that
+    is, show H's trace on the window read from its base. Flag (a) is not
+    re-checked, since the open set around K compares the very traces
+    check_witness already compared. A disagreement raises
+    WitnessCertificationError, also under python -O. Every trial folds once
+    per pair and endpoint (L): the conjugate reads w back along L's stem and
+    shares L's rows.
     """
     gen = rng.trial_stream(seed, trial)
-    w = measure.final_position(n, gen)
-    outcomes = []
-    for pair in pairs:
-        l_sub = witness_subgroup(pair.h, pair.k, w)
-        outcome = check_witness(l_sub, pair, w)
-        if outcome.success and l_sub.conjugate(w).trace(pair.window) != pair.trace_h:
-            raise WitnessCertificationError(
-                f"trial {trial}: witness flags succeed but the open-set check fails"
-            )
-        outcomes.append(outcome)
-    return outcomes
+    per_n = []
+    for w in measure.positions(ns, gen):
+        outcomes = []
+        for pair in pairs:
+            l_sub = witness_subgroup(pair.h, pair.k, w)
+            outcome = check_witness(l_sub, pair, w)
+            if outcome.success and l_sub.conjugate(w).trace(pair.window) != pair.trace_h:
+                raise WitnessCertificationError(
+                    f"trial {trial}: witness flags succeed but the open-set check fails"
+                )
+            outcomes.append(outcome)
+        per_n.append(outcomes)
+    return per_n
 
 
 def joint_mixing(
@@ -240,26 +256,32 @@ def joint_mixing(
     comparison. A marginal is a lower bound for the chance that the endpoint
     maps the open set around K into the open set around H; witness failure
     does not refute that. With one pair, marginals[0] is the mixing estimate.
-    The set-up is checked and the marker traces are read once, for every n.
+    The set-up is checked and the marker traces are read once, for every n,
+    and one rng.map_trials call runs the trials of the whole schedule: each
+    walks once, to the longest n. Results follow n_list, repeats included.
     """
     if not pairs:
         raise MixingSetupError("pairs", "need at least one pair")
-    _require_setup(measure, [m for h, k, _ in pairs for m in (("h", h), ("k", k))], trials)
+    markers = [m for h, k, _ in pairs for m in (("h", h), ("k", k))]
+    _require_setup(measure, markers, trials, ("n_list", n_list))
+    if not n_list:
+        return []
     pairs = [WitnessPair.of(h, k, window) for h, k, window in pairs]
-    results = []
-    for n in n_list:
-        per_trial = rng.map_trials(
-            lambda t: [o.success for o in _witness_trial(pairs, measure, n, seed, t)],
-            trials,
-            threads,
-        )
-        joint = sum(all(flags) for flags in per_trial)
+    schedule = sorted(set(n_list))
+    per_trial = rng.map_trials(
+        lambda t: [[o.success for o in at_n] for at_n in _witness_trial(pairs, measure, schedule, seed, t)],
+        trials,
+        threads,
+    )
+    by_n = {}
+    for at, n in enumerate(schedule):
+        flags = [trial_flags[at] for trial_flags in per_trial]
+        joint = MixingEstimate.from_counts(n, trials, sum(map(all, flags)))
         marginals = tuple(
-            MixingEstimate.from_counts(n, trials, sum(flags[i] for flags in per_trial))
-            for i in range(len(pairs))
+            MixingEstimate.from_counts(n, trials, sum(f[i] for f in flags)) for i in range(len(pairs))
         )
-        results.append(JointMixingResult(MixingEstimate.from_counts(n, trials, joint), marginals))
-    return results
+        by_n[n] = JointMixingResult(joint, marginals)
+    return [by_n[n] for n in n_list]
 
 
 def free_product_experiment(
@@ -278,7 +300,7 @@ def free_product_experiment(
     subgroups is again finitely generated, hence acts cocompactly on its
     orbit hull, so that part needs no per-trial check.
     """
-    _require_setup(measure, [("h", h)], trials)
+    _require_setup(measure, [("h", h)], trials, ("n", [n]))
 
     def one(trial: int) -> bool:
         gen = rng.trial_stream(seed, trial)

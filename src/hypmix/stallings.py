@@ -36,8 +36,9 @@ copy of H's rows, targets unshifted, adds a new base after them and reads a
 stem spelling g from that base to H's base; <g H g^-1, K> first copies K's
 automaton in and merges its base with the base. When H's automaton already
 reads g backwards from its base, as L reads w back along its own stem in the
-mixing certification w L w^-1, the new base merges away at once: no other
-state is added, no edge moves, and only the base moves.
+mixing certification w L w^-1, that stem would merge the new base away at
+once, with no state added and no edge moved: conjugate then builds no graph
+and returns H's rows, shared, with the base moved to the state g^-1 reads to.
 
 Basepoint convention: all orbit computations measure distances from the
 identity vertex. Moving the basepoint to another vertex t changes the
@@ -371,9 +372,21 @@ class SubgroupAutomaton:
     def conjugate(self, g: Sequence[int]) -> "SubgroupAutomaton":
         """Automaton of g H g^-1: a stem spelling g from a new base to H's.
 
-        H's folded rows are copied as they are, their targets unshifted, and
-        the new base goes after them."""
-        graph = _FoldGraph(self.rank, [None if row is None else row.copy() for row in self._rows])
+        g is read backwards from H's base first; rows hold both directions
+        of each edge, so a word that reads ends where its free reduction
+        does. If all of g reads, the stem is already there: the result
+        shares H's rows, which no automaton changes, with its base at the
+        state reached. Otherwise H's folded rows are copied as they are,
+        their targets unshifted, the new base goes after them and the stem
+        is read in."""
+        rows, state = self._rows, self._base
+        for letter in reversed(g):
+            state = rows[state].get(-letter)  # type: ignore[union-attr,assignment]
+            if state is None:
+                break
+        else:
+            return SubgroupAutomaton(self.rank, rows, state)
+        graph = _FoldGraph(self.rank, [None if row is None else row.copy() for row in rows])
         [graph.base] = graph.add_states(1)
         graph.attach_path(g, graph.base, self._base)
         return graph.fold()

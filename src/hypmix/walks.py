@@ -20,8 +20,15 @@ SHORT_WALK letters) is reduced by whole-array numpy passes, each deleting
 the first adjacent inverse pair of every run of them, for at most
 MAX_PASSES passes; a short walk, or what is left when the passes run out,
 finishes in freegroup.reduce_word. Free reduction is confluent, so the
-endpoint is the same either way, and the draws are one call per walk as
-before.
+endpoint is the same either way.
+
+The draws are one call per trial schedule: positions draws max(ns) steps
+once and returns w_n for each n of an ascending schedule, reducing each
+segment on its own and joining it to the previous endpoint, which cancels
+only at the seam. Bounded Philox draws are prefix-stable (the first n of N
+draws are the n draws of a size-n call on the same stream), so each w_n is
+the endpoint of a walk of n steps drawn alone, bit for bit.
+final_position is the schedule of one length.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import rng
-from .freegroup import Word, invert, reduce_word, shortlex_key
+from .freegroup import Word, invert, multiply, reduce_word, shortlex_key
 from .stallings import SubgroupAutomaton
 from .stats import mean_ci95
 
@@ -156,10 +163,33 @@ class StepMeasure:
         u = gen.integers(0, self._denominator, size=size, dtype=np.uint64)
         return np.searchsorted(self._thresholds, u, side="right")
 
-    def final_position(self, n: int, gen: np.random.Generator) -> Word:
-        """Endpoint of an n-step walk, without storing the trajectory.
+    def positions(self, ns: Sequence[int], gen: np.random.Generator) -> list[Word]:
+        """Endpoints w_n after each n of an ascending schedule, from one draw
+        of max(ns) steps, without storing the trajectory.
 
-        The increments are spelled out through the padded letter table.
+        The steps between two lengths of the schedule are reduced as one
+        segment and joined to the previous endpoint with multiply, which
+        cancels only at the seam.
+        """
+        require_schedule(ns)
+        if not ns:
+            return []
+        steps = self._letters[self.draw_indices(gen, ns[-1])]
+        ends, w, start = [], (), 0
+        for n in ns:
+            w = multiply(w, self._reduce(steps[start:n]))
+            ends.append(w)
+            start = n
+        return ends
+
+    def final_position(self, n: int, gen: np.random.Generator) -> Word:
+        """Endpoint of an n-step walk: the schedule of one length."""
+        return self.positions([n], gen)[0]
+
+    @staticmethod
+    def _reduce(steps: np.ndarray) -> Word:
+        """The reduced word of steps, rows of the padded letter table.
+
         While the word has at least SHORT_WALK letters, for at most
         MAX_PASSES passes, one numpy pass deletes the first adjacent inverse
         pair of every run of them; a pass that finds none has a reduced
@@ -169,8 +199,7 @@ class StepMeasure:
         reduced word: the endpoint is reduce_word's, after at most
         MAX_PASSES + 1 linear passes.
         """
-        idx = self.draw_indices(gen, n)
-        a = self._letters[idx].ravel()
+        a = steps.ravel()
         a = a[a != 0]
         for _ in range(MAX_PASSES):
             if len(a) < SHORT_WALK:
@@ -185,6 +214,14 @@ class StepMeasure:
             keep[1:] &= ~first
             a = a[keep]
         return reduce_word(a.tolist())
+
+
+def require_schedule(ns: Sequence[int]) -> None:
+    """Raise MeasureError unless ns is an ascending list of walk lengths >= 0."""
+    if any(n < 0 for n in ns):
+        raise MeasureError(f"walk length must be >= 0, got {min(ns)}")
+    if list(ns) != sorted(ns):
+        raise MeasureError("walk lengths must be in ascending order")
 
 
 @dataclass(frozen=True)

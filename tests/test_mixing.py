@@ -47,43 +47,44 @@ class TestWitnessSubgroup:
     def test_trivial_h(self):
         assert witness_subgroup(sub(), sub("b"), F2.parse("abab")) == sub("b")
 
-    def test_success_folds_twice(self, monkeypatch):
+    def test_success_folds_once(self, monkeypatch):
         # Trial 0 of seed 11 at n = 80 passes every flag: one fold builds L,
-        # one folds w L w^-1 for the certification.
+        # and the certifying conjugate w L w^-1 shares L's rows.
         pairs = [WitnessPair.of(sub("a"), sub("b"), F2.ball(2))]
-        folds = []
-        fold = stallings._FoldGraph.fold
+        folds, conjugates = [], []
+        fold, conjugate = stallings._FoldGraph.fold, SubgroupAutomaton.conjugate
+
+        def observed(self, g):
+            conjugates.append((self, conjugate(self, g)))
+            return conjugates[-1][1]
+
         monkeypatch.setattr(stallings._FoldGraph, "fold", lambda self: folds.append(1) or fold(self))
-        [outcome] = mixing._witness_trial(pairs, UNIFORM, 80, 11, 0)
+        monkeypatch.setattr(SubgroupAutomaton, "conjugate", observed)
+        [[outcome]] = mixing._witness_trial(pairs, UNIFORM, [80], 11, 0)
         assert outcome.success
-        assert len(folds) == 2
+        assert len(folds) == 1
+        [(l_sub, certifying)] = conjugates
+        assert certifying._rows is l_sub._rows
 
     def test_certification_reads_w_back_along_the_stem(self, monkeypatch):
-        # On a success, w L w^-1 hangs L from a new base by a stem spelling
-        # w, and L's automaton reads w back along its own stem to w^-1 H w:
-        # reading that path in creates no state and moves no edge, only the
-        # base moves. L's folded rows come first, unshifted, and the new
-        # base after them merges away.
+        # On a success, L's automaton reads w^-1 from its base along its own
+        # stem to w^-1 H w, so w L w^-1 is L's rows with the base moved to
+        # the state w^-1 reads to: no graph is built and no state is added.
         h, k = sub("a"), sub("b")
         w = UNIFORM.final_position(80, rng.substream(11, 0))
         l_sub = witness_subgroup(h, k, w)
         assert check_witness(l_sub, WitnessPair.of(h, k, F2.ball(2)), w).success
-        seen = []
-        attach_path = stallings._FoldGraph.attach_path
-
-        def observed(self, word, src, dst):
-            before = [None if row is None else dict(row) for row in self.rows]
-            attach_path(self, word, src, dst)
-            after = [None if row is None else dict(row) for row in self.rows]
-            seen.append((before, after, self.find(self.base)))
-
-        monkeypatch.setattr(stallings._FoldGraph, "attach_path", observed)
+        built = []
+        init = stallings._FoldGraph.__init__
+        monkeypatch.setattr(stallings._FoldGraph, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        states = len(l_sub._rows)
+        end = l_sub._base
+        for letter in invert(w):
+            end = l_sub._rows[end][letter]
         conjugate = l_sub.conjugate(w)
-        [(before, after, base)] = seen
-        assert len(after) == len(before) == len(l_sub._rows) + 1
-        assert before[:-1] == list(l_sub._rows) and before[-1] == {}
-        assert after[-1] is None and after[:-1] == before[:-1]
-        assert conjugate._base == base != l_sub._base
+        assert built == []
+        assert conjugate._rows is l_sub._rows and len(l_sub._rows) == states
+        assert conjugate._base == end != l_sub._base
         assert conjugate.contains(A) and conjugate.contains(multiply(multiply(w, B), invert(w)))
 
 
@@ -93,7 +94,7 @@ class TestFoldedWitness:
         # neither route trims or numbers an automaton.
         calls = count_canonical_forms(monkeypatch)
         pairs = [WitnessPair.of(sub("a"), sub("b"), F2.ball(2))]
-        outcomes = [mixing._witness_trial(pairs, UNIFORM, n, 11, t)[0].success for n in (2, 80) for t in range(10)]
+        outcomes = [mixing._witness_trial(pairs, UNIFORM, [n], 11, t)[0][0].success for n in (2, 80) for t in range(10)]
         assert True in outcomes and False in outcomes
         joint_mixing([(sub("a"), sub("b"), F2.ball(2))], UNIFORM, [2, 40], 20, 11)
         assert calls == []
@@ -194,7 +195,7 @@ class TestWitnessCertification:
         pairs = [WitnessPair.of(sub("a"), sub("b"), F2.ball(2))]
         monkeypatch.setattr(SubgroupAutomaton, "conjugate", lambda self, g: self)
         with pytest.raises(WitnessCertificationError):
-            mixing._witness_trial(pairs, UNIFORM, 80, 11, 0)
+            mixing._witness_trial(pairs, UNIFORM, [80], 11, 0)
 
     def test_disagreement_raises_under_optimize_flag(self):
         script = textwrap.dedent(
@@ -213,7 +214,7 @@ class TestWitnessCertification:
             pairs = [mixing.WitnessPair.of(sub("a"), sub("b"), F2.ball(2))]
             SubgroupAutomaton.conjugate = lambda self, g: self
             try:
-                mixing._witness_trial(pairs, UNIFORM, 80, 11, 0)
+                mixing._witness_trial(pairs, UNIFORM, [80], 11, 0)
             except mixing.WitnessCertificationError:
                 sys.exit(0)
             sys.exit("no WitnessCertificationError raised")
@@ -280,15 +281,39 @@ class TestJointMixing:
             assert r.marginals == (r.joint,)
 
     def test_schedule_matches_single_n_calls(self):
-        # A schedule is the single-n calls in order, field for field: each n
-        # reruns the same trial substreams.
+        # A schedule is the single-n calls in order, field for field, with
+        # repeated and unsorted lengths kept: a trial walks once to the
+        # longest n, and each shorter endpoint is a prefix of the same
+        # substream's draws.
         pairs = [
             (sub("a"), sub("b"), frozenset(F2.ball(1))),
             (sub("ab"), sub("ba"), frozenset(F2.ball(1))),
         ]
-        schedule = [10, 40, 10]
-        together = joint_mixing(pairs, UNIFORM, schedule, 30, 23)
-        assert together == [joint_mixing(pairs, UNIFORM, [n], 30, 23)[0] for n in schedule]
+        for schedule in ([10, 40, 10], [40, 0, 10, 40]):
+            together = joint_mixing(pairs, UNIFORM, schedule, 30, 23)
+            assert together == [joint_mixing(pairs, UNIFORM, [n], 30, 23)[0] for n in schedule]
+
+    def test_one_map_trials_call_per_schedule(self, monkeypatch):
+        calls = []
+        map_trials = rng.map_trials
+        monkeypatch.setattr(rng, "map_trials", lambda *a: calls.append(1) or map_trials(*a))
+        pair = (sub("a"), sub("b"), F2.ball(1))
+        for schedule in ([10], [10, 20, 40, 80, 160], [40, 0, 10, 40]):
+            calls.clear()
+            joint_mixing([pair], UNIFORM, schedule, 4, 1)
+            assert len(calls) == 1
+
+    def test_empty_schedule_draws_nothing(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(rng, "trial_stream", lambda *path: drawn.append(path))
+        monkeypatch.setattr(rng, "map_trials", lambda *a: drawn.append(a))
+        assert joint_mixing([(sub("a"), sub("b"), F2.ball(1))], UNIFORM, [], 5, 1) == []
+        assert drawn == []
+
+    def test_negative_length_named(self):
+        with pytest.raises(MixingSetupError) as info:
+            joint_mixing([(sub("a"), sub("b"), F2.ball(1))], UNIFORM, [10, -3], 5, 1)
+        assert info.value.argument == "n_list"
 
     def test_setup_checked_once_per_call(self, monkeypatch):
         # One permissibility fold and one read of each marker trace for the
@@ -327,6 +352,11 @@ class TestFreeProduct:
     def test_n0_all_fail(self):
         est = free_product_experiment(sub("a"), UNIFORM, 0, 10, 23)
         assert est.p_hat == 0.0
+
+    def test_negative_length_named(self):
+        with pytest.raises(MixingSetupError) as info:
+            free_product_experiment(sub("a"), UNIFORM, -3, 10, 23)
+        assert info.value.argument == "n"
 
     def test_moderate_n_high_rate(self):
         est = free_product_experiment(sub("a"), UNIFORM, 60, 80, 29)

@@ -60,6 +60,28 @@ def test_batched_permutations_pin(k):
     assert batched.integers(0, 8, size=after).tolist() == sequential.integers(0, 8, size=after).tolist()
 
 
+# Denominators of step measures: powers of two, which numpy draws by masking,
+# and others just past 2^32 and 2^63, where its bounded sampler rejects
+# draws and may use more than one raw word for one value.
+PREFIX_DENOMINATORS = [4, 6, 12, 2**32 + 5, 2**63 + 7, 2**64 - 1]
+PREFIX_SIZES = [(0, 0), (0, 9), (1, 1), (1, 160), (7, 8), (13, 40), (80, 160), (159, 160)]
+
+
+@pytest.mark.parametrize("denominator", PREFIX_DENOMINATORS)
+def test_bounded_draws_prefix_stable(denominator):
+    # StepMeasure.positions draws max(ns) steps once for a whole schedule;
+    # its endpoint at n stays the n-step walk only while the first n of N
+    # bounded draws equal a size-n draw from the same fresh stream.
+    changed = []
+    for trial in range(40):
+        for n, size in PREFIX_SIZES:
+            long = rng.trial_stream(SEED, trial).integers(0, denominator, size=size, dtype=np.uint64)[:n]
+            short = rng.trial_stream(SEED, trial).integers(0, denominator, size=n, dtype=np.uint64)
+            if long.tolist() != short.tolist():
+                changed.append((trial, n, size))
+    assert not changed, f"numpy stream changed: bounded draws below {denominator} are not prefix-stable at {changed[:5]}"
+
+
 @pytest.mark.parametrize(
     "threads, trials, cpus, workers",
     [

@@ -351,6 +351,33 @@ class TestFoldBuilder:
             assert h == reference
             assert (h.index(), h.rank_of_subgroup()) == (reference.index(), reference.rank_of_subgroup())
 
+    @pytest.mark.parametrize("rank", [2, 3], ids=["F2", "F3"])
+    @given(data=st.data())
+    def test_conjugate_when_h_reads_g_inverse(self, rank, data):
+        # g^-1 is a path H reads from its base: g H g^-1 is H's rows, shared,
+        # with the base at that path's end. Reading both automata changes
+        # neither one's rows.
+        gens = data.draw(st.lists(nontrivial_words(rank, 6), max_size=3))
+        h = SubgroupAutomaton.from_generators(rank, gens)
+        path, state = [], h._base
+        for _ in range(data.draw(st.integers(0, 10))):
+            choices = sorted(x for x in h._rows[state] if not path or x != -path[-1])
+            if not choices:
+                break
+            path.append(data.draw(st.sampled_from(choices)))
+            state = h._rows[state][path[-1]]
+        g = invert(tuple(path))
+        before = [None if row is None else dict(row) for row in h._rows]
+        conjugate = h.conjugate(g)
+        assert conjugate._rows is h._rows and conjugate._base == state
+        window = FreeContext(rank).ball(2)
+        for auto in (h, conjugate):
+            auto.transitions, auto.trace(window), [auto.contains(x) for x in window]
+        assert conjugate._rows is h._rows
+        assert [None if row is None else dict(row) for row in h._rows] == before
+        assert conjugate == refolded_conjugate(h, g)
+        assert conjugate.trace(window) == frozenset(f for f in window if h.contains(multiply(multiply(invert(g), f), g)))
+
     def test_trivial_h(self):
         g = F2.parse("abA")
         assert sub().conjugate(g) == sub() == refolded_conjugate(sub(), g)

@@ -198,6 +198,37 @@ class TestFinalPosition:
         n = 200
         assert POWERS_40.final_position(n, rng.substream(seed)) == sample_walk(POWERS_40, n, seed).final
 
+    def test_negative_length_named(self):
+        with pytest.raises(MeasureError, match="walk length"):
+            UNIFORM_F2.final_position(-2, rng.substream(42))
+
+
+class TestPositions:
+    # One draw for a schedule: each endpoint is the walk of that length
+    # drawn alone, and the multiply-out reference over the same draws.
+
+    @given(
+        measure=st.sampled_from([UNIFORM_F2, UNIFORM_F3, LAZY_PAIRS, POWERS_40]),
+        ns=st.lists(
+            st.one_of(st.sampled_from([0, 1, SHORT_WALK - 1, SHORT_WALK, SHORT_WALK + 1]), st.integers(0, 2 * SHORT_WALK)),
+            max_size=5,
+        ).map(sorted),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_single_walks(self, measure, ns, seed):
+        got = measure.positions(ns, rng.substream(seed))
+        assert got == [measure.final_position(n, rng.substream(seed)) for n in ns]
+        walk = sample_walk(measure, ns[-1] if ns else 0, seed)
+        assert got == [walk.positions[n] for n in ns]
+
+    def test_empty_schedule(self):
+        assert UNIFORM_F2.positions([], rng.substream(42)) == []
+
+    @pytest.mark.parametrize("ns, message", [([10, -3], "walk length"), ([20, 10], "ascending")])
+    def test_bad_schedule_named(self, ns, message):
+        with pytest.raises(MeasureError, match=message):
+            UNIFORM_F2.positions(ns, rng.substream(42))
+
 
 class TestDrift:
     def test_impermissible_rejected(self):
