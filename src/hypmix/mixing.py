@@ -24,23 +24,17 @@ schedule of walk lengths n and checks its set-up once for all of them.
 Trial t walks once for the whole schedule, on its own substream: its
 endpoint at each n is the prefix w_n of that one walk, which is the walk a
 call at that n alone would draw, so one rng.map_trials call covers every n.
-Each endpoint folds L once per pair; a success folds nothing more, since its
-certifying conjugate w L w^-1 shares L's rows.
+Each endpoint folds L once per pair, whether the trial succeeds or fails.
 
 A window trace is a subgroup's membership pattern on F. joint_mixing reads
-the markers' traces once, into a WitnessPair; a trial compares L's patterns
-with them. check_witness takes the reduced endpoint the walk returns and
-reduces nothing itself.
-
-Flag (b) is read along L's stem. In L's automaton, w L w^-1 is the subgroup
-read at the end of the path spelling u = w^-1 (Kapovich & Myasnikov,
-"Stallings foldings and subgroups of free groups", J. Algebra 2002). The
-folded graph a trial builds keeps that path whole, but on a canonical L (one
-read from text, say) the core trim may cut it short: when H is trivial, or
-H's base is a hair of H, u need not read to its end. So u is read from L's
-base once, keeping the state after each prefix, and each window word f is
-tested on the reduced u f u^-1 = u[:i] m u[:j]^-1, found by cancelling at
-the two seams only.
+the markers' traces once, into a WitnessPair; a trial compares two patterns
+with them, one route per flag: flag (a) reads the window from L's base, and
+flag (b) from the base of w L w^-1. In L's automaton, w L w^-1 is the
+subgroup read at the end of the path spelling w^-1 from the base (Kapovich &
+Myasnikov, "Stallings foldings and subgroups of free groups", J. Algebra
+2002). The fold that builds L keeps that path whole, so its conjugate shares
+L's rows and only moves the base. check_witness takes the reduced endpoint
+the walk returns and reduces nothing itself.
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ from typing import Sequence
 
 from . import rng
 from .freegroup import Word, invert
-from .stallings import SubgroupAutomaton, _follow
+from .stallings import SubgroupAutomaton
 from .stats import proportion_ci95
 from .walks import MeasureError, StepMeasure, require_schedule
 
@@ -63,10 +57,6 @@ class MixingSetupError(ValueError):
     def __init__(self, argument: str, message: str):
         super().__init__(message)
         self.argument = argument
-
-
-class WitnessCertificationError(RuntimeError):
-    """A trial's witness flags and its open-set certification disagree."""
 
 
 @dataclass(frozen=True)
@@ -131,9 +121,9 @@ def witness_subgroup(
 ) -> SubgroupAutomaton:
     """L = <w^-1 H w, K>, folded in one pass.
 
-    This is the only fold of a trial, a success included: the conjugate
-    w L w^-1 that certifies a success in _witness_trial reads w back along
-    L's own stem, so it shares L's rows and only moves the base.
+    This is the only fold of a trial, whether it succeeds or fails: flag (b)
+    reads the conjugate w L w^-1, which follows w^-1 along the stem this
+    fold builds from L's base, so it shares L's rows and only moves the base.
     """
     return h.conjugate_join(invert(w), k)
 
@@ -141,65 +131,30 @@ def witness_subgroup(
 def check_witness(l_sub: SubgroupAutomaton, pair: WitnessPair, w: Word) -> WitnessOutcome:
     """Evaluate all four witness flags exactly for the reduced endpoint w.
 
-    Flag (b) is read along L's stem: f lies in w L w^-1 exactly when the
-    reduced w^-1 f w lies in L, and _stem_trace finds that word's path from
-    the states w^-1 passes, so no conjugate is folded and the stem is read
-    once, not once per window word.
+    Each open-set flag compares one window trace with the marker's: flag (a)
+    L's, read from its base, and flag (b) that of the conjugate w L w^-1,
+    read from the base it moves to. The comparisons are explicit, so they
+    also run under python -O.
     """
     trace_k = l_sub.trace(pair.window) == pair.trace_k
-    trace_h = _stem_trace(l_sub, invert(w), pair.window) == pair.trace_h
+    trace_h = l_sub.conjugate(w).trace(pair.window) == pair.trace_h
     infinite_index = l_sub.index() == math.inf
     free_rank = l_sub.rank_of_subgroup() == pair.h.rank_of_subgroup() + pair.k.rank_of_subgroup()
     return WitnessOutcome(trace_k, trace_h, infinite_index, free_rank)
 
 
-def _stem_trace(l_sub: SubgroupAutomaton, u: Word, window) -> frozenset:
-    """The window words f with u f u^-1 in L, for a reduced word u.
-
-    u is read from L's base once; states[i] is the state u[:i] reaches, up
-    to where L stops reading. The reduced u f u^-1 is u[:i] m u[:j]^-1: the
-    first c letters of f cancel u's tail (i = |u| - c), the last d letters
-    of what is left cancel the head of u^-1 (j = |u| - d), and m is the rest
-    of f. When m is empty the two stems cancel on while u[i-1] == u[j-1];
-    that can stop once both prefixes are read, since in a folded automaton
-    u[:i] u[:j]^-1 reads base to base exactly when states[i] == states[j].
-    The word lies in L exactly when states i and j both exist and reading m
-    from state i ends at state j.
-    """
-    rows = l_sub._rows
-    states = [l_sub._base]
-    for letter in u:
-        nxt = rows[states[-1]].get(letter)
-        if nxt is None:
-            break
-        states.append(nxt)
-    n, read = len(u), len(states)
-    out = []
-    for f in window:
-        c = 0
-        while c < len(f) and c < n and f[c] == -u[n - 1 - c]:
-            c += 1
-        i, j, end = n - c, n, len(f)
-        while end > c and j > 0 and f[end - 1] == u[j - 1]:
-            end, j = end - 1, j - 1
-        if end == c:
-            while max(i, j) >= read and i > 0 and j > 0 and u[i - 1] == u[j - 1]:
-                i, j = i - 1, j - 1
-        if i < read and j < read and _follow(rows, states[i], f[c:end]) == states[j]:
-            out.append(f)
-    return frozenset(out)
-
-
 def _require_setup(measure: StepMeasure, markers, trials: int, lengths) -> None:
     """The checks a witness estimate makes once, before any trial: a
-    permissible measure, each (name, subgroup) marker of infinite index, at
-    least one trial, and walk lengths >= 0, where lengths is the (name,
-    lengths) pair of the argument that holds them."""
+    permissible measure, each (name, subgroup) marker of the measure's rank
+    and of infinite index, at least one trial, and walk lengths >= 0, where
+    lengths is the (name, lengths) pair of the argument that holds them."""
     try:
         measure.require_permissible()
     except MeasureError as exc:
         raise MixingSetupError("measure", str(exc))
     for name, s in markers:
+        if s.rank != measure.rank:
+            raise MixingSetupError(name, f"marker of rank {s.rank} for a measure of rank {measure.rank}")
         if s.index() != math.inf:
             raise MixingSetupError(name, "marker subgroups must have infinite index")
     if trials <= 0:
@@ -215,29 +170,16 @@ def _witness_trial(pairs: list[WitnessPair], measure, ns, seed, trial) -> list[l
     """Witness outcomes for each pair at each endpoint of one walk, walked
     once for the ascending schedule ns.
 
-    Flag (b) of a success is certified independently: by the automaton
-    route, the conjugate w L w^-1 must lie in the open set around H, that
-    is, show H's trace on the window read from its base. Flag (a) is not
-    re-checked, since the open set around K compares the very traces
-    check_witness already compared. A disagreement raises
-    WitnessCertificationError, also under python -O. Every trial folds once
-    per pair and endpoint (L): the conjugate reads w back along L's stem and
-    shares L's rows.
+    A counted success is certified by its flags alone: flag (a) compares
+    L's trace with K's, and flag (b) the trace of w L w^-1 with H's, the
+    two comparisons that define the basic open sets around K and H. Each
+    pair and endpoint folds once (L), whether the trial succeeds or fails.
     """
     gen = rng.trial_stream(seed, trial)
-    per_n = []
-    for w in measure.positions(ns, gen):
-        outcomes = []
-        for pair in pairs:
-            l_sub = witness_subgroup(pair.h, pair.k, w)
-            outcome = check_witness(l_sub, pair, w)
-            if outcome.success and l_sub.conjugate(w).trace(pair.window) != pair.trace_h:
-                raise WitnessCertificationError(
-                    f"trial {trial}: witness flags succeed but the open-set check fails"
-                )
-            outcomes.append(outcome)
-        per_n.append(outcomes)
-    return per_n
+    return [
+        [check_witness(witness_subgroup(pair.h, pair.k, w), pair, w) for pair in pairs]
+        for w in measure.positions(ns, gen)
+    ]
 
 
 def joint_mixing(

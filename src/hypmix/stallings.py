@@ -35,10 +35,11 @@ forces. Generators are loops read in at the base. g H g^-1 starts from a
 copy of H's rows, targets unshifted, adds a new base after them and reads a
 stem spelling g from that base to H's base; <g H g^-1, K> first copies K's
 automaton in and merges its base with the base. When H's automaton already
-reads g backwards from its base, as L reads w back along its own stem in the
-mixing certification w L w^-1, that stem would merge the new base away at
-once, with no state added and no edge moved: conjugate then builds no graph
-and returns H's rows, shared, with the base moved to the state g^-1 reads to.
+reads g backwards from its base, as L reads w back along its own stem for
+the conjugate w L w^-1 that mixing's flag (b) reads, that stem would merge
+the new base away at once, with no state added and no edge moved:
+conjugate then builds no graph and returns H's rows, shared, with the base
+moved to the state g^-1 reads to.
 
 Basepoint convention: all orbit computations measure distances from the
 identity vertex. Moving the basepoint to another vertex t changes the
@@ -376,9 +377,10 @@ class SubgroupAutomaton:
         of each edge, so a word that reads ends where its free reduction
         does. If all of g reads, the stem is already there: the result
         shares H's rows, which no automaton changes, with its base at the
-        state reached. Otherwise H's folded rows are copied as they are,
-        their targets unshifted, the new base goes after them and the stem
-        is read in."""
+        state reached. That is the case of mixing's flag (b), which reads
+        w L w^-1 on the L a witness trial has just folded. Otherwise H's
+        folded rows are copied as they are, their targets unshifted, the new
+        base goes after them and the stem is read in."""
         rows, state = self._rows, self._base
         for letter in reversed(g):
             state = rows[state].get(-letter)  # type: ignore[union-attr,assignment]

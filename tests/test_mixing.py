@@ -11,7 +11,6 @@ from hypmix import mixing, rng, stallings
 from hypmix.freegroup import FreeContext, invert, multiply, reduce_word
 from hypmix.mixing import (
     MixingSetupError,
-    WitnessCertificationError,
     WitnessPair,
     check_witness,
     free_product_experiment,
@@ -25,6 +24,7 @@ from conftest import F2, count_canonical_forms, nontrivial_words, src_env, words
 from reference import sample_walk
 
 UNIFORM = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
+UNIFORM_F3 = StepMeasure.uniform_on(3, [(i,) for i in (1, -1, 2, -2, 3, -3)])
 A, B = (1,), (2,)
 
 
@@ -48,28 +48,33 @@ class TestWitnessSubgroup:
         assert witness_subgroup(sub(), sub("b"), F2.parse("abab")) == sub("b")
 
     def test_success_folds_once(self, monkeypatch):
-        # Trial 0 of seed 11 at n = 80 passes every flag: one fold builds L,
-        # and the certifying conjugate w L w^-1 shares L's rows.
+        # Trial 0 of seed 11 at n = 80 passes every flag and trial 1 at n = 2
+        # fails: each folds once to build L, and the conjugate w L w^-1 that
+        # flag (b) reads shares L's rows, with no graph built for it.
         pairs = [WitnessPair.of(sub("a"), sub("b"), F2.ball(2))]
-        folds, conjugates = [], []
         fold, conjugate = stallings._FoldGraph.fold, SubgroupAutomaton.conjugate
+        init = stallings._FoldGraph.__init__
+        for n, trial, success in ((80, 0, True), (2, 1, False)):
+            folds, built, conjugates = [], [], []
 
-        def observed(self, g):
-            conjugates.append((self, conjugate(self, g)))
-            return conjugates[-1][1]
+            def observed(self, g):
+                conjugates.append((self, conjugate(self, g)))
+                return conjugates[-1][1]
 
-        monkeypatch.setattr(stallings._FoldGraph, "fold", lambda self: folds.append(1) or fold(self))
-        monkeypatch.setattr(SubgroupAutomaton, "conjugate", observed)
-        [[outcome]] = mixing._witness_trial(pairs, UNIFORM, [80], 11, 0)
-        assert outcome.success
-        assert len(folds) == 1
-        [(l_sub, certifying)] = conjugates
-        assert certifying._rows is l_sub._rows
+            monkeypatch.setattr(stallings._FoldGraph, "fold", lambda self: folds.append(1) or fold(self))
+            monkeypatch.setattr(stallings._FoldGraph, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+            monkeypatch.setattr(SubgroupAutomaton, "conjugate", observed)
+            [[outcome]] = mixing._witness_trial(pairs, UNIFORM, [n], 11, trial)
+            assert outcome.success is success
+            assert len(folds) == len(built) == 1
+            [(l_sub, flag_b)] = conjugates
+            assert flag_b._rows is l_sub._rows
 
     def test_certification_reads_w_back_along_the_stem(self, monkeypatch):
-        # On a success, L's automaton reads w^-1 from its base along its own
-        # stem to w^-1 H w, so w L w^-1 is L's rows with the base moved to
-        # the state w^-1 reads to: no graph is built and no state is added.
+        # Flag (b) certifies a success on w L w^-1: L's automaton reads w^-1
+        # from its base along its own stem to w^-1 H w, so w L w^-1 is L's
+        # rows with the base moved to the state w^-1 reads to: no graph is
+        # built and no state is added.
         h, k = sub("a"), sub("b")
         w = UNIFORM.final_position(80, rng.substream(11, 0))
         l_sub = witness_subgroup(h, k, w)
@@ -153,6 +158,9 @@ def stem_cases(draw):
 
 
 class TestStemTrace:
+    # Flag (b) reads the window from w L w^-1, whose base L's stem w^-1
+    # reaches; where the stem is cut short, conjugate folds it back in.
+
     @given(stem_cases())
     def test_matches_word_route(self, case):
         rank, h_gens, k_gens, w, radius = case
@@ -163,7 +171,7 @@ class TestStemTrace:
         # The builder's folded L and its canonical form, whose trim may cut
         # the stem short.
         for form in (l_sub, SubgroupAutomaton.from_text(l_sub.to_text(), rank)):
-            assert mixing._stem_trace(form, invert(w), window) == _word_route(form, w, window)
+            assert form.conjugate(w).trace(window) == _word_route(form, w, window)
 
     def test_stem_cut_short_by_a_hair_of_h(self):
         # H = <a b a^-1> has a hair at its base, and w^-1 = B A A ends in the
@@ -175,29 +183,22 @@ class TestStemTrace:
         l_sub = witness_subgroup(h, k, w)
         core = SubgroupAutomaton.from_text(l_sub.to_text(), 2)
         window = F2.ball(3)
-        assert stallings._follow(l_sub._rows, l_sub._base, invert(w)) is not None
+        assert l_sub.conjugate(w)._rows is l_sub._rows
         assert core.read(0, invert(w)) is None
         assert core.read(0, invert(w)[:2]) is not None
         for form in (l_sub, core):
-            got = mixing._stem_trace(form, invert(w), window)
+            got = form.conjugate(w).trace(window)
             assert got == _word_route(form, w, window) == h.trace(window)
             assert {F2.format(f) for f in got} == {"1", "abA", "aBA"}
             assert check_witness(form, WitnessPair.of(h, k, window), w).trace_h
 
 
-class TestWitnessCertification:
-    # Trial 0 of seed 11 at n = 80 passes every witness flag, so the
-    # open-set certification runs. Only the certification conjugates: if
-    # conjugate skips the stem, w L w^-1 reads as L, whose trace is K's, not
-    # H's, and the trial must raise.
-
-    def test_disagreement_raises(self, monkeypatch):
-        pairs = [WitnessPair.of(sub("a"), sub("b"), F2.ball(2))]
-        monkeypatch.setattr(SubgroupAutomaton, "conjugate", lambda self, g: self)
-        with pytest.raises(WitnessCertificationError):
-            mixing._witness_trial(pairs, UNIFORM, [80], 11, 0)
-
-    def test_disagreement_raises_under_optimize_flag(self):
+class TestFlagB:
+    def test_skipped_conjugate_fails_under_optimize_flag(self):
+        # Trial 0 of seed 11 at n = 80 passes every witness flag. If
+        # conjugate skips the stem, w L w^-1 reads as L, whose trace is K's,
+        # not H's: flag (b) fails, also under python -O, and the trial is
+        # not counted.
         script = textwrap.dedent(
             """
             import sys
@@ -212,18 +213,18 @@ class TestWitnessCertification:
             UNIFORM = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
             sub = lambda t: SubgroupAutomaton.from_generators(2, [F2.parse(t)])
             pairs = [mixing.WitnessPair.of(sub("a"), sub("b"), F2.ball(2))]
+            [[kept]] = mixing._witness_trial(pairs, UNIFORM, [80], 11, 0)
             SubgroupAutomaton.conjugate = lambda self, g: self
-            try:
-                mixing._witness_trial(pairs, UNIFORM, [80], 11, 0)
-            except mixing.WitnessCertificationError:
-                sys.exit(0)
-            sys.exit("no WitnessCertificationError raised")
+            [[skipped]] = mixing._witness_trial(pairs, UNIFORM, [80], 11, 0)
+            [result] = mixing.joint_mixing([(sub("a"), sub("b"), F2.ball(2))], UNIFORM, [80], 1, 11)
+            print(kept.success, skipped.trace_h, skipped.success, result.joint.successes)
             """
         )
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False", "False", "0"]
 
 
 def mixing_estimates(h, k, window, measure, n_list, trials, seed, threads=1):
@@ -342,6 +343,28 @@ class TestJointMixing:
         with pytest.raises(MixingSetupError):
             joint_mixing(pairs, UNIFORM, [10], 5, 1)
 
+    def test_zero_trials_named(self):
+        with pytest.raises(MixingSetupError) as info:
+            joint_mixing([(sub("a"), sub("b"), F2.ball(1))], UNIFORM, [10], 0, 1)
+        assert info.value.argument == "trials"
+
+    @pytest.mark.parametrize(
+        "measure, h_rank, k_rank, named",
+        [(UNIFORM_F3, 2, 2, "h"), (UNIFORM, 3, 2, "h"), (UNIFORM, 2, 3, "k")],
+        ids=["measure", "h", "k"],
+    )
+    def test_rank_mismatch_named_before_any_trial(self, monkeypatch, measure, h_rank, k_rank, named):
+        # A marker whose rank is not the measure's is refused, by name,
+        # before any trial: a trial would fail inside the fold builder.
+        drawn = []
+        monkeypatch.setattr(rng, "map_trials", lambda *a: drawn.append(a))
+        h = SubgroupAutomaton.from_generators(h_rank, [A])
+        k = SubgroupAutomaton.from_generators(k_rank, [B])
+        with pytest.raises(MixingSetupError) as info:
+            joint_mixing([(h, k, F2.ball(1))], measure, [10], 5, 1)
+        assert info.value.argument == named
+        assert drawn == []
+
 
 class TestFreeProduct:
     def test_trivial_h_counts_nontrivial_walks(self):
@@ -357,6 +380,16 @@ class TestFreeProduct:
         with pytest.raises(MixingSetupError) as info:
             free_product_experiment(sub("a"), UNIFORM, -3, 10, 23)
         assert info.value.argument == "n"
+
+    def test_zero_trials_named(self):
+        with pytest.raises(MixingSetupError) as info:
+            free_product_experiment(sub("a"), UNIFORM, 10, 0, 23)
+        assert info.value.argument == "trials"
+
+    def test_rank_mismatch_named(self):
+        with pytest.raises(MixingSetupError) as info:
+            free_product_experiment(SubgroupAutomaton.from_generators(3, [A]), UNIFORM, 10, 5, 23)
+        assert info.value.argument == "h"
 
     def test_moderate_n_high_rate(self):
         est = free_product_experiment(sub("a"), UNIFORM, 60, 80, 29)

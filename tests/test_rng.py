@@ -10,8 +10,7 @@ import pytest
 
 from hypmix import rng
 from hypmix.cantor import ConeCertificationError, estimate_qn
-from hypmix.freegroup import FreeContext
-from hypmix.mixing import WitnessCertificationError, joint_mixing
+from hypmix.mixing import joint_mixing
 from hypmix.stallings import SubgroupAutomaton
 from hypmix.walks import StepMeasure, drift_estimate
 
@@ -232,18 +231,6 @@ def test_trial_loops_equal_at_one_and_two_threads(monkeypatch, two_workers, run)
     assert one == two == run(1)
 
 
-F2 = FreeContext(2)
-
-
-def _uncertified_witness(monkeypatch):
-    # Trial 0 of seed 11 at n = 80 passes every witness flag; with a
-    # conjugate that skips the stem its certification fails.
-    monkeypatch.setattr(SubgroupAutomaton, "conjugate", lambda self, g: self)
-    h = SubgroupAutomaton.from_generators(2, [(1,)])
-    k = SubgroupAutomaton.from_generators(2, [(2,)])
-    return lambda threads: joint_mixing([(h, k, F2.ball(2))], UNIFORM, [80], 6, 11, threads)
-
-
 def _stuck_permutation_block(monkeypatch):
     trial_stream = rng.trial_stream
     monkeypatch.setattr(rng, "trial_stream", lambda *path: StuckGenerator(trial_stream(*path)))
@@ -252,8 +239,8 @@ def _stuck_permutation_block(monkeypatch):
 
 @pytest.mark.parametrize(
     "broken, error",
-    [(_uncertified_witness, WitnessCertificationError), (_stuck_permutation_block, ConeCertificationError)],
-    ids=["witness", "cone"],
+    [(_stuck_permutation_block, ConeCertificationError)],
+    ids=["cone"],
 )
 def test_trial_exception_reaches_the_caller(monkeypatch, two_workers, broken, error):
     # A trial that raises in a worker process raises the same exception, by

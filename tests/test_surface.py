@@ -13,6 +13,9 @@ exceptions below are fields that only tests read.
 Every name a src/hypmix module imports is also used in that module, unless
 its import line says `# noqa: F401` (the package's re-exports).
 
+No src/hypmix module imports another module's private name (`from .x
+import _y`): what a module keeps private, only that module reads.
+
 Every private top-level function, class and constant of src/hypmix, and
 every private method of its classes, is loaded somewhere in src/hypmix
 outside its own definition, so a helper whose last caller is gone is
@@ -171,6 +174,38 @@ def test_unused_import_check_sees_one():
 
 def _is_private(name):
     return name.startswith("_") and not name.startswith("__")
+
+
+def _private_imports(tree):
+    """Private names a module imports from another module of the package."""
+    return sorted(
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "hypmix")
+        for alias in node.names
+        if _is_private(alias.name)
+    )
+
+
+def test_no_private_name_is_imported():
+    imported = {}
+    for path in sorted(SRC.glob("*.py")):
+        found = _private_imports(ast.parse(path.read_text(), filename=str(path)))
+        if found:
+            imported[path.name] = found
+    assert not imported, f"private names imported from another module: {imported}"
+
+
+def test_private_import_check_sees_one():
+    text = (
+        "from __future__ import annotations\n"
+        "from .stallings import SubgroupAutomaton, _follow\n"
+        "from hypmix.rng import _trial_fn\n"
+        "from numpy.random import _pickle\n"
+        "from . import rng\n"
+        "def f():\n    from .walks import _reduce\n"
+    )
+    assert _private_imports(ast.parse(text)) == ["line 2: _follow", "line 3: _trial_fn", "line 7: _reduce"]
 
 
 def _private_definitions(tree):

@@ -60,6 +60,22 @@ class TestConstruction:
         with pytest.raises(MeasureError):
             StepMeasure(2, {(1,): Fraction(1, 2)})
 
+    def test_zero_mass_rejected(self):
+        # An entry of mass 0 would put a word the walk never takes into the
+        # support that permissibility reads.
+        with pytest.raises(MeasureError):
+            StepMeasure(2, {(1,): Fraction(1, 2), (-1,): Fraction(1, 2), (2,): Fraction(0)})
+
+    def test_denominator_bound(self):
+        # Sampling draws one uint64 below the common denominator: 2^63 fits,
+        # 2^64 does not.
+        def two_steps(denom):
+            return {(1,): Fraction(1, denom), (-1,): 1 - Fraction(1, denom)}
+
+        assert StepMeasure(2, two_steps(2**63)).entries[(1,)] == Fraction(1, 2**63)
+        with pytest.raises(MeasureError):
+            StepMeasure(2, two_steps(2**64))
+
 
 def failed_flags(measure: StepMeasure) -> list[str]:
     """The flags require_permissible names, [] when it passes."""
@@ -239,6 +255,11 @@ class TestDrift:
     def test_zero_trials(self):
         with pytest.raises(MeasureError):
             drift_estimate(UNIFORM_F2, 10, 0, 3)
+
+    def test_one_step_and_one_trial_accepted(self):
+        # The least valid inputs: one uniform step has length 1.
+        est = drift_estimate(UNIFORM_F2, 1, 1, 3)
+        assert (est.d_hat, est.n, est.trials) == (1.0, 1, 1)
 
     def test_out_of_range_raises(self, monkeypatch):
         monkeypatch.setattr(StepMeasure, "final_position", lambda self, n, gen: (1,) * (2 * n))
