@@ -24,17 +24,29 @@ schedule of walk lengths n and checks its set-up once for all of them.
 Trial t walks once for the whole schedule, on its own substream: its
 endpoint at each n is the prefix w_n of that one walk, which is the walk a
 call at that n alone would draw, so one rng.map_trials call covers every n.
-Each endpoint folds L once per pair, whether the trial succeeds or fails.
+
+Most endpoints are decided without building L. The gap mu of the join is
+the number of letters of w^-1 that folding L would spell with fresh states
+(SubgroupAutomaton.join_gap). At mu >= 1, L's automaton is K's and H's
+joined by a path of mu edges (Kapovich & Myasnikov, "Stallings foldings and
+subgroups of free groups", J. Algebra 2002). A reduced window word that
+leaves one marker's side and comes back crosses that path twice and turns on
+the far side, so it has at least 2 mu + 1 letters: flags (a) and (b) hold
+when no window word is longer than 2 mu. No state merges, so the ranks add:
+flag (d). At mu >= 2 the path's inner states have degree 2 < 2 * rank, so L
+is no full cover: flag (c). An endpoint with mu >= 2 and no window word
+longer than 2 mu is separated: all four flags hold. Every other endpoint
+takes the read route: it folds L once per pair and reads the flags off it.
 
 A window trace is a subgroup's membership pattern on F. joint_mixing reads
-the markers' traces once, into a WitnessPair; a trial compares two patterns
-with them, one route per flag: flag (a) reads the window from L's base, and
-flag (b) from the base of w L w^-1. In L's automaton, w L w^-1 is the
-subgroup read at the end of the path spelling w^-1 from the base (Kapovich &
-Myasnikov, "Stallings foldings and subgroups of free groups", J. Algebra
-2002). The fold that builds L keeps that path whole, so its conjugate shares
-L's rows and only moves the base. check_witness takes the reduced endpoint
-the walk returns and reduces nothing itself.
+the markers' traces, the sum of their ranks and the longest window word
+once, into a WitnessPair; on the read route a trial compares two patterns
+with the traces, one route per flag: flag (a) reads the window from L's
+base, and flag (b) from the base of w L w^-1. In L's automaton, w L w^-1 is
+the subgroup read at the end of the path spelling w^-1 from the base
+(Kapovich & Myasnikov). The fold that builds L keeps that path whole, so
+its conjugate shares L's rows and only moves the base. check_witness takes
+the reduced endpoint the walk returns and reduces nothing itself.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import rng
-from .freegroup import Word, invert
+from .freegroup import Word, WordError, invert, reduce_word
 from .stallings import SubgroupAutomaton
 from .stats import proportion_ci95
 from .walks import MeasureError, StepMeasure, require_schedule
@@ -61,10 +73,13 @@ class MixingSetupError(ValueError):
 
 @dataclass(frozen=True)
 class WitnessPair:
-    """Markers H and K with a window F and their traces H ∩ F and K ∩ F.
+    """Markers H and K with a window F, their traces H ∩ F and K ∩ F, the
+    sum of their free ranks and the length of F's longest word.
 
     The basic open sets around H and K are the subgroups with these traces,
-    so the traces are read once here, not once per trial.
+    so the traces are read once here, not once per trial; so are the rank
+    sum that flag (d) compares with and the length that the separation rule
+    compares with 2 mu.
     """
 
     h: SubgroupAutomaton
@@ -72,11 +87,30 @@ class WitnessPair:
     window: frozenset
     trace_h: frozenset
     trace_k: frozenset
+    rank_sum: int
+    longest: int
 
     @classmethod
     def of(cls, h: SubgroupAutomaton, k: SubgroupAutomaton, window) -> "WitnessPair":
+        """Read the pair once; a window word that is not a reduced word of
+        H's rank is refused, naming argument "pairs"."""
         window = frozenset(tuple(f) for f in window)
-        return cls(h, k, window, h.trace(window), k.trace(window))
+        for f in window:
+            try:
+                reduced = reduce_word(f, h.rank) == f
+            except WordError:
+                reduced = False
+            if not reduced:
+                raise MixingSetupError("pairs", f"window word {f} is not a reduced word of rank {h.rank}")
+        return cls(
+            h,
+            k,
+            window,
+            h.trace(window),
+            k.trace(window),
+            h.rank_of_subgroup() + k.rank_of_subgroup(),
+            max(map(len, window), default=0),
+        )
 
 
 @dataclass(frozen=True)
@@ -121,25 +155,28 @@ def witness_subgroup(
 ) -> SubgroupAutomaton:
     """L = <w^-1 H w, K>, folded in one pass.
 
-    This is the only fold of a trial, whether it succeeds or fails: flag (b)
-    reads the conjugate w L w^-1, which follows w^-1 along the stem this
-    fold builds from L's base, so it shares L's rows and only moves the base.
+    A trial builds it only for an endpoint on the read route, and there it
+    is the only fold: flag (b) reads the conjugate w L w^-1, which follows
+    w^-1 along the stem this fold builds from L's base, so it shares L's rows
+    and only moves the base.
     """
     return h.conjugate_join(invert(w), k)
 
 
 def check_witness(l_sub: SubgroupAutomaton, pair: WitnessPair, w: Word) -> WitnessOutcome:
-    """Evaluate all four witness flags exactly for the reduced endpoint w.
+    """Evaluate all four witness flags exactly for the reduced endpoint w
+    on the read route, from L = witness_subgroup(pair.h, pair.k, w).
 
     Each open-set flag compares one window trace with the marker's: flag (a)
     L's, read from its base, and flag (b) that of the conjugate w L w^-1,
-    read from the base it moves to. The comparisons are explicit, so they
-    also run under python -O.
+    read from the base it moves to. Flag (d) compares L's rank with the
+    pair's rank sum. The comparisons are explicit, so they also run under
+    python -O.
     """
     trace_k = l_sub.trace(pair.window) == pair.trace_k
     trace_h = l_sub.conjugate(w).trace(pair.window) == pair.trace_h
     infinite_index = l_sub.index() == math.inf
-    free_rank = l_sub.rank_of_subgroup() == pair.h.rank_of_subgroup() + pair.k.rank_of_subgroup()
+    free_rank = l_sub.rank_of_subgroup() == pair.rank_sum
     return WitnessOutcome(trace_k, trace_h, infinite_index, free_rank)
 
 
@@ -166,20 +203,34 @@ def _require_setup(measure: StepMeasure, markers, trials: int, lengths) -> None:
         raise MixingSetupError(name, str(exc))
 
 
+_SEPARATED = WitnessOutcome(True, True, True, True)
+
+
 def _witness_trial(pairs: list[WitnessPair], measure, ns, seed, trial) -> list[list[WitnessOutcome]]:
     """Witness outcomes for each pair at each endpoint of one walk, walked
     once for the ascending schedule ns.
 
-    A counted success is certified by its flags alone: flag (a) compares
-    L's trace with K's, and flag (b) the trace of w L w^-1 with H's, the
-    two comparisons that define the basic open sets around K and H. Each
-    pair and endpoint folds once (L), whether the trial succeeds or fails.
+    Each pair and endpoint reads the gap mu of the join first. A separated
+    endpoint, mu >= 2 with no window word longer than 2 mu, passes every
+    flag by the path argument of the module docstring and builds nothing.
+    Any other endpoint folds L once and is certified by its flags alone:
+    flag (a) compares L's trace with K's, and flag (b) the trace of
+    w L w^-1 with H's, the two comparisons that define the basic open sets
+    around K and H. The rule's comparisons are explicit too, so they also
+    run under python -O.
     """
     gen = rng.trial_stream(seed, trial)
-    return [
-        [check_witness(witness_subgroup(pair.h, pair.k, w), pair, w) for pair in pairs]
-        for w in measure.positions(ns, gen)
-    ]
+    outcomes = []
+    for w in measure.positions(ns, gen):
+        at_w = []
+        for pair in pairs:
+            gap = pair.h.join_gap(w, pair.k)
+            if gap >= 2 and 2 * gap >= pair.longest:
+                at_w.append(_SEPARATED)
+            else:
+                at_w.append(check_witness(witness_subgroup(pair.h, pair.k, w), pair, w))
+        outcomes.append(at_w)
+    return outcomes
 
 
 def joint_mixing(
@@ -198,17 +249,18 @@ def joint_mixing(
     comparison. A marginal is a lower bound for the chance that the endpoint
     maps the open set around K into the open set around H; witness failure
     does not refute that. With one pair, marginals[0] is the mixing estimate.
-    The set-up is checked and the marker traces are read once, for every n,
-    and one rng.map_trials call runs the trials of the whole schedule: each
-    walks once, to the longest n. Results follow n_list, repeats included.
+    The set-up, window words included, is checked and the marker traces are
+    read once, for every n, and one rng.map_trials call runs the trials of
+    the whole schedule: each walks once, to the longest n. Results follow
+    n_list, repeats included.
     """
     if not pairs:
         raise MixingSetupError("pairs", "need at least one pair")
     markers = [m for h, k, _ in pairs for m in (("h", h), ("k", k))]
     _require_setup(measure, markers, trials, ("n_list", n_list))
+    pairs = [WitnessPair.of(h, k, window) for h, k, window in pairs]
     if not n_list:
         return []
-    pairs = [WitnessPair.of(h, k, window) for h, k, window in pairs]
     schedule = sorted(set(n_list))
     per_trial = rng.map_trials(
         lambda t: [[o.success for o in at_n] for at_n in _witness_trial(pairs, measure, schedule, seed, t)],

@@ -103,6 +103,14 @@ def _criterion(cid: int, name: str):
 # --- shared oracle set-up --------------------------------------------------------
 
 
+def _two_letter_automaton(pa, pb) -> SubgroupAutomaton:
+    """The automaton of the graph with a-edges s -> pa[s] and b-edges s -> pb[s],
+    based at state 0, read through its line format."""
+    lines = [str(len(pa)), "base=0"]
+    lines += [f"{s} {label} {t}" for label, perm in (("a", pa), ("b", pb)) for s, t in enumerate(perm) if t is not None]
+    return SubgroupAutomaton.from_text("\n".join(lines), 2)
+
+
 def _two_letter_graph(pa, pb) -> list[dict[int, int]]:
     """Adjacency of the graph with a-edges s -> pa[s] and b-edges s -> pb[s].
 
@@ -194,7 +202,7 @@ def _criterion_2(threads: int = 1):
         n = int(gen.integers(1, 6))
         pa = list(gen.permutation(n))
         pb = list(gen.permutation(n))
-        sub = SubgroupAutomaton._from_folded(2, _two_letter_graph(pa, pb), 0)
+        sub = _two_letter_automaton(pa, pb)
         if sub.index() != n:
             continue
         built += 1
@@ -360,7 +368,7 @@ def _all_core_automata(max_states: int) -> list[SubgroupAutomaton]:
                     continue
                 if any(len(adj[s]) <= 1 for s in range(1, n)):
                     continue
-                sub = SubgroupAutomaton._from_folded(2, adj, 0)
+                sub = _two_letter_automaton(pa, pb)
                 canon[sub] = sub
     return list(canon.values())
 
@@ -618,13 +626,9 @@ def _criterion_11(threads: int = 1):
             if w not in (u, pivot)
         ]
         for i in gen.integers(0, len(others), size=100):
-            # The probe is entry j of order_cones(w, 3), the 125 labels of
-            # depth |w| + 3 below w in lexicographic order: the base-5 digits
-            # of j pick one child per level.
-            probe = others[int(i)]
-            j = int(gen.integers(0, 125))
-            for place in (25, 5, 1):
-                probe = cantor._children(probe)[j // place % 5]
+            # The probe is one of the 125 labels of depth |w| + 3 below w,
+            # drawn uniformly from order_cones(w, 3).
+            probe = cantor.order_cones(others[int(i)], 3)[int(gen.integers(0, 125))]
             got = cantor.apply_element(g, probe)
             if got != probe:
                 failures += 1

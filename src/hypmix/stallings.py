@@ -34,12 +34,15 @@ middle, and a path read to the end merges its two ends and folds what that
 forces. Generators are loops read in at the base. g H g^-1 starts from a
 copy of H's rows, targets unshifted, adds a new base after them and reads a
 stem spelling g from that base to H's base; <g H g^-1, K> first copies K's
-automaton in and merges its base with the base. When H's automaton already
-reads g backwards from its base, as L reads w back along its own stem for
-the conjugate w L w^-1 that mixing's flag (b) reads, that stem would merge
-the new base away at once, with no state added and no edge moved:
-conjugate then builds no graph and returns H's rows, shared, with the base
-moved to the state g^-1 reads to.
+automaton in and merges its base with the base. The read from both ends is
+one routine, which join_gap shares: given g^-1, it reads H's and K's rows
+from the same two ends and counts the letters of g that conjugate_join
+would spell with fresh states, the gap mu, without building a graph. When
+H's automaton already reads g backwards from its base, as L reads w back
+along its own stem for the conjugate w L w^-1 that mixing's flag (b) reads,
+that stem would merge the new base away at once, with no state added and no
+edge moved: conjugate then builds no graph and returns H's rows, shared,
+with the base moved to the state g^-1 reads to.
 
 Basepoint convention: all orbit computations measure distances from the
 identity vertex. Moving the basepoint to another vertex t changes the
@@ -67,6 +70,25 @@ def _follow(rows: Sequence[dict[int, int] | None], state: int, word: Sequence[in
         if state is None:
             return None
     return state
+
+
+def _read_ends(src_rows, p: int, dst_rows, q: int, word: Word) -> tuple[int, int, int, int]:
+    """Read a reduced word in from both ends, as a path from p to q: from q
+    backwards through dst_rows as far as it goes, then from p forwards
+    through src_rows, up to where the backward read stopped. Returns
+    (p, lo, q, hi), the states the two reads reach and the bounds of the
+    unread middle word[lo:hi]. Both reads stop at the first letter they miss,
+    so this costs the letters read, not the word's length.
+
+    _FoldGraph.attach_path reads a path in this way, and
+    SubgroupAutomaton.join_gap counts the middle of conjugate_join's path
+    with it, from the path's other end."""
+    lo, hi = 0, len(word)
+    while hi > lo and (prev := dst_rows[q].get(-word[hi - 1])) is not None:
+        q, hi = prev, hi - 1
+    while lo < hi and (nxt := src_rows[p].get(word[lo])) is not None:
+        p, lo = nxt, lo + 1
+    return p, lo, q, hi
 
 
 class _FoldGraph:
@@ -117,12 +139,7 @@ class _FoldGraph:
         """Read in a path spelling the word from src to dst."""
         word = reduce_word(word, self.rank)
         rows = self.rows
-        p, q = self.find(src), self.find(dst)
-        lo, hi = 0, len(word)
-        while hi > lo and (prev := rows[q].get(-word[hi - 1])) is not None:
-            q, hi = prev, hi - 1
-        while lo < hi and (nxt := rows[p].get(word[lo])) is not None:
-            p, lo = nxt, lo + 1
+        p, lo, q, hi = _read_ends(rows, self.find(src), rows, self.find(dst), word)
         if lo == hi:
             if p != q:
                 self._merge(p, q)
@@ -402,6 +419,27 @@ class SubgroupAutomaton:
         graph._merge(0, graph.attach(other))
         graph.attach_path(g, 0, graph.attach(self))
         return graph.fold()
+
+    def join_gap(self, w: Word, other: "SubgroupAutomaton") -> int:
+        """The gap mu of <w^-1 H w, K>: the number of letters of w^-1 that
+        conjugate_join(w^-1, other) spells with fresh states, for a reduced
+        w. It reads w forwards from H's base and backwards from K's base and
+        counts the letters neither read reaches, so it costs the letters
+        read, not w's length, and builds no graph.
+
+        The fold reads w^-1 in from the same two ends, K's base forwards and
+        H's base backwards, with the same routine. Which read goes first
+        only decides which side claims letters both could read; either way
+        mu = max(0, |w| - (letters K's end reads) - (letters H's end reads)).
+
+        At mu >= 1 the fold merges nothing: the automaton of <w^-1 H w, K> is
+        K's and H's folded rows, joined by a path of mu edges through mu - 1
+        fresh states of degree 2. mixing decides witness endpoints from
+        that shape without building it."""
+        if other.rank != self.rank:
+            raise AutomatonError("rank mismatch in join_gap")
+        _, lo, _, hi = _read_ends(self._rows, self._base, other._rows, other._base, w)
+        return hi - lo
 
     def join_words(self, words: Iterable[Sequence[int]]) -> "SubgroupAutomaton":
         """Automaton of <H, words>: one loop per word wedged onto H."""

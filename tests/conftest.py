@@ -34,6 +34,11 @@ def nontrivial_words(rank=2, max_len=8):
     return words(rank, max_len).filter(lambda w: len(w) > 0)
 
 
+def live_states(automaton):
+    """The states of an automaton's folded rows that no merge removed."""
+    return sum(row is not None for row in automaton._rows)
+
+
 def src_env():
     """The environment for a subprocess that must import this checkout's hypmix."""
     src = os.path.dirname(os.path.dirname(hypmix.__file__))

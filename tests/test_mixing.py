@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypmix import mixing, rng, stallings
+from hypmix import mixing, rng, selftest, stallings
 from hypmix.freegroup import FreeContext, invert, multiply, reduce_word
 from hypmix.mixing import (
     MixingSetupError,
@@ -20,12 +20,15 @@ from hypmix.mixing import (
 from hypmix.stallings import SubgroupAutomaton
 from hypmix.walks import StepMeasure
 
-from conftest import F2, count_canonical_forms, nontrivial_words, src_env, words
+from conftest import F2, count_canonical_forms, live_states, nontrivial_words, src_env, words
 from reference import sample_walk
 
 UNIFORM = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
 UNIFORM_F3 = StepMeasure.uniform_on(3, [(i,) for i in (1, -1, 2, -2, 3, -3)])
 A, B = (1,), (2,)
+# The radius-2 window and a^5: at gap mu <= 2 the word a^5 is longer than
+# 2 mu, so those endpoints take the read route.
+LONG_WINDOW = frozenset(F2.ball(2)) | {(1,) * 5}
 
 
 def sub(*texts):
@@ -48,13 +51,20 @@ class TestWitnessSubgroup:
         assert witness_subgroup(sub(), sub("b"), F2.parse("abab")) == sub("b")
 
     def test_success_folds_once(self, monkeypatch):
-        # Trial 0 of seed 11 at n = 80 passes every flag and trial 1 at n = 2
-        # fails: each folds once to build L, and the conjugate w L w^-1 that
-        # flag (b) reads shares L's rows, with no graph built for it.
-        pairs = [WitnessPair.of(sub("a"), sub("b"), F2.ball(2))]
+        # Trial 0 of seed 11 at n = 80 is separated on the radius-2 window:
+        # its success builds no graph. Trial 1 at n = 10 on a window with
+        # the word aaaaa (longer than 2 mu = 4) takes the read route and
+        # passes every flag, and trial 1 at n = 2 fails: each of these folds
+        # once to build L, and the conjugate w L w^-1 that flag (b) reads
+        # shares L's rows, with no graph built for it.
         fold, conjugate = stallings._FoldGraph.fold, SubgroupAutomaton.conjugate
         init = stallings._FoldGraph.__init__
-        for n, trial, success in ((80, 0, True), (2, 1, False)):
+        for window, n, trial, success, expected_folds in (
+            (F2.ball(2), 80, 0, True, 0),
+            (LONG_WINDOW, 10, 1, True, 1),
+            (F2.ball(2), 2, 1, False, 1),
+        ):
+            pairs = [WitnessPair.of(sub("a"), sub("b"), window)]
             folds, built, conjugates = [], [], []
 
             def observed(self, g):
@@ -66,9 +76,12 @@ class TestWitnessSubgroup:
             monkeypatch.setattr(SubgroupAutomaton, "conjugate", observed)
             [[outcome]] = mixing._witness_trial(pairs, UNIFORM, [n], 11, trial)
             assert outcome.success is success
-            assert len(folds) == len(built) == 1
-            [(l_sub, flag_b)] = conjugates
-            assert flag_b._rows is l_sub._rows
+            assert len(folds) == len(built) == expected_folds
+            if expected_folds:
+                [(l_sub, flag_b)] = conjugates
+                assert flag_b._rows is l_sub._rows
+            else:
+                assert conjugates == []
 
     def test_certification_reads_w_back_along_the_stem(self, monkeypatch):
         # Flag (b) certifies a success on w L w^-1: L's automaton reads w^-1
@@ -195,10 +208,11 @@ class TestStemTrace:
 
 class TestFlagB:
     def test_skipped_conjugate_fails_under_optimize_flag(self):
-        # Trial 0 of seed 11 at n = 80 passes every witness flag. If
-        # conjugate skips the stem, w L w^-1 reads as L, whose trace is K's,
-        # not H's: flag (b) fails, also under python -O, and the trial is
-        # not counted.
+        # Trial 1 of seed 11 at n = 10 takes the read route on a window with
+        # the word a^5 and passes every witness flag. If conjugate skips
+        # the stem, w L w^-1 reads as L, whose trace is K's, not H's: flag
+        # (b) fails, also under python -O, and the trial is not counted.
+        # Trial 0 is separated, so the rule counts it either way.
         script = textwrap.dedent(
             """
             import sys
@@ -212,19 +226,167 @@ class TestFlagB:
             F2 = FreeContext(2)
             UNIFORM = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
             sub = lambda t: SubgroupAutomaton.from_generators(2, [F2.parse(t)])
-            pairs = [mixing.WitnessPair.of(sub("a"), sub("b"), F2.ball(2))]
-            [[kept]] = mixing._witness_trial(pairs, UNIFORM, [80], 11, 0)
+            window = frozenset(F2.ball(2)) | {(1,) * 5}
+            pairs = [mixing.WitnessPair.of(sub("a"), sub("b"), window)]
+            [[kept]] = mixing._witness_trial(pairs, UNIFORM, [10], 11, 1)
+            [before] = mixing.joint_mixing([(sub("a"), sub("b"), window)], UNIFORM, [10], 2, 11)
             SubgroupAutomaton.conjugate = lambda self, g: self
-            [[skipped]] = mixing._witness_trial(pairs, UNIFORM, [80], 11, 0)
-            [result] = mixing.joint_mixing([(sub("a"), sub("b"), F2.ball(2))], UNIFORM, [80], 1, 11)
-            print(kept.success, skipped.trace_h, skipped.success, result.joint.successes)
+            [[skipped]] = mixing._witness_trial(pairs, UNIFORM, [10], 11, 1)
+            [result] = mixing.joint_mixing([(sub("a"), sub("b"), window)], UNIFORM, [10], 2, 11)
+            print(kept.success, before.joint.successes, skipped.trace_h, skipped.success, result.joint.successes)
             """
         )
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["True", "False", "False", "0"]
+        assert proc.stdout.split() == ["True", "2", "False", "False", "1"]
+
+
+class Fixed:
+    """A measure stand-in whose walk ends at the given endpoints."""
+
+    def __init__(self, *ends):
+        self.ends = list(ends)
+
+    def positions(self, ns, gen):
+        return self.ends
+
+
+def _route(monkeypatch, pair, w):
+    """(outcome of the endpoint w under the rule, the number of L folded)."""
+    built = []
+    witness = mixing.witness_subgroup
+    monkeypatch.setattr(mixing, "witness_subgroup", lambda *a: built.append(1) or witness(*a))
+    [[outcome]] = mixing._witness_trial([pair], Fixed(w), [len(w)], 0, 0)
+    monkeypatch.setattr(mixing, "witness_subgroup", witness)
+    return outcome, len(built)
+
+
+def _read_route(pair, w):
+    return check_witness(witness_subgroup(pair.h, pair.k, w), pair, w)
+
+
+@st.composite
+def separation_cases(draw):
+    """stem_cases with a window of the ball and a few longer words, so that
+    some endpoints at gap mu >= 2 have a window word longer than 2 mu."""
+    rank, h_gens, k_gens, w, radius = draw(stem_cases())
+    window = set(FreeContext(rank).ball(radius)) | set(draw(st.lists(words(rank, 9), max_size=3)))
+    return rank, h_gens, k_gens, w, window
+
+
+class TestSeparationRule:
+    # An endpoint at gap mu >= 2 with no window word longer than 2 mu passes
+    # every flag without L being built; any other endpoint folds L once.
+
+    @given(separation_cases())
+    def test_never_decides_an_endpoint_the_read_route_fails(self, case):
+        rank, h_gens, k_gens, w, window = case
+        h = SubgroupAutomaton.from_generators(rank, h_gens)
+        k = SubgroupAutomaton.from_generators(rank, k_gens)
+        pair = WitnessPair.of(h, k, window)
+        gap = h.join_gap(w, k)
+        full = _read_route(pair, w)
+        [[outcome]] = mixing._witness_trial([pair], Fixed(w), [len(w)], 0, 0)
+        if gap >= 2 and 2 * gap >= pair.longest:
+            assert full.success and outcome.success
+        else:
+            assert outcome == full
+        if gap >= 1:
+            # No state merges: L is K's and H's rows and a path of mu edges.
+            assert live_states(witness_subgroup(h, k, w)) == live_states(h) + live_states(k) + gap - 1
+
+    def test_gap_0_takes_the_read_route(self, monkeypatch):
+        # w = 1: K's base and H's base merge, and a lies in L.
+        pair = WitnessPair.of(sub("a"), sub("b"), F2.ball(2))
+        assert pair.h.join_gap((), pair.k) == 0
+        outcome, folds = _route(monkeypatch, pair, ())
+        assert folds == 1 and outcome == _read_route(pair, ()) and not outcome.trace_k
+
+    def test_gap_1_takes_the_read_route(self, monkeypatch):
+        # H = K = <a> and w = B: w^-1 = b reads from neither base, so the
+        # path is one edge. Every flag holds, but the rule asks mu >= 2.
+        pair = WitnessPair.of(sub("a"), sub("a"), F2.ball(2))
+        w = F2.parse("B")
+        assert pair.h.join_gap(w, pair.k) == 1
+        outcome, folds = _route(monkeypatch, pair, w)
+        assert folds == 1 and outcome == _read_route(pair, w)
+
+    def test_gap_2_decides_up_to_length_4(self, monkeypatch):
+        # H = <a>, K = <b>, w = BA: w^-1 = ab reads from neither base, so
+        # mu = 2. The shortest loop at K's base through the path is
+        # ab a BA, 2 mu + 1 letters, so a window of words up to 4 letters is
+        # decided and one with abaBA is not: there flag (a) fails.
+        h, k, w = sub("a"), sub("b"), F2.parse("BA")
+        assert h.join_gap(w, k) == 2
+        for window, folds in ((F2.ball(2), 0), ({F2.parse("abaB")}, 0), ({F2.parse("abaBA")}, 1)):
+            pair = WitnessPair.of(h, k, window)
+            outcome, built = _route(monkeypatch, pair, w)
+            assert built == folds
+            assert outcome.success is (folds == 0) is _read_route(pair, w).success
+        assert not _read_route(WitnessPair.of(h, k, {F2.parse("abaBA")}), w).trace_k
+
+    def test_decided_endpoints_are_criterion_8s_successes(self, monkeypatch):
+        # On criterion 8's instance every success is separated and every
+        # failure takes the read route, so the rule decides 422/488/500/
+        # 500/500 of the 500 endpoints at each n: the gain of skipping the
+        # fold cannot vanish without this count moving.
+        read = []
+        witness = mixing.witness_subgroup
+        monkeypatch.setattr(mixing, "witness_subgroup", lambda *a: read.append(1) or witness(*a))
+        pairs = [WitnessPair.of(*selftest._standard_instance())]
+        decided, successes = [], []
+        for n in selftest.GOLDEN_MIXING_SCHEDULE:
+            read.clear()
+            outcomes = [
+                mixing._witness_trial(pairs, selftest.UNIFORM_F2, [n], selftest.MASTER_SEED, t)[0][0]
+                for t in range(500)
+            ]
+            decided.append(500 - len(read))
+            successes.append(sum(o.success for o in outcomes))
+        assert tuple(decided) == tuple(successes) == selftest.GOLDEN_MIXING_SUCCESSES
+
+    def test_rule_runs_under_optimize_flag(self):
+        # With the gap forced to 0 every endpoint takes the read route, and
+        # every count is the same: the rule's comparisons are explicit, so
+        # they run under python -O too.
+        script = textwrap.dedent(
+            """
+            import sys
+            from hypmix import mixing, selftest
+            from hypmix.freegroup import FreeContext
+            from hypmix.stallings import SubgroupAutomaton
+
+            if __debug__:
+                sys.exit("not running under -O")
+            F2 = FreeContext(2)
+            sub = lambda t: SubgroupAutomaton.from_generators(2, [F2.parse(t)])
+            pairs = [
+                (sub("a"), sub("b"), F2.ball(2)),
+                (sub("ab"), sub("ba"), F2.ball(1)),
+                (sub("a"), sub("b"), frozenset(F2.ball(2)) | {(1,) * 5}),
+            ]
+            folds = []
+            witness = mixing.witness_subgroup
+            mixing.witness_subgroup = lambda *a: folds.append(1) or witness(*a)
+            def counts():
+                folds.clear()
+                results = mixing.joint_mixing(pairs, selftest.UNIFORM_F2, [0, 10, 20, 40], 100, 5)
+                return len(folds), [[r.joint.successes, *(m.successes for m in r.marginals)] for r in results]
+            ruled_folds, ruled = counts()
+            SubgroupAutomaton.join_gap = lambda self, w, other: 0
+            read_folds, read = counts()
+            print(ruled == read, ruled_folds, read_folds)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        same, ruled_folds, read_folds = proc.stdout.split()
+        assert same == "True"
+        assert int(ruled_folds) < int(read_folds) == 3 * 4 * 100
 
 
 def mixing_estimates(h, k, window, measure, n_list, trials, seed, threads=1):
@@ -317,16 +479,21 @@ class TestJointMixing:
         assert info.value.argument == "n_list"
 
     def test_setup_checked_once_per_call(self, monkeypatch):
-        # One permissibility fold and one read of each marker trace for the
-        # whole schedule.
-        validated, traced = [], []
+        # One permissibility fold, and one read of each marker trace and
+        # rank, for the whole schedule. n = 0 and 10 put endpoints on the
+        # read route, which compares L's rank with the pair's rank sum.
+        validated, traced, ranked = [], [], []
         require, trace = StepMeasure.require_permissible, SubgroupAutomaton.trace
+        rank_of = SubgroupAutomaton.rank_of_subgroup
         monkeypatch.setattr(StepMeasure, "require_permissible", lambda self: validated.append(1) or require(self))
         monkeypatch.setattr(SubgroupAutomaton, "trace", lambda self, w: traced.append(self) or trace(self, w))
+        monkeypatch.setattr(SubgroupAutomaton, "rank_of_subgroup", lambda self: ranked.append(self) or rank_of(self))
         h, k = sub("a"), sub("b")
-        joint_mixing([(h, k, F2.ball(1))], UNIFORM, [10, 20, 40, 80, 160], 3, 1)
+        joint_mixing([(h, k, F2.ball(1))], UNIFORM, [0, 10, 20, 40, 80, 160], 3, 1)
         assert validated == [1]
         assert sum(t is h for t in traced) == sum(t is k for t in traced) == 1
+        assert sum(r is h for r in ranked) == sum(r is k for r in ranked) == 1
+        assert len(ranked) > 2
 
     def test_union_bound(self):
         pairs = [
@@ -347,6 +514,23 @@ class TestJointMixing:
         with pytest.raises(MixingSetupError) as info:
             joint_mixing([(sub("a"), sub("b"), F2.ball(1))], UNIFORM, [10], 0, 1)
         assert info.value.argument == "trials"
+
+    @pytest.mark.parametrize(
+        "word", [(1, -1), (7,), (0,), (-3,)], ids=["unreduced", "letter_above_rank", "letter_0", "inverse_above_rank"]
+    )
+    def test_bad_window_word_named_before_any_trial(self, monkeypatch, word):
+        # A window word must be a reduced word of the measure's rank: (1, -1)
+        # is the identity, which both markers contain, and letters 7, 0 and
+        # -3 name no generator of F2.
+        drawn = []
+        monkeypatch.setattr(rng, "map_trials", lambda *a: drawn.append(a))
+        window = [(1,), word, (2, 1)]
+        for n_list in ([40], []):
+            with pytest.raises(MixingSetupError) as info:
+                joint_mixing([(sub("a"), sub("b"), window)], UNIFORM, n_list, 20, 1)
+            assert info.value.argument == "pairs"
+            assert repr(word) in str(info.value)
+        assert drawn == []
 
     @pytest.mark.parametrize(
         "measure, h_rank, k_rank, named",

@@ -7,7 +7,7 @@ from hypmix import rng
 from hypmix.freegroup import FreeContext, invert, multiply, power, reduce_word
 from hypmix.stallings import AutomatonError, SubgroupAutomaton
 
-from conftest import F2, F3, count_canonical_forms, letters, nontrivial_words, words
+from conftest import F2, F3, count_canonical_forms, letters, live_states, nontrivial_words, words
 from reference import basis, is_folded
 
 A, B = (1,), (2,)
@@ -477,6 +477,24 @@ class TestConjugateJoin:
     def test_rank_mismatch(self):
         with pytest.raises(AutomatonError):
             sub("a").conjugate_join((), SubgroupAutomaton.from_generators(3, [(3,)]))
+        with pytest.raises(AutomatonError):
+            sub("a").join_gap((), SubgroupAutomaton.from_generators(3, [(3,)]))
+
+    @pytest.mark.parametrize("rank", [2, 3], ids=["F2", "F3"])
+    @given(data=st.data())
+    def test_join_gap_is_the_fresh_path(self, rank, data):
+        # join_gap reads g^-1 from the ends the fold reads g from. At a gap
+        # mu >= 1 the fold merges nothing: its live states are H's, K's
+        # (whose base absorbs the empty start state) and mu - 1 fresh ones,
+        # and the ranks add. At mu = 0 the path's ends merge.
+        h, g, k = data.draw(conjugate_join_cases(rank))
+        gap = h.join_gap(invert(g), k)
+        joined = h.conjugate_join(g, k)
+        if gap:
+            assert live_states(joined) == live_states(h) + live_states(k) + gap - 1
+            assert joined.rank_of_subgroup() == h.rank_of_subgroup() + k.rank_of_subgroup()
+        else:
+            assert live_states(joined) < live_states(h) + live_states(k)
 
 
 class EdgeGraph:

@@ -14,7 +14,9 @@ Every name a src/hypmix module imports is also used in that module, unless
 its import line says `# noqa: F401` (the package's re-exports).
 
 No src/hypmix module imports another module's private name (`from .x
-import _y`): what a module keeps private, only that module reads.
+import _y`) or reads one: neither `x._y` on a package module x, nor
+`obj._y` where the reading module defines no `_y` itself. What a module
+keeps private, only that module reads.
 
 Every private top-level function, class and constant of src/hypmix, and
 every private method of its classes, is loaded somewhere in src/hypmix
@@ -206,6 +208,87 @@ def test_private_import_check_sees_one():
         "def f():\n    from .walks import _reduce\n"
     )
     assert _private_imports(ast.parse(text)) == ["line 2: _follow", "line 3: _trial_fn", "line 7: _reduce"]
+
+
+def _package_modules(tree, modules):
+    """Names a module binds to package modules: `from . import x` and
+    `from hypmix import x`."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 and not node.module or node.module == "hypmix")
+        for alias in node.names
+        if alias.name in modules
+    }
+
+
+def _own_names(tree):
+    """Every name a module defines or assigns, at any depth: functions,
+    classes, assignment targets, attributes it stores and the entries of a
+    __slots__ tuple."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            names |= {e.value for e in ast.walk(node.value) if _is_str(e)}
+    return names
+
+
+def _private_reads(tree, modules):
+    """Private attributes a module reads that another module keeps: any on
+    a package module, and any the module does not define itself."""
+    bound, own = _package_modules(tree, modules), _own_names(tree)
+    return sorted(
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and _is_private(node.attr)
+        and ((isinstance(node.value, ast.Name) and node.value.id in bound) or node.attr not in own)
+    )
+
+
+def test_no_private_name_is_read():
+    modules = {path.stem for path in SRC.glob("*.py")}
+    read = {}
+    for path in sorted(SRC.glob("*.py")):
+        found = _private_reads(ast.parse(path.read_text(), filename=str(path)), modules)
+        if found:
+            read[path.name] = found
+    assert not read, f"private names read from another module: {read}"
+
+
+def test_private_read_check_sees_one():
+    text = (
+        "from . import cantor, rng\n"
+        "from hypmix import walks as w\n"
+        "from .stallings import SubgroupAutomaton\n"
+        "class Own:\n    __slots__ = ('_slot',)\n"
+        "    def __init__(self):\n        self._field = 1\n"
+        "    def _method(self):\n        return self._field + self._slot\n"
+        "def _children(label):\n    return label\n"
+        "def f(obj):\n"
+        "    obj._method()\n"
+        "    _children(obj)\n"
+        "    cantor._children(obj)\n"
+        "    rng.__name__\n"
+        "    w._reduce\n"
+        "    SubgroupAutomaton._from_folded(2, [], 0)\n"
+        "    obj._rows\n"
+    )
+    assert _private_reads(ast.parse(text), {"cantor", "rng", "stallings", "walks"}) == [
+        "line 15: cantor._children",
+        "line 17: w._reduce",
+        "line 18: SubgroupAutomaton._from_folded",
+        "line 19: obj._rows",
+    ]
 
 
 def _private_definitions(tree):
