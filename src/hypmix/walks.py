@@ -15,19 +15,20 @@ common denominator D and drawing unbiased integers below D from the trial's
 Philox substream, so walk endpoints are reproducible bit for bit from
 (measure, n, seed) alone.
 
-Walk endpoints are reduced without the trajectory. A long walk (at least
-SHORT_WALK letters) is reduced by whole-array numpy passes, each deleting
-the first adjacent inverse pair of every run of them, for at most
-MAX_PASSES passes; a short walk, or what is left when the passes run out,
-finishes in freegroup.reduce_word. Free reduction is confluent, so the
-endpoint is the same either way.
-
-The draws are one call per trial schedule: positions draws max(ns) steps
-once and returns w_n for each n of an ascending schedule, reducing each
-segment on its own and joining it to the previous endpoint, which cancels
-only at the seam. Bounded Philox draws are prefix-stable (the first n of N
-draws are the n draws of a size-n call on the same stream), so each w_n is
-the endpoint of a walk of n steps drawn alone, bit for bit.
+Walk endpoints are reduced without the trajectory. The draws are one call
+per trial schedule: positions draws max(ns) steps once and returns w_n for
+each n of an ascending schedule. The schedule cuts the walk into segments,
+the steps between two of its lengths. Consecutive short segments (under
+SHORT_WALK padded letters each) are listed once and pushed through one
+stack, which holds w_n at each n: no numpy call and no seam join per
+segment. A long segment is reduced by whole-array numpy passes, each
+deleting the first adjacent inverse pair of every run of them, for at most
+MAX_PASSES passes; what is left finishes in freegroup.reduce_word, and the
+result joins the previous endpoint with multiply, which cancels only at the
+seam. Free reduction is confluent, so the endpoint is the same either way.
+Bounded Philox draws are prefix-stable (the first n of N draws are the n
+draws of a size-n call on the same stream), so each w_n is the endpoint of
+a walk of n steps drawn alone, bit for bit.
 final_position is the schedule of one length.
 """
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -54,9 +56,14 @@ class DriftRangeError(RuntimeError):
     """An estimated drift lies outside [0, longest step length]."""
 
 
-# Walk endpoints: below SHORT_WALK letters reduce_word's stack beats a numpy
-# pass (measured crossover between 512 and 2,048 letters); MAX_PASSES bounds
-# the passes before reduce_word takes over.
+# Walk segments of fewer than SHORT_WALK padded letters go through the
+# stack of positions, longer ones through _reduce's numpy passes. Measured
+# on one segment (Python 3.11, numpy 2.4, 2 CPUs, two runs), stack time
+# over numpy time is 0.41-0.45 / 0.64-0.67 / 1.03-1.09 / 1.48 / 2.1-2.2
+# for uniform F2 steps at 256 / 512 / 1,024 / 2,048 / 4,096 letters; for
+# steps a, b, ab and their inverses with mass 1/2 at the identity it is
+# 0.72-0.78 at 1,024 and 1.06-1.15 at 2,048 padded letters. MAX_PASSES
+# bounds the passes before reduce_word takes over.
 SHORT_WALK = 1024
 MAX_PASSES = 32
 
@@ -167,19 +174,41 @@ class StepMeasure:
         """Endpoints w_n after each n of an ascending schedule, from one draw
         of max(ns) steps, without storing the trajectory.
 
-        The steps between two lengths of the schedule are reduced as one
-        segment and joined to the previous endpoint with multiply, which
-        cancels only at the seam.
+        The schedule cuts the walk into segments, the steps between two of
+        its lengths. A run of consecutive short segments, each under
+        SHORT_WALK padded letters, is listed once and pushed through one
+        stack, snapshot at each n of the run: no numpy call and no seam
+        join per segment. A long segment is reduced by _reduce and joined
+        to the previous endpoint with multiply, which cancels only at the
+        seam; a run of short segments after it starts its stack from that
+        endpoint.
         """
         require_schedule(ns)
         if not ns:
             return []
         steps = self._letters[self.draw_indices(gen, ns[-1])]
-        ends, w, start = [], (), 0
-        for n in ns:
-            w = multiply(w, self._reduce(steps[start:n]))
-            ends.append(w)
-            start = n
+        width = steps.shape[1]
+        ends: list[Word] = []
+        w: Word = ()
+        spans = zip([0, *ns], ns)
+        for short, run in groupby(spans, key=lambda span: (span[1] - span[0]) * width < SHORT_WALK):
+            run = list(run)
+            if not short:
+                for a, b in run:
+                    w = multiply(w, self._reduce(steps[a:b]))
+                    ends.append(w)
+                continue
+            letters = iter(steps[run[0][0] : run[-1][1]].ravel().tolist())
+            stack = list(w)
+            for a, b in run:
+                # filter drops the 0 padding.
+                for x in filter(None, islice(letters, (b - a) * width)):
+                    if stack and stack[-1] == -x:
+                        stack.pop()
+                    else:
+                        stack.append(x)
+                w = tuple(stack)
+                ends.append(w)
         return ends
 
     def final_position(self, n: int, gen: np.random.Generator) -> Word:
@@ -188,16 +217,17 @@ class StepMeasure:
 
     @staticmethod
     def _reduce(steps: np.ndarray) -> Word:
-        """The reduced word of steps, rows of the padded letter table.
+        """The reduced word of a long segment, rows of the padded letter
+        table.
 
         While the word has at least SHORT_WALK letters, for at most
         MAX_PASSES passes, one numpy pass deletes the first adjacent inverse
         pair of every run of them; a pass that finds none has a reduced
-        word. A short walk, or a word still unreduced when the passes run
-        out, finishes in reduce_word. Free reduction is confluent, so
-        deleting any disjoint set of adjacent inverse pairs keeps the
-        reduced word: the endpoint is reduce_word's, after at most
-        MAX_PASSES + 1 linear passes.
+        word. A word under SHORT_WALK letters, or one still unreduced when
+        the passes run out, finishes in reduce_word. Free reduction is
+        confluent, so deleting any disjoint set of adjacent inverse pairs
+        keeps the reduced word: the endpoint is reduce_word's, after at
+        most MAX_PASSES + 1 linear passes.
         """
         a = steps.ravel()
         a = a[a != 0]

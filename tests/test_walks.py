@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypmix import rng
+from hypmix import rng, walks
 from hypmix.freegroup import invert
+from hypmix.selftest import GOLDEN_MIXING_SCHEDULE
 from hypmix.walks import (
     MAX_PASSES,
     SHORT_WALK,
@@ -35,6 +36,19 @@ LAZY_PAIRS = StepMeasure.uniform_on(
 # a^40 A^40 cancels one pair per pass, so long walks outlast MAX_PASSES
 # and finish on the stack.
 POWERS_40 = StepMeasure.uniform_on(2, [(1,) * 40, (-1,) * 40, (2,), (-2,)])
+# Keeping every position w_0 ... w_n of an 8,000-step walk would allocate
+# about 120 MB.
+ENDPOINT_PEAK_BYTES = 5 * 2**20
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestConstruction:
@@ -198,14 +212,7 @@ class TestFinalPosition:
         assert UNIFORM_F2.final_position(3, rng.substream(42)) == GOLDEN_WALK_42
 
     def test_keeps_only_the_endpoint(self):
-        # Keeping every position w_0 ... w_n would allocate about 120 MB here.
-        tracemalloc.start()
-        try:
-            UNIFORM_F2.final_position(8000, rng.substream(42))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 2**20
+        assert traced_peak(UNIFORM_F2.final_position, 8000, rng.substream(42)) < ENDPOINT_PEAK_BYTES
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pass_budget_exhausted(self, seed):
@@ -236,6 +243,78 @@ class TestPositions:
         assert got == [measure.final_position(n, rng.substream(seed)) for n in ns]
         walk = sample_walk(measure, ns[-1] if ns else 0, seed)
         assert got == [walk.positions[n] for n in ns]
+
+    # Segment lengths in steps; "long" and "short" fall just either side of
+    # SHORT_WALK padded letters, 0 repeats an n or leads with n = 0.
+    SEGMENTS = {
+        "short after long": ["long", "short"],
+        "long after short": [3, "long"],
+        "repeated n": [3, 0, "long", 0, "short", 0],
+        "leading n = 0": [0, 3, "long", 3],
+        "every kind": [0, 0, "short", "long", "long", 3, 0, "short"],
+    }
+
+    @pytest.mark.parametrize("measure", [LAZY_PAIRS, POWERS_40], ids=["LAZY_PAIRS", "POWERS_40"])
+    @pytest.mark.parametrize("case", SEGMENTS)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_segment_order(self, measure, case, seed):
+        width = measure.max_step_length()
+        steps = {"long": -(-SHORT_WALK // width), "short": SHORT_WALK // width - 1}
+        assert steps["long"] * width >= SHORT_WALK > steps["short"] * width
+        ns, n = [], 0
+        for segment in self.SEGMENTS[case]:
+            n += steps.get(segment, segment)
+            ns.append(n)
+        got = measure.positions(ns, rng.substream(seed))
+        assert got == [measure.final_position(n, rng.substream(seed)) for n in ns]
+        walk = sample_walk(measure, ns[-1], seed)
+        assert got == [walk.positions[n] for n in ns]
+
+    @staticmethod
+    def count_routes(monkeypatch) -> dict:
+        """Counts, from here on, the calls of _reduce, reduce_word and
+        multiply that walks makes."""
+        calls = {"_reduce": 0, "reduce_word": 0, "multiply": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(StepMeasure, "_reduce", staticmethod(counted("_reduce", StepMeasure._reduce)))
+        for name in ("reduce_word", "multiply"):
+            monkeypatch.setattr(walks, name, counted(name, getattr(walks, name)))
+        return calls
+
+    def test_mix_schedule_takes_only_the_stack(self, monkeypatch):
+        ns = list(GOLDEN_MIXING_SCHEDULE)
+        calls = self.count_routes(monkeypatch)
+        got = UNIFORM_F2.positions(ns, rng.substream(7))
+        assert calls == {"_reduce": 0, "reduce_word": 0, "multiply": 0}
+        walk = sample_walk(UNIFORM_F2, ns[-1], 7)
+        assert got == [walk.positions[n] for n in ns]
+
+    def test_long_walk_takes_one_reduce(self, monkeypatch):
+        calls = self.count_routes(monkeypatch)
+        got = UNIFORM_F2.final_position(10_000, rng.substream(7))
+        assert calls["_reduce"] == 1
+        assert got == sample_walk(UNIFORM_F2, 10_000, 7).final
+
+    def test_route_boundary(self, monkeypatch):
+        # SHORT_WALK - 1 letters take the stack, the next SHORT_WALK letters
+        # take _reduce and one seam join.
+        ns = [SHORT_WALK - 1, 2 * SHORT_WALK - 1]
+        calls = self.count_routes(monkeypatch)
+        got = UNIFORM_F2.positions(ns, rng.substream(7))
+        assert (calls["_reduce"], calls["multiply"]) == (1, 1)
+        walk = sample_walk(UNIFORM_F2, ns[-1], 7)
+        assert got == [walk.positions[n] for n in ns]
+
+    def test_short_segment_lists_only_itself(self):
+        # A short run ahead of a long segment keeps the endpoint-only bound.
+        assert traced_peak(UNIFORM_F2.positions, [10, 8000], rng.substream(42)) < ENDPOINT_PEAK_BYTES
 
     def test_empty_schedule(self):
         assert UNIFORM_F2.positions([], rng.substream(42)) == []
