@@ -105,24 +105,11 @@ def _criterion(cid: int, name: str):
 
 def _two_letter_automaton(pa, pb) -> SubgroupAutomaton:
     """The automaton of the graph with a-edges s -> pa[s] and b-edges s -> pb[s],
-    based at state 0, read through its line format."""
+    based at state 0, read through its line format. pa and pb are (partial)
+    permutations of range(n); None means no edge."""
     lines = [str(len(pa)), "base=0"]
     lines += [f"{s} {label} {t}" for label, perm in (("a", pa), ("b", pb)) for s, t in enumerate(perm) if t is not None]
     return SubgroupAutomaton.from_text("\n".join(lines), 2)
-
-
-def _two_letter_graph(pa, pb) -> list[dict[int, int]]:
-    """Adjacency of the graph with a-edges s -> pa[s] and b-edges s -> pb[s].
-
-    pa and pb are (partial) permutations of range(n); None means no edge.
-    """
-    adj = [dict() for _ in pa]
-    for letter, perm in ((1, pa), (2, pb)):
-        for s, t in enumerate(perm):
-            if t is not None:
-                adj[s][letter] = t
-                adj[t][-letter] = s
-    return adj
 
 
 def _ball_distances(radius: int):
@@ -355,21 +342,12 @@ def _all_core_automata(max_states: int) -> list[SubgroupAutomaton]:
         pis = _partial_injections(n)
         for pa in pis:
             for pb in pis:
-                adj = _two_letter_graph(pa, pb)
-                seen = {0}
-                stack = [0]
-                while stack:
-                    u = stack.pop()
-                    for t in adj[u].values():
-                        if t not in seen:
-                            seen.add(t)
-                            stack.append(t)
-                if len(seen) != n:
-                    continue
-                if any(len(adj[s]) <= 1 for s in range(1, n)):
-                    continue
+                # The canonical form trims hairs and numbers the states the
+                # base reaches: all n remain exactly when the graph is a
+                # connected core.
                 sub = _two_letter_automaton(pa, pb)
-                canon[sub] = sub
+                if sub.n_states == n:
+                    canon[sub] = sub
     return list(canon.values())
 
 

@@ -31,18 +31,19 @@ of its folded rows, never canonicalized on the way. A word goes in as a path
 that is read rather than unioned state by state: the graph follows as much
 of the word as it can from both ends, fresh states spell only the unread
 middle, and a path read to the end merges its two ends and folds what that
-forces. Generators are loops read in at the base. g H g^-1 starts from a
-copy of H's rows, targets unshifted, adds a new base after them and reads a
-stem spelling g from that base to H's base; <g H g^-1, K> first copies K's
-automaton in and merges its base with the base. The read from both ends is
-one routine, which join_gap shares: given g^-1, it reads H's and K's rows
-from the same two ends and counts the letters of g that conjugate_join
-would spell with fresh states, the gap mu, without building a graph. When
-H's automaton already reads g backwards from its base, as L reads w back
-along its own stem for the conjugate w L w^-1 that mixing's flag (b) reads,
-that stem would merge the new base away at once, with no state added and no
-edge moved: conjugate then builds no graph and returns H's rows, shared,
-with the base moved to the state g^-1 reads to.
+forces. Generators are loops read in at the base. Every other construction
+is one operation, <g H g^-1, K> (conjugate_join): K's automaton merged into
+the base, H's copied in beside it and a stem spelling g read in between.
+The conjugate g H g^-1 is its case K = 1, and <H, g> its case of an empty
+stem with K = <g>. The read from both ends is one routine, which join_gap
+shares: given g^-1, it reads H's and K's rows from the same two ends and
+counts the letters of g that conjugate_join would spell with fresh states,
+the gap mu, without building a graph. When H's automaton already reads g
+backwards from its base, as L reads w back along its own stem for the
+conjugate w L w^-1 that mixing's flag (b) reads, that stem would merge the
+new base away at once, with no state added and no edge moved: conjugate
+then builds no graph and returns H's rows, shared, with the base moved to
+the state g^-1 reads to.
 
 Basepoint convention: all orbit computations measure distances from the
 identity vertex. Moving the basepoint to another vertex t changes the
@@ -56,7 +57,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .freegroup import Word, WordError, reduce_word
+from .freegroup import FreeContext, Word, WordError, invert, reduce_word
 
 
 class AutomatonError(ValueError):
@@ -92,11 +93,11 @@ def _read_ends(src_rows, p: int, dst_rows, q: int, word: Word) -> tuple[int, int
 
 
 class _FoldGraph:
-    """A labeled graph with base find(base), kept folded while it is built.
+    """A labeled graph with base find(0), kept folded while it is built.
 
     Each state has a row, letter -> target, holding both directions of its
     edges, and a union-find parent; a merged-away state's row is None. The
-    graph starts from given folded rows, or from one empty base state. An
+    graph starts from one empty base state, 0. An
     automaton goes in as a copy of its rows, a component of its own that a
     merge or a path then joins to the rest. A path is read in: the graph
     reads as much of its word as it can from both ends, fresh states spell
@@ -106,11 +107,10 @@ class _FoldGraph:
     meet, so every call leaves the graph folded.
     """
 
-    def __init__(self, rank: int, rows: list[dict[int, int] | None] | None = None):
+    def __init__(self, rank: int):
         self.rank = rank
-        self.rows: list[dict[int, int] | None] = [{}] if rows is None else rows
-        self.parent = list(range(len(self.rows)))
-        self.base = 0
+        self.rows: list[dict[int, int] | None] = [{}]
+        self.parent = [0]
 
     def find(self, s: int) -> int:
         parent = self.parent
@@ -192,7 +192,7 @@ class _FoldGraph:
 
     def fold(self) -> "SubgroupAutomaton":
         """Hand the rows over as they are: no trim, no numbering."""
-        return SubgroupAutomaton(self.rank, self.rows, self.find(self.base))
+        return SubgroupAutomaton(self.rank, self.rows, self.find(0))
 
 
 class SubgroupAutomaton:
@@ -295,9 +295,6 @@ class SubgroupAutomaton:
     def n_states(self) -> int:
         return len(self._canonical or self.transitions)
 
-    def n_edges(self) -> int:
-        return sum(len(d) for d in self.transitions) // 2
-
     def __eq__(self, other):
         # Canonical rows list their letters in the fixed order, so equal
         # dicts are equal rows.
@@ -311,7 +308,7 @@ class SubgroupAutomaton:
         return hash((self.rank, tuple(tuple(d.items()) for d in self.transitions)))
 
     def __repr__(self):
-        return f"SubgroupAutomaton(rank={self.rank}, states={self.n_states}, edges={self.n_edges()})"
+        return f"SubgroupAutomaton(rank={self.rank}, states={self.n_states}, subgroup_rank={self.rank_of_subgroup()})"
 
     # --- membership and geometry -------------------------------------------
 
@@ -390,25 +387,17 @@ class SubgroupAutomaton:
     def conjugate(self, g: Sequence[int]) -> "SubgroupAutomaton":
         """Automaton of g H g^-1: a stem spelling g from a new base to H's.
 
-        g is read backwards from H's base first; rows hold both directions
-        of each edge, so a word that reads ends where its free reduction
-        does. If all of g reads, the stem is already there: the result
-        shares H's rows, which no automaton changes, with its base at the
-        state reached. That is the case of mixing's flag (b), which reads
-        w L w^-1 on the L a witness trial has just folded. Otherwise H's
-        folded rows are copied as they are, their targets unshifted, the new
-        base goes after them and the stem is read in."""
-        rows, state = self._rows, self._base
-        for letter in reversed(g):
-            state = rows[state].get(-letter)  # type: ignore[union-attr,assignment]
-            if state is None:
-                break
-        else:
-            return SubgroupAutomaton(self.rank, rows, state)
-        graph = _FoldGraph(self.rank, [None if row is None else row.copy() for row in rows])
-        [graph.base] = graph.add_states(1)
-        graph.attach_path(g, graph.base, self._base)
-        return graph.fold()
+        g^-1 is read from H's base first; rows hold both directions of each
+        edge, so a word that reads ends where its free reduction does. If
+        all of it reads, the stem is already there: the result shares H's
+        rows, which no automaton changes, with its base at the state
+        reached. That is the case of mixing's flag (b), which reads w L w^-1
+        on the L a witness trial has just folded. Otherwise it is
+        <g H g^-1, 1>, folded by conjugate_join."""
+        state = _follow(self._rows, self._base, invert(g))
+        if state is not None:
+            return SubgroupAutomaton(self.rank, self._rows, state)
+        return self.conjugate_join(g, SubgroupAutomaton(self.rank, [{}], 0))
 
     def conjugate_join(self, g: Sequence[int], other: "SubgroupAutomaton") -> "SubgroupAutomaton":
         """Automaton of <g H g^-1, K>: K's automaton at the base, H's at a
@@ -441,25 +430,19 @@ class SubgroupAutomaton:
         _, lo, _, hi = _read_ends(self._rows, self._base, other._rows, other._base, w)
         return hi - lo
 
-    def join_words(self, words: Iterable[Sequence[int]]) -> "SubgroupAutomaton":
-        """Automaton of <H, words>: one loop per word wedged onto H."""
-        graph = _FoldGraph(self.rank)
-        graph._merge(0, graph.attach(self))
-        for word in words:
-            graph.attach_path(word, 0, 0)
-        return graph.fold()
-
     def certify_free_product(self, g: Sequence[int]) -> bool:
         """Whether <H, g> decomposes as the free product H * <g>.
 
-        Criterion: the join has free rank exactly rank(H) + 1. The natural
-        surjection H * <g> -> <H, g> between free groups then has equal
-        finite ranks, and free groups are Hopfian, so it is an isomorphism.
+        Criterion: the join <H, <g>>, folded by conjugate_join with an empty
+        stem, has free rank exactly rank(H) + 1. The natural surjection
+        H * <g> -> <H, g> between free groups then has equal finite ranks,
+        and free groups are Hopfian, so it is an isomorphism.
         """
         word = reduce_word(g, self.rank)
         if not word:
             raise WordError("the identity generates no free factor")
-        return self.join_words([word]).rank_of_subgroup() == self.rank_of_subgroup() + 1
+        join = self.conjugate_join((), SubgroupAutomaton.from_generators(self.rank, [word]))
+        return join.rank_of_subgroup() == self.rank_of_subgroup() + 1
 
     def trace(self, window: Iterable[Sequence[int]]) -> frozenset:
         """Membership pattern on a window: the window words in the subgroup.
@@ -476,8 +459,6 @@ class SubgroupAutomaton:
     def to_text(self) -> str:
         """Line format: state count, base marker, then `src label dst` per edge
         (positive direction only), in canonical order."""
-        from .freegroup import FreeContext
-
         ctx = FreeContext(self.rank)
         lines = [str(self.n_states), "base=0"]
         for s, row in enumerate(self.transitions):
@@ -488,8 +469,6 @@ class SubgroupAutomaton:
 
     @classmethod
     def from_text(cls, text: str, rank: int) -> "SubgroupAutomaton":
-        from .freegroup import FreeContext
-
         ctx = FreeContext(rank)
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         if len(lines) < 2 or lines[1] != "base=0":

@@ -83,6 +83,29 @@ class TestWitnessSubgroup:
             else:
                 assert conjugates == []
 
+    def test_criterion_8_folds_once_per_read_route_endpoint(self, monkeypatch):
+        # Criterion 8's instance at 100 trials: 17 endpoints take the read
+        # route. Each builds one graph, for L, and conjugate builds none:
+        # every flag-(b) conjugate w L w^-1 shares L's rows.
+        pairs = [WitnessPair.of(*selftest._standard_instance())]
+        built, read_route, conjugates = [], [], []
+        init, witness, conjugate = stallings._FoldGraph.__init__, mixing.witness_subgroup, SubgroupAutomaton.conjugate
+
+        def observed(self, g):
+            before = len(built)
+            result = conjugate(self, g)
+            conjugates.append((self, result, len(built) - before))
+            return result
+
+        monkeypatch.setattr(stallings._FoldGraph, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        monkeypatch.setattr(mixing, "witness_subgroup", lambda *a: read_route.append(a) or witness(*a))
+        monkeypatch.setattr(SubgroupAutomaton, "conjugate", observed)
+        schedule, seed = selftest.GOLDEN_MIXING_SCHEDULE, selftest.MASTER_SEED
+        for trial in range(100):
+            mixing._witness_trial(pairs, selftest.UNIFORM_F2, schedule, seed, trial)
+        assert len(built) == len(read_route) == len(conjugates) == 17
+        assert all(flag_b._rows is l_sub._rows and graphs == 0 for l_sub, flag_b, graphs in conjugates)
+
     def test_certification_reads_w_back_along_the_stem(self, monkeypatch):
         # Flag (b) certifies a success on w L w^-1: L's automaton reads w^-1
         # from its base along its own stem to w^-1 H w, so w L w^-1 is L's

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from hypmix import rng
+from hypmix import rng, stallings
 from hypmix.freegroup import FreeContext, invert, multiply, power, reduce_word
 from hypmix.stallings import AutomatonError, SubgroupAutomaton
 
@@ -42,7 +42,7 @@ class TestFromGenerators:
     def test_single_loop(self):
         a = sub("a")
         assert a.n_states == 1
-        assert a.n_edges() == 1
+        assert a.rank_of_subgroup() == 1
 
     def test_parity_kernel(self):
         h = sub("aa", "ab", "bb")
@@ -51,7 +51,7 @@ class TestFromGenerators:
     def test_trivial(self):
         t = sub()
         assert t.n_states == 1
-        assert t.n_edges() == 0
+        assert t.rank_of_subgroup() == 0
 
     def test_order_independent(self):
         assert sub("aa", "ab", "bb") == sub("bb", "aa", "ab")
@@ -320,7 +320,8 @@ def random_subgroup(ctx, gen, max_gens=3):
 
 
 class TestFoldBuilder:
-    """conjugate, conjugate_join and join_words against refolding basis words."""
+    """conjugate and conjugate_join, the one two-part construction, against
+    refolding basis words; <H, words> is conjugate_join with an empty stem."""
 
     @pytest.mark.parametrize("ctx", [F2, F3], ids=["F2", "F3"])
     def test_against_refolded_basis(self, ctx):
@@ -332,7 +333,8 @@ class TestFoldBuilder:
             words = [ctx.random_word(gen, int(gen.integers(0, 6))) for _ in range(int(gen.integers(0, 3)))]
             assert h.conjugate(g) == refolded_conjugate(h, g)
             assert h.conjugate_join((), k) == SubgroupAutomaton.from_generators(ctx.rank, basis(h) + basis(k))
-            assert h.join_words(words) == SubgroupAutomaton.from_generators(ctx.rank, basis(h) + words)
+            with_words = h.conjugate_join((), SubgroupAutomaton.from_generators(ctx.rank, words))
+            assert with_words == SubgroupAutomaton.from_generators(ctx.rank, basis(h) + words)
 
     @pytest.mark.parametrize("rank", [2, 3], ids=["F2", "F3"])
     @given(data=st.data())
@@ -378,12 +380,24 @@ class TestFoldBuilder:
         assert conjugate == refolded_conjugate(h, g)
         assert conjugate.trace(window) == frozenset(f for f in window if h.contains(multiply(multiply(invert(g), f), g)))
 
+    def test_conjugate_off_h_builds_one_graph(self, monkeypatch):
+        # g^-1 = BAA leaves H's rows at its last letter: conjugate folds
+        # <g H g^-1, 1> through conjugate_join, in one graph of its own.
+        h, g = sub("ab", "bA"), F2.parse("aab")
+        assert h.read(0, invert(g)) is None
+        built = []
+        init = stallings._FoldGraph.__init__
+        monkeypatch.setattr(stallings._FoldGraph, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        conjugate = h.conjugate(g)
+        assert built == [(2,)]
+        assert conjugate == refolded_conjugate(h, g)
+
     def test_trivial_h(self):
         g = F2.parse("abA")
         assert sub().conjugate(g) == sub() == refolded_conjugate(sub(), g)
         assert sub().conjugate_join((), sub()) == sub()
         assert sub().conjugate_join((), sub("ab")) == sub("ab")
-        assert sub().join_words([F2.parse("ab"), ()]) == sub("ab")
+        assert sub().conjugate_join((), SubgroupAutomaton.from_generators(2, [F2.parse("ab"), ()])) == sub("ab")
 
     def test_empty_g(self):
         gen = rng.substream(47)
@@ -632,7 +646,7 @@ class TestReadInBuilder:
             (SubgroupAutomaton.from_generators(rank, h_gens + loops), generated),
             (h.conjugate(g), conjugated),
             (h.conjugate_join(g, k), joined),
-            (h.join_words(loops), with_words),
+            (h.conjugate_join((), SubgroupAutomaton.from_generators(rank, loops)), with_words),
         ]:
             assert is_folded(auto)
             assert [list(row.items()) for row in auto.transitions] == batch_fold(graph)
@@ -659,7 +673,7 @@ class TestFoldedForm:
             SubgroupAutomaton.from_generators(rank, h_gens + loops),
             h.conjugate(g),
             h.conjugate_join(g, k),
-            h.join_words(loops),
+            h.conjugate_join((), SubgroupAutomaton.from_generators(rank, loops)),
         ]:
             folded = ([auto.contains(x) for x in probes], auto.trace(window), auto.index(), auto.rank_of_subgroup())
             core = canonical(auto)

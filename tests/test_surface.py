@@ -4,9 +4,10 @@ Public top-level functions, classes and constants of src/hypmix, and the
 public methods, properties and fields of those classes (dataclass fields and
 the attributes __init__ sets on self), must be used somewhere in src/hypmix
 or bench/: as a name or an attribute, or as a string constant where code
-reads a member by that name (emit reads ResultRow by column name). Unit
-tests do not count as users: code or data that only a test reaches is
-either wired into an experiment or deleted. The independent references
+reads a member by that name (emit reads ResultRow by column name). A read
+inside a __repr__ only prints the value, so it is no use. Unit tests do not
+count as users: code or data that only a test reaches is either wired into
+an experiment or deleted. The independent references
 that tests compare the library against live in tests/reference.py; the
 exceptions below are fields that only tests read.
 
@@ -74,13 +75,24 @@ def _is_str(node):
     return isinstance(node, ast.Constant) and isinstance(node.value, str)
 
 
+def _walk_outside_repr(tree):
+    """ast.walk without the bodies of __repr__ methods."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not (isinstance(node, ast.FunctionDef) and node.name == "__repr__"):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _member_reads(tree):
-    """Member names a module reads: attribute loads, the constant name of a
-    getattr call, and the entries of a module-level tuple of names (such as
-    harness.CSV_COLUMNS, by which emit reads ResultRow). Any other string
-    constant reads nothing, even one that spells a member's name."""
+    """Member names a module reads outside a __repr__: attribute loads, the
+    constant name of a getattr call, and the entries of a module-level tuple
+    of names (such as harness.CSV_COLUMNS, by which emit reads ResultRow).
+    Any other string constant reads nothing, even one that spells a member's
+    name."""
     reads = set()
-    for node in ast.walk(tree):
+    for node in _walk_outside_repr(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             reads.add(node.attr)
         elif (
@@ -116,7 +128,11 @@ def _scan():
             for node in tree.body:
                 if isinstance(node, ast.ClassDef):
                     members |= _public(node.body) | _instance_fields(node)
-        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        names |= {
+            node.id
+            for node in _walk_outside_repr(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
         reads |= _member_reads(tree)
     used = (top & (names | reads)) | (members & reads)
     return top, members, used
@@ -144,6 +160,15 @@ def test_member_reads_see_strings_only_where_a_member_is_read():
         'def f():\n    local = ("inner",)\n'
     )
     assert _member_reads(ast.parse(text)) == {"kept", "also", "read", "attr"}
+
+
+def test_repr_read_check_sees_one():
+    text = (
+        "class Shown:\n"
+        "    def __repr__(self):\n        return f'{self.size()} {self.kept}'\n"
+        "    def __str__(self):\n        return str(self.kept)\n"
+    )
+    assert _member_reads(ast.parse(text)) == {"kept"}
 
 
 def _unused_imports(tree, lines):
