@@ -22,11 +22,15 @@ Both generators preserve the "same order-position" structure: restricted to
 any cone they realize the positional bijection xi between source and target
 cones, which is what makes exact open-set computations possible. Images of
 finite cone unions are tracked as antichains of labels (no label a prefix of
-another). Atoms act right to left on an intermediate label; when the next
-atom is not yet determined at its depth (a permutation needs two letters, a
-letter may cancel a length-1 label), the intermediate label splits into its
-five children and the computation resumes at that same atom. The atoms
-already applied act on the source cone as the positional bijection onto the
+another). Atoms act right to left on an intermediate label, held as a letter
+stack: a letter pushes or pops, a permutation rewrites the two-letter prefix
+and carries deeper letters by rank only up to the first letter that maps to
+itself, and while the label starts with two F(x, y) letters every
+permutation is skipped unread. When the next atom is not yet
+determined at its depth (a permutation needs two letters, a letter may
+cancel a length-1 label), the intermediate label splits into its five
+children and the computation resumes at that same atom. The atoms already
+applied act on the source cone as the positional bijection onto the
 intermediate cone, so these children are exactly the images of the source
 label's children. A depth cap counts the depth of the source label.
 
@@ -43,6 +47,7 @@ vertices it can ever reach, so the ceiling holds for every letter mass.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -57,6 +62,7 @@ X, Y, Z = 1, 2, 3
 _LETTERS = (1, -1, 2, -2, 3, -3)  # the fixed order x < x^-1 < y < y^-1 < z < z^-1
 _LETTER_NAMES = {1: "x", -1: "X", 2: "y", -2: "Y", 3: "z", -3: "Z"}
 _NAME_LETTERS = {v: k for k, v in _LETTER_NAMES.items()}
+_ALPHABET = frozenset(_LETTERS)
 
 # Allowed extension letters after a given last letter, in order.
 _ALLOWED = {last: tuple(l for l in _LETTERS if l != -last) for last in _LETTERS}
@@ -101,10 +107,12 @@ def _check_label(label: Sequence[int]) -> Word:
     label = tuple(label)
     if not label:
         raise ConeError("cone labels are nonempty")
-    for l in label:
-        if l not in _LETTER_NAMES:
-            raise ConeError(f"letter {l} outside the x, y, z alphabet")
-    if any(label[i] == -label[i + 1] for i in range(len(label) - 1)):
+    if not _ALPHABET.issuperset(label):
+        for l in label:
+            if l not in _ALPHABET:
+                raise ConeError(f"letter {l} outside the x, y, z alphabet")
+    # Two neighbours cancel exactly when their sum is 0.
+    if 0 in map(operator.add, label, label[1:]):
         raise ConeError("label is not freely reduced")
     return label
 
@@ -122,6 +130,8 @@ def _children(label: Word) -> list[Word]:
 SIGMA: tuple[Word, ...] = tuple(u for l in _LETTERS for u in _children((l,)))
 OMEGA: tuple[Word, ...] = tuple(u for u in SIGMA if not in_f2_part(u))  # 18 of them
 OMEGA_INDEX = {u: i for i, u in enumerate(OMEGA)}
+# The count of leading F(x, y) letters of each Omega label: 1 or 0.
+_OMEGA_F2 = tuple(int(abs(u[0]) != Z) for u in OMEGA)
 
 CONE_Z: Word = (Z,)
 CONE_Z2: Word = (Z, Z)
@@ -257,28 +267,55 @@ def _advance(atoms: tuple, label: Word, i: int) -> tuple[Word, int]:
 
     Stops at the first atom that is not determined at the label's depth and
     returns (label, atoms left), with 0 atoms left once every atom has acted.
+
+    The label is a letter stack with its first letter on top, so a letter
+    atom pushes or pops, and f2 counts the label's leading F(x, y) letters.
+    Atom letters lie in F(x, y), so a push adds one to the count and a pop
+    takes one off. While the count is at least 2, every permutation fixes
+    the label pointwise and is skipped, and no letter can cancel the whole
+    label. Below 2, the two-letter prefix lies in Omega: a permutation
+    rewrites it and carries the deeper letters by rank, as _xi does, up to
+    the first letter its image agrees with; from there on every letter maps
+    to itself. A letter costs O(1) and a permutation one step per letter it
+    changes: all of them in zxxx -> zXXX, rarely more than two on random
+    labels.
     """
+    word = list(reversed(label))
+    f2 = 0
+    for l in label:
+        if abs(l) == Z:
+            break
+        f2 += 1
     while i:
         atom = atoms[i - 1]
         if atom.__class__ is int:
-            if label[0] != -atom:
-                label = (atom,) + label
-            elif len(label) > 1:
-                label = label[1:]
+            if word[-1] != -atom:
+                word.append(atom)
+                f2 += 1
+            elif len(word) > 1:
+                word.pop()
+                f2 -= 1
             else:
-                return label, i  # full cancellation: the image is not a cone
-        elif len(label) < 2:
-            return label, i  # a permutation reads two letters
-        else:
-            prefix = label[:2]
-            idx = OMEGA_INDEX.get(prefix)
-            # A two-letter prefix inside F(x, y) is fixed pointwise.
-            if idx is not None:
-                target = OMEGA[atom[idx]]
-                if target != prefix:
-                    label = _xi(prefix, target, label)
+                break  # full cancellation: the image is not a cone
+        elif f2 < 2:
+            if len(word) < 2:
+                break  # a permutation reads two letters
+            src = OMEGA_INDEX[word[-1], word[-2]]
+            dst = atom[src]
+            if dst != src:
+                last_src = word[-2]
+                word[-1], last_dst = OMEGA[dst]
+                word[-2] = last_dst
+                j = len(word) - 3
+                while j >= 0 and last_src != last_dst:
+                    letter = word[j]
+                    last_dst = word[j] = _ALLOWED[last_dst][_ALLOWED_RANK[last_src][letter]]
+                    last_src = letter
+                    j -= 1
+                f2 = _OMEGA_F2[dst]
         i -= 1
-    return label, 0
+    word.reverse()
+    return tuple(word), i
 
 
 def apply_element(g: GElement, label: Sequence[int]):
@@ -310,11 +347,14 @@ def _merge_antichain(labels: Iterable[Word]) -> tuple[Word, ...]:
                 current.add(parent)
                 changed = True
                 break
-    for label in current:
-        for j in range(1, len(label)):
-            if label[:j] in current:
-                raise AssertionError("antichain invariant broken")
-    return tuple(sorted(current, key=_shortlex_key))
+    # In tuple order a label sorts directly before its extensions, so any
+    # prefix pair shows up as a pair of neighbours.
+    ordered = sorted(current)
+    for short, long in zip(ordered, ordered[1:]):
+        if long[: len(short)] == short:
+            raise AssertionError("antichain invariant broken")
+    ordered.sort(key=_shortlex_key)
+    return tuple(ordered)
 
 
 def _shortlex_key(label: Word) -> tuple:
@@ -645,6 +685,11 @@ def estimate_qn(
     `permuted` draw, the same stream). Per-trial decisions are exact; only
     the average is statistical. The projected-walk ceiling 1/3 applies for
     every p_letter with 4*p_letter <= 1.
+
+    The children of a split always get past the atom that split them, so a
+    chain of splits splits at most once per atom: an n-atom trial from
+    Cone(z) splits at source depth at most n. Any depth_cap above n, the
+    default n + 8 included, therefore never censors a trial.
     """
     p_letter = Fraction(p_letter)
     if p_letter <= 0 or 4 * p_letter > 1:

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from hypmix import rng
+from hypmix.cantor import OMEGA, OMEGA_INDEX, _xi
 from hypmix.freegroup import (
     Word,
     cyclic_reduce,
@@ -181,6 +182,60 @@ def overlap_count(
 
 
 # --- cantor ------------------------------------------------------------------
+
+
+def advance_reference(atoms: tuple, label: tuple, i: int) -> tuple[tuple, int]:
+    """cantor._advance one atom at a time: a tuple prepend or slice per
+    letter, and an Omega lookup and a full _xi rewrite per permutation,
+    with no permutation skipped unread."""
+    while i:
+        atom = atoms[i - 1]
+        if isinstance(atom, int):
+            if label[0] != -atom:
+                label = (atom,) + label
+            elif len(label) > 1:
+                label = label[1:]
+            else:
+                return label, i
+        elif len(label) < 2:
+            return label, i
+        else:
+            prefix = label[:2]
+            if prefix in OMEGA_INDEX:
+                label = _xi(prefix, OMEGA[atom[OMEGA_INDEX[prefix]]], label)
+        i -= 1
+    return label, 0
+
+
+def proper_prefix_pairs(labels: Iterable[tuple]) -> list[tuple[tuple, tuple]]:
+    """Every pair (a, b) of the labels with a a proper prefix of b, found by
+    comparing each pair."""
+    labels = set(labels)
+    return [(a, b) for a in labels for b in labels if len(a) < len(b) and b[: len(a)] == a]
+
+
+def merge_antichain_reference(antichain: Iterable[tuple]) -> tuple[tuple, ...]:
+    """cantor._merge_antichain on an antichain: each pass replaces every full
+    family of five siblings by its parent, until a pass finds none, and the
+    result is listed in shortlex order. AssertionError if some label has one
+    of its own proper prefixes among the labels."""
+    current = set(antichain)
+    if any(label[:j] in current for label in current for j in range(1, len(label))):
+        raise AssertionError("antichain invariant broken")
+    # Merging a full family keeps an antichain one, so no later check is needed.
+    while True:
+        families: dict[tuple, list] = {}
+        for label in current:
+            if len(label) >= 2:
+                families.setdefault(label[:-1], []).append(label)
+        full = [parent for parent, kids in families.items() if len(kids) == 5]
+        if not full:
+            break
+        for parent in full:
+            current.difference_update(families[parent])
+            current.add(parent)
+    rank = {l: r for r, l in enumerate((1, -1, 2, -2, 3, -3))}
+    return tuple(sorted(current, key=lambda label: (len(label), [rank[l] for l in label])))
 
 
 def hit_count(trials: int, horizon: int, seed: int) -> int:

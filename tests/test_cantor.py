@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypmix import cantor, rng
@@ -39,7 +39,7 @@ from hypmix.cantor import (
 )
 
 from conftest import StuckGenerator, src_env
-from reference import hit_count
+from reference import advance_reference, hit_count, merge_antichain_reference, proper_prefix_pairs
 
 X, Y, Z = 1, 2, 3
 ALL_LETTERS = (1, -1, 2, -2, 3, -3)
@@ -223,14 +223,14 @@ def restart_image_antichain(g, labels, depth_cap):
     out = []
     while work:
         label = work.pop()
-        image = apply_element(g, label)
-        if image is None:
+        image, left = advance_reference(g, label, len(g))
+        if left:
             if len(label) >= depth_cap:
                 raise DepthCapExceeded(len(label))
             work.extend(order_cones(label, 1))
         else:
             out.append(image)
-    return cantor._merge_antichain(out)
+    return merge_antichain_reference(out)
 
 
 def random_element(gen, n, p_letter):
@@ -270,7 +270,20 @@ class TestImageAntichainReference:
             assert info.value.depth == exc.depth
             return "capped"
         assert image_antichain(g, sources, cap) == want
-        return "refined" if any(apply_element(g, u) is None for u in sources) else "direct"
+        return "refined" if any(advance_reference(g, u, len(g))[1] for u in sources) else "direct"
+
+
+def reduced_word(first, ranks):
+    """The reduced label starting at `first`, each later letter picked by its
+    rank among the five letters that do not cancel the one before."""
+    word = [first]
+    for r in ranks:
+        word.append([l for l in ALL_LETTERS if l != -word[-1]][r])
+    return tuple(word)
+
+
+# Reduced labels of 1 to 4 letters.
+short_labels = st.builds(reduced_word, st.sampled_from(ALL_LETTERS), st.lists(st.integers(0, 4), max_size=3))
 
 
 @st.composite
@@ -286,13 +299,74 @@ def disjoint_sources(draw):
     length = draw(st.integers(1, 4))
     ranks = st.lists(st.integers(0, 4), min_size=length - 1, max_size=length - 1)
     starts = st.tuples(st.sampled_from(ALL_LETTERS), ranks)
-    out = set()
-    for first, rest in draw(st.lists(starts, min_size=1, max_size=3)):
-        word = [first]
-        for r in rest:
-            word.append([l for l in ALL_LETTERS if l != -word[-1]][r])
-        out.add(tuple(word))
-    return sorted(out)
+    return sorted({reduced_word(first, rest) for first, rest in draw(st.lists(starts, min_size=1, max_size=3))})
+
+
+@st.composite
+def labels_by_f2_run(draw):
+    """A label of 1 to 6 letters whose leading F(x, y) run has a drawn
+    length: 0, 1, or at least 2 letters, up to the whole label."""
+    length = draw(st.integers(1, 6))
+    run = draw(st.integers(0, length))
+    word = []
+    for _ in range(run):
+        word.append(draw(st.sampled_from([l for l in (X, -X, Y, -Y) if not word or l != -word[-1]])))
+    if run < length:
+        ranks = draw(st.lists(st.integers(0, 4), min_size=length - run - 1, max_size=length - run - 1))
+        word.extend(reduced_word(draw(st.sampled_from((Z, -Z))), ranks))
+    return tuple(word)
+
+
+class TestAdvance:
+    # The library's letter stack, permutation skipping and healing rank
+    # transport against one atom at a time with full _xi rewrites.
+
+    @settings(max_examples=400)
+    @given(mixed_elements(), labels_by_f2_run(), st.data())
+    # The transport must go on past the prefix: zxyy -> zyXy.
+    @example((from_assignments({(Z, X): (Z, Y)}),), (Z, X, Y, Y), None)
+    # A run of one F(x, y) letter does not protect the prefix xz.
+    @example((from_assignments({(X, Z): (Z, Z)}),), (X, Z), None)
+    # A pop shortens the run: x^-1 sends xyz to yz, which the permutation moves.
+    @example((from_assignments({(Y, Z): (Z, X)}), -X), (X, Y, Z), None)
+    # A permutation that puts xz in front leaves a run of one, and y makes it two.
+    @example((from_assignments({(Z, Z): (Z, X)}), Y, from_assignments({(Z, Z): (X, Z)})), (Z, Z, X), None)
+    def test_matches_reference(self, g, label, data):
+        i = len(g) if data is None else data.draw(st.integers(0, len(g)))
+        assert cantor._advance(g, label, i) == advance_reference(g, label, i)
+
+
+class TestMergeAntichain:
+    # In tuple order a label sorts directly before its extensions, so the
+    # neighbour check must catch every proper prefix pair.
+
+    @settings(max_examples=400)
+    @given(st.lists(short_labels, min_size=1, max_size=8))
+    @example([(X,), (Y,), (X, Z, X)])  # not neighbours in shortlex order
+    @example([(X,), (Y,), (Y, Z)])  # not the first pair in tuple order
+    def test_raises_exactly_on_a_prefix_pair(self, labels):
+        families = {}
+        for label in set(labels):
+            if len(label) >= 2:
+                families[label[:-1]] = families.get(label[:-1], 0) + 1
+        assume(max(families.values(), default=0) < 5)  # nothing merges
+        if proper_prefix_pairs(labels):
+            with pytest.raises(AssertionError, match="antichain invariant broken"):
+                cantor._merge_antichain(labels)
+        else:
+            assert cantor._merge_antichain(labels) == merge_antichain_reference(labels)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(0, 10**6), max_size=12), st.integers(0, 2**32))
+    def test_merges_random_antichains(self, splits, keep):
+        # Split cones of the six-cone partition at random, then keep a subset:
+        # full families merge, and the reference agrees with the library.
+        labels = [(l,) for l in ALL_LETTERS]
+        for k in splits:
+            label = labels.pop(k % len(labels))
+            labels.extend(order_cones(label, 1))
+        kept = [u for j, u in enumerate(labels) if keep >> (j % 32) & 1] or labels
+        assert cantor._merge_antichain(kept) == merge_antichain_reference(kept)
 
 
 class TestRawAtoms:
@@ -627,6 +701,21 @@ class TestQn:
         a = estimate_qn(Fraction(1, 8), 20, 60, 11, threads=1)
         b = estimate_qn(Fraction(1, 8), 20, 60, 11, threads=4)
         assert a == b
+
+    def test_default_cap_never_censors(self):
+        # A split's children get past the atom that split them, so an
+        # n-atom trial from Cone(z) splits at depth at most n.
+        n = 10
+        assert estimate_qn(Fraction(1, 8), n, 200, 5, depth_cap=n + 1).depth_cap_exceeded == 0
+        assert estimate_qn(Fraction(1, 8), n, 200, 5, depth_cap=3).depth_cap_exceeded > 0
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_one_split_per_atom(self, n):
+        # Each x^-1 cancels the whole label, so every atom splits once.
+        assert image_antichain((-X,) * n, [(X,)], depth_cap=n + 1)
+        with pytest.raises(DepthCapExceeded) as info:
+            image_antichain((-X,) * n, [(X,)], depth_cap=n)
+        assert info.value.depth == n
 
     def test_bad_letter_mass(self):
         with pytest.raises(ConeError):
