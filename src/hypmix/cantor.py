@@ -332,9 +332,14 @@ def apply_element(g: GElement, label: Sequence[int]):
 
 
 def _merge_antichain(labels: Iterable[Word]) -> tuple[Word, ...]:
-    """Replace any full sibling family by its parent, repeatedly."""
+    """Replace any full sibling family by its parent, repeatedly.
+
+    The labels must form an antichain, and so must the merged ones: both
+    are checked, the merged ones only when some family merged.
+    """
     current = set(labels)
-    changed = True
+    ordered = _antichain_sorted(current)
+    changed, merged = True, False
     while changed:
         changed = False
         by_parent: dict[Word, list[Word]] = {}
@@ -345,16 +350,24 @@ def _merge_antichain(labels: Iterable[Word]) -> tuple[Word, ...]:
             if len(kids) == 5:
                 current.difference_update(kids)
                 current.add(parent)
-                changed = True
+                changed = merged = True
                 break
+    if merged:
+        ordered = _antichain_sorted(current)
+    ordered.sort(key=_shortlex_key)
+    return tuple(ordered)
+
+
+def _antichain_sorted(labels: set[Word]) -> list[Word]:
+    """The labels in tuple order; AssertionError, raised explicitly so that
+    it also runs under -O, if one is a proper prefix of another."""
     # In tuple order a label sorts directly before its extensions, so any
     # prefix pair shows up as a pair of neighbours.
-    ordered = sorted(current)
+    ordered = sorted(labels)
     for short, long in zip(ordered, ordered[1:]):
         if long[: len(short)] == short:
             raise AssertionError("antichain invariant broken")
-    ordered.sort(key=_shortlex_key)
-    return tuple(ordered)
+    return ordered
 
 
 def _shortlex_key(label: Word) -> tuple:
@@ -608,7 +621,7 @@ def simulate_hit_probability(
         if not dist.size:
             break
         remaining = horizon - t
-        down = gen.integers(0, 4, size=dist.size) == 0
+        down = rng.draw_below(gen, 4, dist.size) == 0
         # Read as int8, the steps -1 and +1 stay one byte wide.
         dist += 1 - 2 * down.view(np.int8)
         if t % 2 == 0 and 1 + t <= remaining:
@@ -694,7 +707,7 @@ def estimate_qn(
     p_letter = Fraction(p_letter)
     if p_letter <= 0 or 4 * p_letter > 1:
         raise ConeError("need 0 < p_letter and 4*p_letter <= 1")
-    # The step integers are drawn below the denominator as int64.
+    # Denominators above 2^63 are refused, so every step integer fits an int64.
     if p_letter.denominator > 2**63:
         raise ConeError("letter mass denominator above 2^63, too fine for exact 64-bit sampling")
     if depth_cap is None:
@@ -707,7 +720,7 @@ def estimate_qn(
 
     def one(trial: int) -> tuple[bool, bool]:
         gen = rng.trial_stream(seed, trial)
-        draws = gen.integers(0, den, size=n)
+        draws = rng.draw_below(gen, den, n)
         k = int(np.count_nonzero(draws >= letter_bound))
         rows = gen.permuted(np.tile(identity, (k, 1)), axis=1)
         # Checked once per trial, explicitly, so it also runs under -O.

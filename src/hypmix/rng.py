@@ -13,11 +13,21 @@ re-keys its Philox per trial, to the key, zero counter and empty buffers a
 new Philox holds, as a counter-based generator is meant to be used (Salmon
 et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). The draws are
 the same; the cost of building a generator per trial is not paid.
+
+Step draws go through draw_below, which returns what integers(0, bound)
+returns and leaves the generator where that call leaves it. numpy draws a
+bound up to 2^32 by Lemire's method ("Fast random integer generation in an
+interval", ACM TOMACS 2019) on 32-bit halves of Philox's 64-bit words, low
+half first, stashing the high half for the next 32-bit draw. For a power of
+two 2^b the method never rejects and returns the top b bits of each half,
+so draw_below reads such bounds as raw words shifted right: the draw method
+differs from integers, the bits do not. Other bounds go to integers.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
 import numpy as np
 
@@ -56,6 +66,37 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     regardless of how many other substreams were opened before it.
     """
     return np.random.Generator(np.random.Philox(key=substream_key(master_seed, *path)))
+
+
+# Viewed as uint32 on a little-endian host, a raw Philox word lists its low
+# half first, the half numpy draws first.
+_RAW_ROUTE = sys.byteorder == "little"
+
+
+def draw_below(gen: np.random.Generator, bound: int, size: int) -> np.ndarray:
+    """gen.integers(0, bound, size=size, dtype=np.uint64), and gen left in
+    the state that call leaves it in.
+
+    A bound 2^b with 1 <= b <= 32 takes the raw route on a little-endian
+    host: each 64-bit word of random_raw gives two draws, its low half
+    first, each half shifted right by 32 - b. A half-word that an earlier
+    odd-sized draw stashed is drawn first, and an odd last draw is drawn
+    alone, both through integers, so that numpy consumes and stashes
+    half-words exactly as one integers call does.
+    """
+    if not (_RAW_ROUTE and 2 <= bound <= 2**32 and bound & (bound - 1) == 0):
+        return gen.integers(0, bound, size=size, dtype=np.uint64)
+    bitgen = gen.bit_generator
+    out = np.empty(size, dtype=np.uint64)
+    start = 1 if size and bitgen.state["has_uint32"] else 0
+    if start:
+        out[0] = gen.integers(0, bound, dtype=np.uint64)
+    words = (size - start) // 2
+    raw = bitgen.random_raw(words).view(np.uint32)
+    np.right_shift(raw, 33 - bound.bit_length(), out=out[start : start + 2 * words])
+    if (size - start) % 2:
+        out[-1] = gen.integers(0, bound, dtype=np.uint64)
+    return out
 
 
 # This process's one trial generator, built on first use so that importing

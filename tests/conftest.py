@@ -50,6 +50,7 @@ class StuckGenerator:
 
     def __init__(self, gen):
         self.integers = gen.integers
+        self.bit_generator = gen.bit_generator
 
     def permuted(self, rows, axis):
         rows[:, 0] = rows[:, 1]

@@ -356,6 +356,13 @@ class TestMergeAntichain:
         else:
             assert cantor._merge_antichain(labels) == merge_antichain_reference(labels)
 
+    def test_checks_the_labels_before_merging(self):
+        # The five children of (X,) merge back into (X,), so a check after
+        # the merge alone would miss that (X,) is a prefix of each of them.
+        labels = [(X,), (X, X), (X, Y), (X, -Y), (X, Z), (X, -Z)]
+        with pytest.raises(AssertionError, match="antichain invariant broken"):
+            cantor._merge_antichain(labels)
+
     @settings(max_examples=200)
     @given(st.lists(st.integers(0, 10**6), max_size=12), st.integers(0, 2**32))
     def test_merges_random_antichains(self, splits, keep):
@@ -495,9 +502,15 @@ class TestCertification:
                 sys.exit("a label and its own prefix passed the antichain check")
             except AssertionError:
                 pass
+            try:
+                cantor._merge_antichain([(1,), (1, 1), (1, 2), (1, -2), (1, 3), (1, -3)])
+                sys.exit("a label and its full family of children passed the antichain check")
+            except AssertionError:
+                pass
             class Stuck:  # its permutation rows repeat a label
                 def __init__(self, gen):
                     self.integers = gen.integers
+                    self.bit_generator = gen.bit_generator
 
                 def permuted(self, rows, axis):
                     rows[:, 0] = rows[:, 1]

@@ -59,9 +59,10 @@ def test_batched_permutations_pin(k):
     assert batched.integers(0, 8, size=after).tolist() == sequential.integers(0, 8, size=after).tolist()
 
 
-# Denominators of step measures: powers of two, which numpy draws by masking,
-# and others just past 2^32 and 2^63, where its bounded sampler rejects
-# draws and may use more than one raw word for one value.
+# Denominators of step measures: powers of two, which numpy's Lemire sampler
+# draws from 32-bit half-words without ever rejecting, and others just past
+# 2^32 and 2^63, where it rejects draws and may use more than one raw word
+# for one value.
 PREFIX_DENOMINATORS = [4, 6, 12, 2**32 + 5, 2**63 + 7, 2**64 - 1]
 PREFIX_SIZES = [(0, 0), (0, 9), (1, 1), (1, 160), (7, 8), (13, 40), (80, 160), (159, 160)]
 
@@ -79,6 +80,42 @@ def test_bounded_draws_prefix_stable(denominator):
             if long.tolist() != short.tolist():
                 changed.append((trial, n, size))
     assert not changed, f"numpy stream changed: bounded draws below {denominator} are not prefix-stable at {changed[:5]}"
+
+
+# draw_below takes its raw route for the powers of two up to 2^32 and calls
+# integers for the rest; sizes odd and even, on either side of the walks'
+# SHORT_WALK cut and of a drift walk.
+DRAW_BELOW_BOUNDS = [2, 4, 8, 6, 12, 2**16, 2**32, 2**32 + 5]
+DRAW_BELOW_SIZES = [0, 1, 2, 7, 160, 161, 10_001]
+
+
+def after_draw(gen: np.random.Generator) -> list:
+    return [
+        gen.permuted(np.tile(np.arange(18), (3, 1)), axis=1).tolist(),
+        gen.integers(0, 7, 5).tolist(),
+    ]
+
+
+@pytest.mark.parametrize("bound", DRAW_BELOW_BOUNDS)
+def test_draw_below_matches_integers(bound):
+    # The same values and dtype as integers(0, bound), and the stream left
+    # where integers leaves it, with or without a half-word stashed by an
+    # odd-sized draw before.
+    changed = []
+    for trial in range(4):
+        for stash in (0, 1):
+            for size in DRAW_BELOW_SIZES:
+                got, want = rng.substream(SEED, trial), rng.substream(SEED, trial)
+                for gen in (got, want):
+                    gen.integers(0, 8, size=stash)
+                assert got.bit_generator.state["has_uint32"] == stash
+                drawn = rng.draw_below(got, bound, size)
+                expected = want.integers(0, bound, size=size, dtype=np.uint64)
+                if drawn.dtype != expected.dtype or drawn.tolist() != expected.tolist():
+                    changed.append((trial, stash, size, "values"))
+                elif after_draw(got) != after_draw(want):
+                    changed.append((trial, stash, size, "draws after"))
+    assert not changed, f"numpy stream changed: draw_below({bound}) differs from integers at {changed[:5]}"
 
 
 @pytest.mark.parametrize(

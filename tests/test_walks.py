@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypmix import rng, walks
-from hypmix.freegroup import invert
+from hypmix.freegroup import invert, reduce_word
 from hypmix.selftest import GOLDEN_MIXING_SCHEDULE
 from hypmix.walks import (
     MAX_PASSES,
@@ -323,6 +323,40 @@ class TestPositions:
     def test_bad_schedule_named(self, ns, message):
         with pytest.raises(MeasureError, match=message):
             UNIFORM_F2.positions(ns, rng.substream(42))
+
+
+# D = 2^16 with uneven numerators: the largest step table, on the raw route.
+SKEWED_2_16 = StepMeasure(
+    2, {(1,): Fraction(2**14 + 1, 2**16), (-1,): Fraction(2**14 - 1, 2**16), (2,): Fraction(1, 4), (-2,): Fraction(1, 4)}
+)
+# D = 65,537: past the step table, so draws map through the thresholds.
+LAZY_65537 = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)], identity_mass=Fraction(1, 65537))
+
+
+def reduced_walk(measure: StepMeasure, n: int, seed: int):
+    """The endpoint of the n-step walk, from draw_indices and one
+    reduce_word over the increments, without the step table."""
+    words = list(measure.entries)
+    return reduce_word([x for i in measure.draw_indices(rng.substream(seed), n).tolist() for x in words[i]])
+
+
+class TestStepTable:
+    # positions maps draws to steps through a table of D rows for D <= 2^16
+    # and through draw_indices above; the reference reads draw_indices.
+
+    @pytest.mark.parametrize(
+        "measure, table",
+        [(UNIFORM_F2, True), (UNIFORM_F3, True), (LAZY_PAIRS, True), (SKEWED_2_16, True), (LAZY_65537, False)],
+        ids=["uniform_f2", "uniform_f3", "lazy_pairs", "D=2^16", "D=65537"],
+    )
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_reference(self, measure, table, seed):
+        assert (measure._table is not None) == table
+        assert measure._table is None or len(measure._table) == measure._denominator
+        ns = [1, 9, SHORT_WALK // 2, SHORT_WALK // 2 + 1, SHORT_WALK + 3, 3 * SHORT_WALK]
+        walk = sample_walk(measure, ns[-1], seed)
+        assert measure.positions(ns, rng.substream(seed)) == [walk.positions[n] for n in ns]
+        assert measure.final_position(10_000, rng.substream(seed)) == reduced_walk(measure, 10_000, seed)
 
 
 class TestDrift:
