@@ -253,7 +253,8 @@ def _xi(u: Word, v: Word, w: Word) -> Word:
 # --- the action ---------------------------------------------------------------
 
 
-# The default cap on the source depth of an image computation.
+# The cap on the source depth of image_antichain and of the constructors'
+# checks; estimate_qn takes a cap of its own.
 DEPTH_CAP = 64
 
 # Returned when an action is not determined at the current label depth.
@@ -335,39 +336,39 @@ def _merge_antichain(labels: Iterable[Word]) -> tuple[Word, ...]:
     """Replace any full sibling family by its parent, repeatedly.
 
     The labels must form an antichain, and so must the merged ones: both
-    are checked, the merged ones only when some family merged.
+    are checked, the merged ones only when some family merged. One stack
+    pass in tuple order merges: labels between two siblings extend their
+    parent, so four labels of a label's length on top of the stack, the
+    lowest its sibling, complete its family. They give way to the parent,
+    which may complete a family with the labels below it.
     """
-    current = set(labels)
-    ordered = _antichain_sorted(current)
-    changed, merged = True, False
-    while changed:
-        changed = False
-        by_parent: dict[Word, list[Word]] = {}
-        for label in current:
-            if len(label) >= 2:
-                by_parent.setdefault(label[:-1], []).append(label)
-        for parent, kids in by_parent.items():
-            if len(kids) == 5:
-                current.difference_update(kids)
-                current.add(parent)
-                changed = merged = True
-                break
-    if merged:
-        ordered = _antichain_sorted(current)
-    ordered.sort(key=_shortlex_key)
-    return tuple(ordered)
+    ordered = sorted(set(labels))
+    _check_antichain(ordered)
+    merged: list[Word] = []
+    for label in ordered:
+        while (
+            len(label) >= 2
+            and len(merged) >= 4
+            and merged[-4][:-1] == label[:-1]
+            and all(len(kid) == len(label) for kid in merged[-4:])
+        ):
+            del merged[-4:]
+            label = label[:-1]
+        merged.append(label)
+    if len(merged) < len(ordered):
+        _check_antichain(merged)
+    merged.sort(key=_shortlex_key)
+    return tuple(merged)
 
 
-def _antichain_sorted(labels: set[Word]) -> list[Word]:
-    """The labels in tuple order; AssertionError, raised explicitly so that
-    it also runs under -O, if one is a proper prefix of another."""
+def _check_antichain(ordered: list[Word]) -> None:
+    """AssertionError, raised explicitly so that it also runs under -O, if
+    one of the labels, in tuple order, is a proper prefix of another."""
     # In tuple order a label sorts directly before its extensions, so any
     # prefix pair shows up as a pair of neighbours.
-    ordered = sorted(labels)
     for short, long in zip(ordered, ordered[1:]):
         if long[: len(short)] == short:
             raise AssertionError("antichain invariant broken")
-    return ordered
 
 
 def _shortlex_key(label: Word) -> tuple:
@@ -375,9 +376,7 @@ def _shortlex_key(label: Word) -> tuple:
     return (len(label), bytes(map(_LETTER_RANK.__getitem__, label)))
 
 
-def image_antichain(
-    g: GElement, labels: Iterable[Sequence[int]], depth_cap: int = DEPTH_CAP
-) -> tuple[Word, ...]:
+def image_antichain(g: GElement, labels: Iterable[Sequence[int]]) -> tuple[Word, ...]:
     """Exact image of a disjoint union of cones under g, as an antichain.
 
     Atoms act right to left. When the next atom cannot act on the current
@@ -385,10 +384,10 @@ def image_antichain(
     resumes at the same atom: the atoms already applied map the source cone
     positionally onto the intermediate one, so the children are the images
     of the source label's children. The cap counts source depth:
-    DepthCapExceeded is raised when a source label of depth >= depth_cap
+    DepthCapExceeded is raised when a source label of depth >= DEPTH_CAP
     would have to split.
     """
-    return _image(_check_element(g), [_check_label(label) for label in labels], depth_cap)
+    return _image(_check_element(g), [_check_label(label) for label in labels], DEPTH_CAP)
 
 
 def _image(atoms: tuple, labels: Iterable[Word], depth_cap: int) -> tuple[Word, ...]:

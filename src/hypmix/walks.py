@@ -13,12 +13,12 @@ reduced word unless it undoes the last letter.
 Sampling is exact: increments are drawn by scaling the probabilities to a
 common denominator D and drawing unbiased integers below D from the trial's
 Philox substream, so walk endpoints are reproducible bit for bit from
-(measure, n, seed) alone. For D <= 2^16 the measure keeps a step table of
-D rows, each support word's padded letters repeated by its numerator, so
-draw u steps by row u; the draws come from rng.draw_below, which reads a
-power-of-two D from raw bits and gives the values of integers. A larger D
-is drawn with integers and mapped to the support through the cumulative
-thresholds (draw_indices). Either way the steps of a seed are the same.
+(measure, n, seed) alone. Every walk draws through rng.draw_below, which
+gives the values of integers(0, D) and reads a power-of-two D from raw
+bits. For D <= 2^16 the measure keeps a step table of D rows, each support
+word's padded letters repeated by its numerator, so draw u steps by row u;
+a larger D maps u to the support through the cumulative thresholds.
+Either way the steps of a seed are the same.
 
 Walk endpoints are reduced without the trajectory. The draws are one call
 per trial schedule: positions draws max(ns) steps once and returns w_n for
@@ -100,12 +100,11 @@ class StepMeasure:
         if denom >= 2**64:
             raise MeasureError("probability denominators too fine for exact 64-bit sampling")
         self._denominator = denom
-        self._words = list(self.entries)
         numerators = [int(p * denom) for p in self.entries.values()]
         self._thresholds = np.array(list(accumulate(numerators)), dtype=np.uint64)
         # One row per support word, padded with 0 (no letter); int64 holds any rank.
-        self._letters = np.zeros((len(self._words), self.max_step_length()), dtype=np.int64)
-        for row, word in zip(self._letters, self._words):
+        self._letters = np.zeros((len(self.entries), self.max_step_length()), dtype=np.int64)
+        for row, word in zip(self._letters, self.entries):
             row[: len(word)] = word
         self._table = None
         if denom <= STEP_TABLE_MAX:
@@ -173,16 +172,12 @@ class StepMeasure:
 
     # --- sampling ---------------------------------------------------------------
 
-    def draw_indices(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        """Indices into the support, exactly distributed, from one substream:
-        the draws positions takes for a denominator above STEP_TABLE_MAX."""
-        u = gen.integers(0, self._denominator, size=size, dtype=np.uint64)
-        return np.searchsorted(self._thresholds, u, side="right")
-
     def positions(self, ns: Sequence[int], gen: np.random.Generator) -> list[Word]:
         """Endpoints w_n after each n of an ascending schedule, from one draw
-        of max(ns) steps, without storing the trajectory. With a step
-        table, one take maps the draws to the padded letters of the steps.
+        of max(ns) steps, without storing the trajectory. One take maps
+        the draws to the padded letters of the steps: through the step
+        table, or above STEP_TABLE_MAX through the support index that the
+        thresholds give.
 
         The schedule cuts the walk into segments, the steps between two of
         its lengths. A run of consecutive short segments, each under
@@ -196,10 +191,11 @@ class StepMeasure:
         require_schedule(ns)
         if not ns:
             return []
+        u = rng.draw_below(gen, self._denominator, ns[-1])
         if self._table is None:
-            steps = self._letters[self.draw_indices(gen, ns[-1])]
+            steps = self._letters.take(np.searchsorted(self._thresholds, u, side="right"), axis=0)
         else:
-            steps = self._table.take(rng.draw_below(gen, self._denominator, ns[-1]), axis=0)
+            steps = self._table.take(u, axis=0)
         width = steps.shape[1]
         ends: list[Word] = []
         w: Word = ()

@@ -7,9 +7,14 @@ that checks it. Each one computes its answer the slow, direct way.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, combinations, permutations
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from hypmix import rng
 from hypmix.cantor import OMEGA, OMEGA_INDEX, _xi
@@ -22,6 +27,7 @@ from hypmix.freegroup import (
     multiply,
     reduce_word,
 )
+from hypmix.selftest import _two_letter_automaton
 from hypmix.stallings import SubgroupAutomaton
 from hypmix.transverse import TransversalityError
 from hypmix.walks import MeasureError, StepMeasure
@@ -113,18 +119,61 @@ class Trajectory:
         return self.positions[-1]
 
 
+def step_indices(measure: StepMeasure, gen: np.random.Generator, n: int) -> list[int]:
+    """Indices into measure.entries of n steps: n draws of integers(0, D),
+    D the lcm of the masses' denominators, each mapped to the first entry
+    whose cumulative numerator exceeds it."""
+    denom = math.lcm(*(p.denominator for p in measure.entries.values()))
+    cumulative = list(accumulate(int(p * denom) for p in measure.entries.values()))
+    return [bisect.bisect_right(cumulative, u) for u in gen.integers(0, denom, size=n, dtype=np.uint64).tolist()]
+
+
 def sample_walk(measure: StepMeasure, n: int, seed: int) -> Trajectory:
-    """An n-step walk from the draws final_position reads, multiplied out
+    """An n-step walk from the draws of rng.substream(seed), multiplied out
     one increment at a time; deterministic in (measure, n, seed)."""
     if n < 0:
         raise MeasureError("negative walk length")
-    idx = measure.draw_indices(rng.substream(seed), n)
-    words = list(measure.entries)  # draw_indices indexes the support in this order
-    increments = tuple(words[i] for i in idx.tolist())
+    words = list(measure.entries)
+    increments = tuple(words[i] for i in step_indices(measure, rng.substream(seed), n))
     positions = [()]
     for g in increments:
         positions.append(multiply(positions[-1], g))
     return Trajectory(increments, tuple(positions), seed)
+
+
+# --- selftest ----------------------------------------------------------------
+
+
+def partial_injections(n: int) -> list[tuple]:
+    """Every partial injective map of range(n) into itself (None = undefined),
+    by domain size."""
+    out = []
+    idx = list(range(n))
+    for k in range(n + 1):
+        for dom in combinations(idx, k):
+            for img in permutations(idx, k):
+                m = [None] * n
+                for d, i in zip(dom, img):
+                    m[d] = i
+                out.append(tuple(m))
+    return out
+
+
+def all_core_automata(max_states: int) -> list[SubgroupAutomaton]:
+    """The automata of selftest.core_maps, by canonicalizing every pair of
+    partial injections and keeping each distinct core once."""
+    canon: dict = {}
+    for n in range(1, max_states + 1):
+        pis = partial_injections(n)
+        for pa in pis:
+            for pb in pis:
+                # The canonical form trims hairs and numbers the states the
+                # base reaches: all n remain exactly when the graph is a
+                # connected core.
+                sub = _two_letter_automaton(pa, pb)
+                if sub.n_states == n:
+                    canon[sub] = sub
+    return list(canon.values())
 
 
 # --- transverse --------------------------------------------------------------
@@ -241,8 +290,6 @@ def merge_antichain_reference(antichain: Iterable[tuple]) -> tuple[tuple, ...]:
 def hit_count(trials: int, horizon: int, seed: int) -> int:
     """Trials of the distance chain of simulate_hit_probability that hit 0
     within the horizon, compacting the live trials after every step."""
-    import numpy as np
-
     gen = rng.substream(seed)
     dist = np.ones(trials, dtype=np.int64)
     hits = 0

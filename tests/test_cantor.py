@@ -14,6 +14,7 @@ from hypmix.cantor import (
     CONE_Z,
     CONE_Z2,
     CONE_ZM2,
+    DEPTH_CAP,
     NEEDS_REFINEMENT,
     OMEGA,
     SIGMA,
@@ -246,7 +247,8 @@ def random_element(gen, n, p_letter):
 
 class TestImageAntichainReference:
     # Resuming a split at the atom that could not act must give exactly what
-    # restarting each child from the rightmost atom gives, cap outcome included.
+    # restarting each child from the rightmost atom gives, cap outcome
+    # included; _image takes the cap that image_antichain fixes at DEPTH_CAP.
 
     def test_matches_restart_refinement(self):
         outcomes = set()
@@ -266,10 +268,10 @@ class TestImageAntichainReference:
             want = restart_image_antichain(g, sources, cap)
         except DepthCapExceeded as exc:
             with pytest.raises(DepthCapExceeded) as info:
-                image_antichain(g, sources, cap)
+                cantor._image(g, sources, cap)
             assert info.value.depth == exc.depth
             return "capped"
-        assert image_antichain(g, sources, cap) == want
+        assert cantor._image(g, sources, cap) == want
         return "refined" if any(advance_reference(g, u, len(g))[1] for u in sources) else "direct"
 
 
@@ -365,6 +367,14 @@ class TestMergeAntichain:
 
     @settings(max_examples=200)
     @given(st.lists(st.integers(0, 10**6), max_size=12), st.integers(0, 2**32))
+    # The 25 grandchildren of (X,) merge to its five children, then to (X,).
+    @example([0, 5, 5, 5, 5, 5], (2**25 - 1) << 5)
+    # (X, Z)'s children merge to (X, Z), which completes the family of the
+    # four children of (X,) that sort before it in tuple order.
+    @example([0, 8], (2**9 - 1) << 5)
+    # Four children of (X,) and a grandchild, which sorts between three of
+    # them and the fourth: nothing merges.
+    @example([0, 6], 31 << 5)
     def test_merges_random_antichains(self, splits, keep):
         # Split cones of the six-cone partition at random, then keep a subset:
         # full families merge, and the reference agrees with the library.
@@ -381,20 +391,11 @@ class TestRawAtoms:
     # to _image; the public path checks them first and must let every valid
     # element through unchanged.
 
-    @staticmethod
-    def outcome(fn, g, sources, cap):
-        try:
-            return fn(g, sources, cap)
-        except DepthCapExceeded as exc:
-            return ("capped", exc.depth)
-
     @settings(max_examples=200)
-    @given(mixed_elements(), disjoint_sources(), st.integers(1, 6))
-    @example((X,), [(-X,)], 1)  # full cancellation at the cap
-    def test_raw_path_matches_public_path(self, g, sources, cap):
-        assert self.outcome(cantor._image, g, sources, cap) == self.outcome(
-            image_antichain, g, sources, cap
-        )
+    @given(mixed_elements(), disjoint_sources())
+    @example((X,), [(-X,)])  # full cancellation: the label splits
+    def test_raw_path_matches_public_path(self, g, sources):
+        assert cantor._image(g, sources, DEPTH_CAP) == image_antichain(g, sources)
 
 
 class TestClaimOne:
@@ -725,9 +726,9 @@ class TestQn:
     @pytest.mark.parametrize("n", [1, 5, 12])
     def test_one_split_per_atom(self, n):
         # Each x^-1 cancels the whole label, so every atom splits once.
-        assert image_antichain((-X,) * n, [(X,)], depth_cap=n + 1)
+        assert cantor._image((-X,) * n, [(X,)], n + 1)
         with pytest.raises(DepthCapExceeded) as info:
-            image_antichain((-X,) * n, [(X,)], depth_cap=n)
+            cantor._image((-X,) * n, [(X,)], n)
         assert info.value.depth == n
 
     def test_bad_letter_mass(self):

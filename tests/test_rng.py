@@ -85,7 +85,7 @@ def test_bounded_draws_prefix_stable(denominator):
 # draw_below takes its raw route for the powers of two up to 2^32 and calls
 # integers for the rest; sizes odd and even, on either side of the walks'
 # SHORT_WALK cut and of a drift walk.
-DRAW_BELOW_BOUNDS = [2, 4, 8, 6, 12, 2**16, 2**32, 2**32 + 5]
+DRAW_BELOW_BOUNDS = [2, 4, 8, 6, 12, 2**16, 2**17, 2**19, 2**31, 2**32, 2**32 + 5]
 DRAW_BELOW_SIZES = [0, 1, 2, 7, 160, 161, 10_001]
 
 

@@ -1,11 +1,14 @@
+import importlib.util
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from hypmix import rng
 from hypmix.freegroup import invert, multiply, power
+from hypmix.selftest import _map_rows, _two_letter_automaton, core_maps
 from hypmix.stallings import SubgroupAutomaton
 from hypmix.transverse import (
     CertificateError,
@@ -19,7 +22,7 @@ from hypmix.transverse import (
 )
 
 from conftest import F2, src_env
-from reference import minimal_power_in, overlap_count
+from reference import all_core_automata, minimal_power_in, overlap_count
 
 A, B = (1,), (2,)
 
@@ -269,3 +272,37 @@ class TestConstructTransverse:
             built += 1
             got = construct_transverse([h], g)
             assert power_conjugate_into(h, got.element) is None
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded by path and only read."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCoreMaps:
+    # Criterion 6 scans the automata of core_maps; its brute force reads the
+    # rows of each pair.
+
+    @pytest.mark.parametrize("max_states", [1, 2, 3])
+    def test_matches_canonicalizing_every_pair(self, max_states):
+        got = [_two_letter_automaton(a, b) for a, b in core_maps(max_states)]
+        assert len(got) == len(set(got))
+        assert set(got) == set(all_core_automata(max_states))
+
+    def test_rows_are_the_canonical_rows(self):
+        for a, b in core_maps(4):
+            assert tuple(_map_rows(a, b)) == _two_letter_automaton(a, b).transitions
+
+    def test_line_format_matches_the_bench_catalogue(self):
+        # The transverse workload's catalogue, in its order.
+        texts = []
+        for a, b in core_maps(4):
+            lines = [str(len(a)), "base=0"]
+            for s in range(len(a)):
+                lines += [f"{s} {label} {m[s]}" for label, m in (("a", a), ("b", b)) if m[s] is not None]
+            texts.append("\n".join(lines) + "\n")
+        assert texts == _bench_workloads()._catalogue_texts(4)

@@ -21,7 +21,7 @@ from hypmix.walks import (
 )
 
 from conftest import F2, F3, letters, src_env
-from reference import convolve, sample_walk
+from reference import convolve, sample_walk, step_indices
 
 # Frozen golden endpoint for sample_walk(uniform F2, n=3, seed=42).
 GOLDEN_WALK_42 = (-2, -2, 1)
@@ -174,7 +174,7 @@ class TestSampling:
         gen_increments = set()
         for s in range(10_000):
             gen = rng.substream(s)
-            gen_increments.add(tuple(UNIFORM_F2.draw_indices(gen, 50).tolist()))
+            gen_increments.add(tuple(step_indices(UNIFORM_F2, gen, 50)))
         assert len(gen_increments) == 10_000
 
     def test_empirical_matches_convolution(self):
@@ -331,23 +331,33 @@ SKEWED_2_16 = StepMeasure(
 )
 # D = 65,537: past the step table, so draws map through the thresholds.
 LAZY_65537 = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)], identity_mass=Fraction(1, 65537))
+# D = 2^19: through the thresholds, on the raw route.
+LAZY_2_19 = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)], identity_mass=Fraction(1, 2**17))
 
 
 def reduced_walk(measure: StepMeasure, n: int, seed: int):
-    """The endpoint of the n-step walk, from draw_indices and one
-    reduce_word over the increments, without the step table."""
+    """The endpoint of the n-step walk, from the reference's step draws and
+    one reduce_word over the increments."""
     words = list(measure.entries)
-    return reduce_word([x for i in measure.draw_indices(rng.substream(seed), n).tolist() for x in words[i]])
+    return reduce_word([x for i in step_indices(measure, rng.substream(seed), n) for x in words[i]])
 
 
 class TestStepTable:
     # positions maps draws to steps through a table of D rows for D <= 2^16
-    # and through draw_indices above; the reference reads draw_indices.
+    # and through the cumulative thresholds above; the reference draws with
+    # integers and maps through cumulative sums of its own.
 
     @pytest.mark.parametrize(
         "measure, table",
-        [(UNIFORM_F2, True), (UNIFORM_F3, True), (LAZY_PAIRS, True), (SKEWED_2_16, True), (LAZY_65537, False)],
-        ids=["uniform_f2", "uniform_f3", "lazy_pairs", "D=2^16", "D=65537"],
+        [
+            (UNIFORM_F2, True),
+            (UNIFORM_F3, True),
+            (LAZY_PAIRS, True),
+            (SKEWED_2_16, True),
+            (LAZY_65537, False),
+            (LAZY_2_19, False),
+        ],
+        ids=["uniform_f2", "uniform_f3", "lazy_pairs", "D=2^16", "D=65537", "D=2^19"],
     )
     @pytest.mark.parametrize("seed", range(2))
     def test_matches_reference(self, measure, table, seed):
