@@ -361,58 +361,92 @@ def core_maps(max_states: int) -> list[tuple[tuple, tuple]]:
     return out
 
 
+# Columns of criterion 6's table: the four letters of F2, then a padding
+# letter that stays put.
+_TABLE_COLUMNS = {1: 0, -1: 1, 2: 2, -2: 3}
+_STAY = 4
+
+
+def _map_table(maps: list[tuple[tuple, tuple]]) -> tuple[np.ndarray, np.ndarray]:
+    """One flat transition table over the states of every (a-map, b-map)
+    pair, read from the maps themselves: row s holds the targets of s under
+    a, A, b, B and stay, a missing edge leads to the sink, the last row, and
+    the sink leads only to itself. Returns the table and each pair's base
+    row."""
+    bases = np.cumsum([0] + [len(a) for a, _ in maps])
+    sink = int(bases[-1])
+    table = np.full((sink + 1, 5), sink, dtype=np.intp)
+    table[:, _STAY] = np.arange(sink + 1)
+    for base, (a, b) in zip(bases.tolist(), maps):
+        for column, targets in ((0, a), (2, b)):
+            for s, t in enumerate(targets):
+                if t is not None:
+                    table[base + s, column] = base + t
+                    table[base + t, column + 1] = base + s
+    return table, bases[:-1]
+
+
+def _table_min_powers(maps: list[tuple[tuple, tuple]], fs: list, vs: list, m_cap: int = 8) -> np.ndarray:
+    """By exhaustive search over m <= m_cap and v in vs: for each f and each
+    pair of maps, the least m with v^-1 f^m v labelling a base loop for some
+    v, or 0 when there is none.
+
+    Write v^-1 f v = c k c^-1 with k cyclically reduced: each conjugator c
+    is read from every base at once, one gather per letter, then each
+    (v, pair) with a start state walks the map of k, one gather per m,
+    until it comes back (m found), drops into the sink or m_cap runs out.
+    """
+    table, bases = _map_table(maps)
+    sink = table.shape[0] - 1
+    out = np.zeros((len(fs), len(maps)), dtype=np.intp)
+    for i, f in enumerate(fs):
+        splits = [cyclic_reduce(multiply(multiply(invert(v), f), v)) for v in vs]
+        width = max(len(conj) for _, conj in splits)
+        columns = np.full((len(vs), width), _STAY, dtype=np.intp)
+        for row, (_, conj) in enumerate(splits):
+            columns[row, : len(conj)] = [_TABLE_COLUMNS[x] for x in conj]
+        start = np.broadcast_to(bases, (len(vs), len(maps)))
+        for j in range(width):
+            start = table[start, columns[:, j, None]]
+        # One map over all states per distinct cyclic core.
+        cores: dict = {}
+        core_of = [cores.setdefault(core, len(cores)) for core, _ in splits]
+        core_steps = np.empty((len(cores), sink + 1), dtype=np.intp)
+        for core, k in cores.items():
+            states = np.arange(sink + 1)
+            for x in core:
+                states = table[states, _TABLE_COLUMNS[x]]
+            core_steps[k] = states
+        v_index, pair = np.nonzero(start != sink)
+        start = start[v_index, pair]
+        core_row = np.asarray(core_of)[v_index]
+        cur = start
+        best = out[i]
+        for m in range(1, m_cap + 1):
+            cur = core_steps[core_row, cur]
+            back = cur == start
+            found = pair[back]
+            best[found[best[found] == 0]] = m
+            live = ~back & (cur != sink)
+            cur, start, pair, core_row = cur[live], start[live], pair[live], core_row[live]
+    return out
+
+
 @_criterion(6, "power-conjugacy decision vs exhaustive search")
 def _criterion_6(threads: int = 1):
     maps = core_maps(4)
     fs = [w for w in F2.ball(4) if w]
-    vs = F2.ball(4)
-    pair_data = []
-    for f in fs:
-        per_v = []
-        for v in vs:
-            e = multiply(multiply(invert(v), f), v)
-            core, conj = cyclic_reduce(e)
-            per_v.append((conj, core))
-        pair_data.append((f, per_v))
-
-    # The brute force reads each pair's own rows, not the automaton.
-    def read(rows, state, word):
-        for letter in word:
-            state = rows[state].get(letter)
-            if state is None:
-                break
-        return state
-
-    def brute_min_m(rows, per_v, m_cap=8):
-        best = None
-        for conj, core in per_v:
-            s0 = read(rows, 0, conj)
-            if s0 is None:
-                continue
-            cur = s0
-            for m in range(1, m_cap + 1):
-                cur = read(rows, cur, core)
-                if cur is None:
-                    break
-                if cur == s0:
-                    if best is None or m < best:
-                        best = m
-                    break
-            if best == 1:
-                return 1
-        return best
+    # The brute force reads a table built from the maps, not the automaton.
+    brute = _table_min_powers(maps, fs, F2.ball(4)).tolist()
 
     mismatches = 0
     pairs = 0
-    for a, b in maps:
-        sub, pair_rows = _two_letter_automaton(a, b), _map_rows(a, b)
-        for f, per_v in pair_data:
+    for j, (a, b) in enumerate(maps):
+        sub = _two_letter_automaton(a, b)
+        for i, f in enumerate(fs):
             ours = transverse.power_conjugate_into(sub, f)
-            brute = brute_min_m(pair_rows, per_v)
             pairs += 1
-            if (ours is None) != (brute is None):
-                mismatches += 1
-            elif ours is not None and ours[0] != brute:
+            if (0 if ours is None else ours[0]) != brute[i][j]:
                 mismatches += 1
     passed = mismatches == 0
     rows = [

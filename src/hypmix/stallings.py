@@ -18,11 +18,11 @@ and a graph with a hair is no full cover, nor is its core. The canonical
 form is built on first use and cached: the core, numbered breadth-first from
 the base with the fixed letter order a < a^-1 < b < b^-1 < ..., each state's
 row listing its letters in that order. `transitions` returns it, and
-everything that reads state numbers goes through it (n_states, read, the
-spanning tree, text, equality, hashing), so two automata of one subgroup
-have equal rows and equality of subgroups is equality of objects, compared
-row by row. All instances are immutable; every operation returns a fresh
-automaton.
+everything that reads state numbers goes through it (n_states, the spanning
+tree, text, equality, hashing, and transverse's power-conjugacy scan), so
+two automata of one subgroup have equal rows and equality of subgroups is
+equality of objects, compared row by row. All instances are immutable;
+every operation returns a fresh automaton.
 
 One fold builder makes every automaton from words and automata, and keeps
 its graph folded as it grows (Kapovich & Myasnikov, "Stallings foldings and
@@ -311,13 +311,6 @@ class SubgroupAutomaton:
         return f"SubgroupAutomaton(rank={self.rank}, states={self.n_states}, subgroup_rank={self.rank_of_subgroup()})"
 
     # --- membership and geometry -------------------------------------------
-
-    def read(self, state: int, word: Sequence[int]) -> int | None:
-        """Follow a reduced word from a state, in the canonical numbering;
-        None once undefined."""
-        # Once cached, the rows are fetched without the property call: the
-        # power-conjugacy scan calls this once per state.
-        return _follow(self._canonical or self.transitions, state, word)
 
     def contains(self, word: Sequence[int]) -> bool:
         """Whether the reduced word labels a base-to-base path."""

@@ -92,22 +92,31 @@ class TransverseConstruction:
 def _core_loop_states(h: SubgroupAutomaton, core: Word) -> dict[int, int]:
     """States q where some power of the cyclically reduced core loops.
 
-    Returns {q: minimal positive m with core^m reading q -> q}. Reading core
-    from a state is a partial self-map of the states, so any return to q
-    happens within n_states iterations.
+    Returns {q: minimal positive m with core^m reading q -> q}, in ascending
+    q. Reading core from a state is a partial self-map of the states, so any
+    return to q happens within n_states iterations. Each read stops at the
+    first letter it misses, and only the states whose read got through start
+    a walk.
     """
-    n = h.n_states
-    step: list[int | None] = [h.read(q, core) for q in range(n)]
-    out: dict[int, int] = {}
+    rows = h.transitions
+    n = len(rows)
+    step: dict[int, int] = {}
     for q in range(n):
-        cur: int | None = q
-        for m in range(1, n + 1):
-            cur = step[cur]  # type: ignore[index]
-            if cur is None:
+        s: int | None = q
+        for letter in core:
+            s = rows[s].get(letter)  # type: ignore[index]
+            if s is None:
                 break
-            if cur == q:
-                out[q] = m
-                break
+        else:
+            step[q] = s  # type: ignore[assignment]
+    out: dict[int, int] = {}
+    for q, cur in step.items():
+        m = 1
+        while cur != q and cur is not None and m < n:
+            cur = step.get(cur)  # type: ignore[assignment]
+            m += 1
+        if cur == q:
+            out[q] = m
     return out
 
 
@@ -116,17 +125,19 @@ def power_conjugate_into(h: SubgroupAutomaton, f: Sequence[int]) -> tuple[int, W
 
     Returns (m, v) with f^m in v H v^-1, or None when no power of f is
     conjugate into H (completeness by the pigeonhole bound m <= n_states).
+    Among the states with the minimal m, the lowest-numbered one gives v.
     """
     f = reduce_word(f, h.rank)
     if not f:
         raise TransversalityError("power-conjugacy undefined for the identity")
     core, conj = cyclic_reduce(f)
-    loops = _core_loop_states(h, core)
-    if not loops:
+    best_q = best_m = None
+    for q, m in _core_loop_states(h, core).items():
+        if best_m is None or m < best_m:
+            best_q, best_m = q, m
+    if best_q is None:
         return None
-    m, q = min((m, q) for q, m in loops.items())
-    v = multiply(conj, invert(h.word_to_state(q)))
-    return m, v
+    return best_m, multiply(conj, invert(h.word_to_state(best_q)))
 
 
 def certificate(h: SubgroupAutomaton, f: Sequence[int]) -> TransversalityCertificate:

@@ -50,6 +50,21 @@ def distance_to_geodesic(s: Word, x: Word, y: Word) -> int:
 # --- stallings ---------------------------------------------------------------
 
 
+def follow(rows: Sequence[dict[int, int]], state: int, word: Sequence[int]) -> int | None:
+    """Follow a word from a state through rows, one letter at a time; None
+    once a letter has no edge."""
+    for letter in word:
+        state = rows[state].get(letter)  # type: ignore[assignment]
+        if state is None:
+            return None
+    return state
+
+
+def read(h: SubgroupAutomaton, state: int, word: Sequence[int]) -> int | None:
+    """Follow a word from a state in the canonical numbering of h."""
+    return follow(h.transitions, state, word)
+
+
 def is_folded(h: SubgroupAutomaton) -> bool:
     """Whether every edge has its inverse edge, so no state has two edges
     with one label."""
@@ -190,17 +205,63 @@ def minimal_power_in(h: SubgroupAutomaton, g: Sequence[int]) -> int | None:
     if not g:
         raise TransversalityError("power membership undefined for the identity")
     core, conj = cyclic_reduce(g)
-    q0 = h.read(0, conj)
+    q0 = read(h, 0, conj)
     if q0 is None:
         return None
     cur: int | None = q0
     for m in range(1, h.n_states + 1):
-        cur = h.read(cur, core)
+        cur = read(h, cur, core)  # type: ignore[arg-type]
         if cur is None:
             return None
         if cur == q0:
             return m
     return None
+
+
+def core_loop_states(h: SubgroupAutomaton, core: Word) -> dict[int, int]:
+    """{q: least m <= n_states with core^m reading q -> q}, by reading the
+    whole word core^m from q for each m in turn."""
+    out = {}
+    for q in range(h.n_states):
+        for m in range(1, h.n_states + 1):
+            if read(h, q, core * m) == q:
+                out[q] = m
+                break
+    return out
+
+
+def conjugate_splits(f: Word, vs: Iterable[Word]) -> list[tuple[Word, Word]]:
+    """For each v, the (c, k) with v^-1 f v = c k c^-1 and k cyclically
+    reduced."""
+    out = []
+    for v in vs:
+        core, conj = cyclic_reduce(multiply(multiply(invert(v), f), v))
+        out.append((conj, core))
+    return out
+
+
+def brute_min_m(rows: Sequence[dict[int, int]], per_v: Iterable[tuple[Word, Word]], m_cap: int = 8) -> int | None:
+    """Least m <= m_cap with some v^-1 f^m v = c k^m c^-1 labelling a base
+    loop of rows, given the (c, k) of every v; None when there is none. Each
+    conjugate is read letter by letter from the base, then k again and
+    again until the walk comes back, falls off or m_cap runs out."""
+    best = None
+    for conj, core in per_v:
+        s0 = follow(rows, 0, conj)
+        if s0 is None:
+            continue
+        cur: int | None = s0
+        for m in range(1, m_cap + 1):
+            cur = follow(rows, cur, core)  # type: ignore[arg-type]
+            if cur is None:
+                break
+            if cur == s0:
+                if best is None or m < best:
+                    best = m
+                break
+        if best == 1:
+            return 1
+    return best
 
 
 def overlap_count(

@@ -21,7 +21,7 @@ from hypmix.stallings import SubgroupAutomaton
 from hypmix.walks import StepMeasure
 
 from conftest import F2, count_canonical_forms, live_states, nontrivial_words, src_env, words
-from reference import sample_walk
+from reference import read, sample_walk
 
 UNIFORM = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
 UNIFORM_F3 = StepMeasure.uniform_on(3, [(i,) for i in (1, -1, 2, -2, 3, -3)])
@@ -220,8 +220,8 @@ class TestStemTrace:
         core = SubgroupAutomaton.from_text(l_sub.to_text(), 2)
         window = F2.ball(3)
         assert l_sub.conjugate(w)._rows is l_sub._rows
-        assert core.read(0, invert(w)) is None
-        assert core.read(0, invert(w)[:2]) is not None
+        assert read(core, 0, invert(w)) is None
+        assert read(core, 0, invert(w)[:2]) is not None
         for form in (l_sub, core):
             got = form.conjugate(w).trace(window)
             assert got == _word_route(form, w, window) == h.trace(window)

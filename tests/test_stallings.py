@@ -8,7 +8,7 @@ from hypmix.freegroup import FreeContext, invert, multiply, power, reduce_word
 from hypmix.stallings import AutomatonError, SubgroupAutomaton
 
 from conftest import F2, F3, count_canonical_forms, letters, live_states, nontrivial_words, words
-from reference import basis, is_folded
+from reference import basis, is_folded, read
 
 A, B = (1,), (2,)
 
@@ -384,7 +384,7 @@ class TestFoldBuilder:
         # g^-1 = BAA leaves H's rows at its last letter: conjugate folds
         # <g H g^-1, 1> through conjugate_join, in one graph of its own.
         h, g = sub("ab", "bA"), F2.parse("aab")
-        assert h.read(0, invert(g)) is None
+        assert read(h, 0, invert(g)) is None
         built = []
         init = stallings._FoldGraph.__init__
         monkeypatch.setattr(stallings._FoldGraph, "__init__", lambda self, *a: built.append(a) or init(self, *a))
@@ -692,14 +692,14 @@ class TestFoldedForm:
 
     def test_read_takes_canonical_states(self):
         # conjugate_join merges state 0 into K's base, so the folded rows of
-        # L hold a merged-away state and their base is not 0. read numbers
-        # states as the canonical form does.
+        # L hold a merged-away state and their base is not 0. Their
+        # transitions number states as the canonical form does.
         l_sub = sub("a").conjugate_join(F2.parse("abAAb"), sub("b", "aba"))
         assert l_sub._rows[0] is None and l_sub._base != 0
         core = canonical(l_sub)
         for q in range(core.n_states):
             for x in F2.ball(2):
-                assert l_sub.read(q, x) == core.read(q, x)
+                assert read(l_sub, q, x) == read(core, q, x)
 
     def test_canonical_form_built_once(self, monkeypatch):
         calls = count_canonical_forms(monkeypatch)
@@ -711,5 +711,5 @@ class TestFoldedForm:
         assert a == b and hash(a) == hash(b) and a.to_text() == b.to_text()
         assert len(calls) == 2
         # Reads of the numbering use the cached form.
-        assert a.read(0, A) == 1 and a.distance_to_orbit(()) == 0 and len(b.word_to_state(b.n_states - 1)) > 0
+        assert read(a, 0, A) == 1 and a.distance_to_orbit(()) == 0 and len(b.word_to_state(b.n_states - 1)) > 0
         assert len(calls) == 2

@@ -7,13 +7,14 @@ from pathlib import Path
 import pytest
 
 from hypmix import rng
-from hypmix.freegroup import invert, multiply, power
-from hypmix.selftest import _map_rows, _two_letter_automaton, core_maps
+from hypmix.freegroup import cyclic_reduce, invert, multiply, power
+from hypmix.selftest import _map_rows, _table_min_powers, _two_letter_automaton, core_maps
 from hypmix.stallings import SubgroupAutomaton
 from hypmix.transverse import (
     CertificateError,
     TransversalityCertificate,
     TransversalityError,
+    _core_loop_states,
     certificate,
     compute_u0,
     construct_transverse,
@@ -22,7 +23,14 @@ from hypmix.transverse import (
 )
 
 from conftest import F2, src_env
-from reference import all_core_automata, minimal_power_in, overlap_count
+from reference import (
+    all_core_automata,
+    brute_min_m,
+    conjugate_splits,
+    core_loop_states,
+    minimal_power_in,
+    overlap_count,
+)
 
 A, B = (1,), (2,)
 
@@ -109,6 +117,74 @@ class TestPowerConjugateInto:
             assert any(found)
             text_form = SubgroupAutomaton.from_text(built.to_text(), 2)
             assert found == [power_conjugate_into(text_form, f) for f in elements]
+
+
+class TestLoopScan:
+    # _core_loop_states against core_loop_states, which reads the whole
+    # word core^m from each state for each m.
+
+    def test_matches_reference_on_core_maps(self):
+        cores = [w for w in F2.ball(4) if w and cyclic_reduce(w)[0] == w]
+        for a, b in core_maps(3):
+            h = _two_letter_automaton(a, b)
+            for core in cores:
+                loops = core_loop_states(h, core)
+                assert _core_loop_states(h, core) == loops
+                # The least m, at the lowest state that has it.
+                want = min(((m, q) for q, m in loops.items()), default=None)
+                got = power_conjugate_into(h, core)
+                assert got == (None if want is None else (want[0], invert(h.word_to_state(want[1]))))
+
+    def test_one_state(self):
+        for h, loops in ((sub(), {}), (sub("a"), {0: 1}), (sub("a", "b"), {0: 1})):
+            assert h.n_states == 1
+            assert _core_loop_states(h, A) == loops == core_loop_states(h, A)
+        assert _core_loop_states(sub("a"), B) == {}
+
+    def test_cycle_of_length_n_states(self):
+        h = sub("aaa")
+        assert h.n_states == 3
+        assert _core_loop_states(h, A) == {0: 3, 1: 3, 2: 3}
+        assert power_conjugate_into(h, A) == (3, ())
+        assert power_conjugate_into(h, F2.parse("baB")) == (3, B)
+
+    def test_smaller_cycle_wins(self):
+        # The a-cycle at the base has length 3; the one behind b, on the
+        # higher-numbered states 3 and 4, has length 2.
+        h = sub("aaa", "baaB")
+        assert _core_loop_states(h, A) == {0: 3, 1: 3, 2: 3, 3: 2, 4: 2}
+        assert h.word_to_state(3) == B
+        assert power_conjugate_into(h, A) == (2, invert(B))
+
+    def test_equal_m_takes_the_lowest_state(self):
+        # a^2 loops at the base's two states and at the two behind b.
+        h = sub("aa", "baaB")
+        assert _core_loop_states(h, A) == {0: 2, 1: 2, 2: 2, 3: 2}
+        assert power_conjugate_into(h, A) == (2, ())
+        assert power_conjugate_into(h, F2.parse("baB")) == (2, B)
+
+
+class TestCriterion6Oracle:
+    def test_table_matches_per_pair_search(self):
+        # The table oracle of criterion 6 against the per-pair search on the
+        # three-state catalogue and criterion 6's elements and conjugators.
+        maps = core_maps(3)
+        fs = [w for w in F2.ball(4) if w]
+        vs = F2.ball(4)
+        table = _table_min_powers(maps, fs, vs)
+        assert table.shape == (160, len(maps))
+        rows = [_map_rows(a, b) for a, b in maps]
+        for i, f in enumerate(fs):
+            per_v = conjugate_splits(f, vs)
+            assert [brute_min_m(r, per_v) or 0 for r in rows] == table[i].tolist()
+        assert 0 < (table == 0).sum() < table.size
+        # No minimal m here exceeds 3, so the default cap of 8 never binds;
+        # a cap of 2 does.
+        capped = _table_min_powers(maps, fs[:52], vs, m_cap=2)
+        for i, f in enumerate(fs[:52]):
+            per_v = conjugate_splits(f, vs)
+            assert [brute_min_m(r, per_v, m_cap=2) or 0 for r in rows] == capped[i].tolist()
+        assert (table[:52] == 3).any() and not (capped == 3).any()
 
 
 class TestIsTransverse:
@@ -284,8 +360,8 @@ def _bench_workloads():
 
 
 class TestCoreMaps:
-    # Criterion 6 scans the automata of core_maps; its brute force reads the
-    # rows of each pair.
+    # Criterion 6 scans the automata of core_maps; its brute force reads a
+    # table built from the maps.
 
     @pytest.mark.parametrize("max_states", [1, 2, 3])
     def test_matches_canonicalizing_every_pair(self, max_states):
