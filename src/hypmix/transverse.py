@@ -26,6 +26,7 @@ instead of trusting the asymptotic bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -120,6 +121,19 @@ def _core_loop_states(h: SubgroupAutomaton, core: Word) -> dict[int, int]:
     return out
 
 
+# The scans run many automata against a few elements (24 in the benchmark
+# scan, 160 in criterion 6), so the memo keys on the element and rank only.
+@functools.lru_cache(maxsize=1024)
+def _element(f: Word, rank: int) -> tuple[Word, Word, Word]:
+    """(reduced f, cyclic core, conjugator) of the letters f in F_rank.
+
+    Raises WordError on a letter outside 1..rank; a call that raises is not
+    cached.
+    """
+    f = reduce_word(f, rank)
+    return (f, *cyclic_reduce(f))
+
+
 def power_conjugate_into(h: SubgroupAutomaton, f: Sequence[int]) -> tuple[int, Word] | None:
     """Minimal m >= 1 with f^m in some conjugate of H, plus a conjugator.
 
@@ -127,10 +141,9 @@ def power_conjugate_into(h: SubgroupAutomaton, f: Sequence[int]) -> tuple[int, W
     conjugate into H (completeness by the pigeonhole bound m <= n_states).
     Among the states with the minimal m, the lowest-numbered one gives v.
     """
-    f = reduce_word(f, h.rank)
+    f, core, conj = _element(tuple(f), h.rank)
     if not f:
         raise TransversalityError("power-conjugacy undefined for the identity")
-    core, conj = cyclic_reduce(f)
     best_q = best_m = None
     for q, m in _core_loop_states(h, core).items():
         if best_m is None or m < best_m:
@@ -141,12 +154,12 @@ def power_conjugate_into(h: SubgroupAutomaton, f: Sequence[int]) -> tuple[int, W
 
 
 def certificate(h: SubgroupAutomaton, f: Sequence[int]) -> TransversalityCertificate:
-    f = reduce_word(f, h.rank)
+    f = tuple(f)
     found = power_conjugate_into(h, f)
     if found is None:
         return TransversalityCertificate(True, None, None, h.n_states)
     m, v = found
-    witness = multiply(multiply(invert(v), power(f, m)), v)
+    witness = multiply(multiply(invert(v), power(_element(f, h.rank)[0], m)), v)
     if not h.contains(witness):
         raise CertificateError("witness verification failed")
     return TransversalityCertificate(False, m, v, h.n_states)
@@ -187,10 +200,9 @@ def compute_u0(h: SubgroupAutomaton, g: Sequence[int]) -> tuple[Word, ...]:
     H * U0, each shortlex-least in its right H-coset among the candidates
     and pairwise in distinct cosets.
     """
-    g = reduce_word(g, h.rank)
+    g, core, conj = _element(tuple(g), h.rank)
     if not g:
         raise TransversalityError("forbidden set undefined for the identity")
-    core, conj = cyclic_reduce(g)
     loops = _core_loop_states(h, core)
     candidates = sorted(
         (multiply(h.word_to_state(q), invert(conj)) for q in loops),

@@ -22,8 +22,8 @@ keeps private, only that module reads.
 Every private top-level function, class and constant of src/hypmix, and
 every private method of its classes, is loaded somewhere in src/hypmix
 outside its own definition, so a helper whose last caller is gone is
-deleted with it. A decorated top-level function counts as used: its
-decorator registers it (selftest's criteria).
+deleted with it. A top-level function that selftest's `@_criterion(...)`
+registers counts as used; any other decorator, such as a memo, does not.
 """
 
 import ast
@@ -316,13 +316,22 @@ def test_private_read_check_sees_one():
     ]
 
 
+def _registered(node):
+    """Whether selftest's `@_criterion(...)` decorates the definition."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_criterion"
+        for d in getattr(node, "decorator_list", ())
+    )
+
+
 def _private_definitions(tree):
     """(label, name, node) for each private top-level definition of a module
-    that no decorator registers, and each private method of its classes."""
+    that `@_criterion(...)` does not register, and each private method of
+    its classes."""
     found = []
     for node in tree.body:
         name = _defined_name(node)
-        if name and _is_private(name) and not getattr(node, "decorator_list", None):
+        if name and _is_private(name) and not _registered(node):
             found.append((name, name, node))
         if isinstance(node, ast.ClassDef):
             found.extend(
@@ -365,8 +374,14 @@ def test_private_helper_check_sees_one():
         "def _dead(n):\n    return _dead(n - 1)\n"
         "def _live():\n    return 1\n"
         "class _Kept:\n    @classmethod\n    def _unused(cls):\n        pass\n    def _used(self):\n        return 1\n"
-        "@register\ndef _registered():\n    pass\n"
+        "@_criterion(1)\ndef _registered():\n    pass\n"
+        "@functools.lru_cache(maxsize=8)\ndef _memo(x):\n    return x\n"
         "_TABLE = {1: _live}\n"
         "_Kept()._used()\n"
     )
-    assert _unloaded_private({"m.py": ast.parse(text)}) == ["m.py: _Kept._unused", "m.py: _TABLE", "m.py: _dead"]
+    assert _unloaded_private({"m.py": ast.parse(text)}) == [
+        "m.py: _Kept._unused",
+        "m.py: _TABLE",
+        "m.py: _dead",
+        "m.py: _memo",
+    ]

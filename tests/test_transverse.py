@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hypmix import rng
-from hypmix.freegroup import cyclic_reduce, invert, multiply, power
+from hypmix.freegroup import WordError, cyclic_reduce, invert, multiply, power
 from hypmix.selftest import _map_rows, _table_min_powers, _two_letter_automaton, core_maps
 from hypmix.stallings import SubgroupAutomaton
 from hypmix.transverse import (
@@ -15,6 +15,7 @@ from hypmix.transverse import (
     TransversalityCertificate,
     TransversalityError,
     _core_loop_states,
+    _element,
     certificate,
     compute_u0,
     construct_transverse,
@@ -119,21 +120,28 @@ class TestPowerConjugateInto:
             assert found == [power_conjugate_into(text_form, f) for f in elements]
 
 
-class TestLoopScan:
-    # _core_loop_states against core_loop_states, which reads the whole
-    # word core^m from each state for each m.
+def check_loop_scan_on_core_maps():
+    """_core_loop_states against core_loop_states, which reads the whole word
+    core^m from each state for each m, on every three-state core automaton;
+    returns power_conjugate_into's answers in scan order."""
+    cores = [w for w in F2.ball(4) if w and cyclic_reduce(w)[0] == w]
+    answers = []
+    for a, b in core_maps(3):
+        h = _two_letter_automaton(a, b)
+        for core in cores:
+            loops = core_loop_states(h, core)
+            assert _core_loop_states(h, core) == loops
+            # The least m, at the lowest state that has it.
+            want = min(((m, q) for q, m in loops.items()), default=None)
+            got = power_conjugate_into(h, core)
+            assert got == (None if want is None else (want[0], invert(h.word_to_state(want[1]))))
+            answers.append(got)
+    return answers
 
+
+class TestLoopScan:
     def test_matches_reference_on_core_maps(self):
-        cores = [w for w in F2.ball(4) if w and cyclic_reduce(w)[0] == w]
-        for a, b in core_maps(3):
-            h = _two_letter_automaton(a, b)
-            for core in cores:
-                loops = core_loop_states(h, core)
-                assert _core_loop_states(h, core) == loops
-                # The least m, at the lowest state that has it.
-                want = min(((m, q) for q, m in loops.items()), default=None)
-                got = power_conjugate_into(h, core)
-                assert got == (None if want is None else (want[0], invert(h.word_to_state(want[1]))))
+        check_loop_scan_on_core_maps()
 
     def test_one_state(self):
         for h, loops in ((sub(), {}), (sub("a"), {0: 1}), (sub("a", "b"), {0: 1})):
@@ -162,6 +170,61 @@ class TestLoopScan:
         assert _core_loop_states(h, A) == {0: 2, 1: 2, 2: 2, 3: 2}
         assert power_conjugate_into(h, A) == (2, ())
         assert power_conjugate_into(h, F2.parse("baB")) == (2, B)
+
+
+class TestElementMemo:
+    # _element reduces each distinct (element, rank) once for every caller.
+
+    def test_warm_scan_matches_cold_scan(self):
+        _element.cache_clear()
+        cold = check_loop_scan_on_core_maps()
+        misses = _element.cache_info().misses
+        warm = check_loop_scan_on_core_maps()
+        assert warm == cold
+        assert _element.cache_info().misses == misses
+
+    def test_rank_is_part_of_the_key(self):
+        c = (3,)
+        assert power_conjugate_into(SubgroupAutomaton.from_generators(3, [c]), c) == (1, ())
+        with pytest.raises(WordError):
+            power_conjugate_into(sub("a"), c)
+        with pytest.raises(WordError):
+            compute_u0(sub("a"), c)
+
+    def test_errors_are_not_cached(self):
+        h = sub("a")
+        for bad in ((1, 0), (2, 5)):
+            for _ in range(2):
+                with pytest.raises(WordError):
+                    power_conjugate_into(h, bad)
+        assert _element((1, 2), 2) == ((1, 2), (1, 2), ())
+        for identity in ((), (1, 2, -2, -1)):
+            for _ in range(2):
+                with pytest.raises(TransversalityError, match="power-conjugacy undefined"):
+                    power_conjugate_into(h, identity)
+                with pytest.raises(TransversalityError, match="forbidden set undefined"):
+                    compute_u0(h, identity)
+                with pytest.raises(TransversalityError, match="power-conjugacy undefined"):
+                    certificate(h, identity)
+
+    def test_list_and_tuple_inputs_agree(self):
+        h = sub("aa", "baB")
+        for f in ((2, 1, -2), (2, 1, 1, -1, 2, -2, -2), (1, 2)):
+            assert power_conjugate_into(h, list(f)) == power_conjugate_into(h, f)
+            assert compute_u0(h, list(f)) == compute_u0(h, f)
+            assert certificate(h, list(f)) == certificate(h, f)
+        assert power_conjugate_into(sub("a"), [2, 1, -2]) == (1, B)
+
+    def test_size_stays_bounded(self):
+        h = sub("a")
+        words = [w for w in F2.ball(6) if w]
+        maxsize = _element.cache_info().maxsize
+        assert len(words) > maxsize
+        first = [power_conjugate_into(h, w) for w in words]
+        assert _element.cache_info().currsize == maxsize
+        # The earliest words were evicted; their answers do not change.
+        assert [power_conjugate_into(h, w) for w in words] == first
+        assert _element.cache_info().currsize == maxsize
 
 
 class TestCriterion6Oracle:
