@@ -28,7 +28,7 @@ edges are never materialized.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
 
@@ -239,31 +239,15 @@ class FreeContext:
             out.append(chr(ord("a") + x - 1) if x > 0 else chr(ord("A") - x - 1))
         return "".join(out)
 
-    def sphere(self, radius: int) -> Iterator[Word]:
-        """Reduced words of length exactly radius, in lexicographic order."""
-        if radius == 0:
-            yield ()
-            return
-        letters = self.letters()
-
-        def extend(word: list[int], depth: int):
-            for x in letters:
-                if word and word[-1] == -x:
-                    continue
-                word.append(x)
-                if depth == 1:
-                    yield tuple(word)
-                else:
-                    yield from extend(word, depth - 1)
-                word.pop()
-
-        yield from extend([], radius)
-
     def ball(self, radius: int) -> list[Word]:
-        """All reduced words of length <= radius, in shortlex order."""
-        out: list[Word] = []
-        for r in range(radius + 1):
-            out.extend(self.sphere(r))
+        """All reduced words of length <= radius, in shortlex order: each
+        sphere is the previous one extended word by word in letter order."""
+        letters = self.letters()
+        sphere: list[Word] = [()]
+        out = sphere[: radius + 1]
+        for _ in range(radius):
+            sphere = [w + (x,) for w in sphere for x in letters if not w or w[-1] != -x]
+            out += sphere
         return out
 
     def random_word(self, gen, length: int) -> Word:

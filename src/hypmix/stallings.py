@@ -14,13 +14,14 @@ builder's states (None for a merged-away state), a base state that need not
 be 0, and possibly hairs. Membership, window traces, rank and index are read
 on that graph: a reduced word never enters a hair and comes back, a hair
 adds one state and one edge, so rank = edges - states + 1 keeps its value,
-and a graph with a hair is no full cover, nor is its core. The canonical
-form is built on first use and cached: the core, numbered breadth-first from
-the base with the fixed letter order a < a^-1 < b < b^-1 < ..., each state's
-row listing its letters in that order. `transitions` returns it, and
-everything that reads state numbers goes through it (n_states, the spanning
-tree, text, equality, hashing, and transverse's power-conjugacy scan), so
-two automata of one subgroup have equal rows and equality of subgroups is
+and a graph with a hair is no full cover, nor is its core. The core form
+is built in one pass on first use and cached: the core, numbered
+breadth-first from the base with the fixed letter order a < a^-1 < b <
+b^-1 < ..., each state's row listing its letters in that order, and each
+state's spanning-tree word, spelled as the numbering first meets the state.
+`transitions` returns the rows, and everything that reads state numbers
+goes through the form (n_states, the tree words, text, equality, hashing,
+and transverse's power-conjugacy scan), so two automata of one subgroup have equal rows and equality of subgroups is
 equality of objects, compared row by row. All instances are immutable;
 every operation returns a fresh automaton.
 
@@ -90,6 +91,49 @@ def _read_ends(src_rows, p: int, dst_rows, q: int, word: Word) -> tuple[int, int
     while lo < hi and (nxt := src_rows[p].get(word[lo])) is not None:
         p, lo = nxt, lo + 1
     return p, lo, q, hi
+
+
+def _core_form(rank: int, rows: list[dict[int, int] | None], base: int) -> tuple[tuple[dict[int, int], ...], tuple[Word, ...]]:
+    """(canonical rows, tree words) of folded rows (None for merged-away
+    states): trim them to the core in place and number the states the base
+    reaches breadth-first. A state's tree word, spelled when the pass first
+    meets it, is its discoverer's plus one letter: a shortest path, whose
+    length is the state's graph distance to the base."""
+    # Core trim: drop non-base states of degree <= 1 until none remain.
+    # Dropping a state lowers only its neighbour's degree, so a worklist
+    # of such states visits each edge once.
+    hairs = [s for s, row in enumerate(rows) if row is not None and len(row) <= 1 and s != base]
+    while hairs:
+        s = hairs.pop()
+        row = rows[s]
+        rows[s] = None
+        for letter, t in row.items():  # type: ignore[union-attr]
+            out = rows[t]
+            del out[-letter]  # type: ignore[union-attr]
+            if t != base and len(out) == 1:  # type: ignore[arg-type]
+                hairs.append(t)
+
+    # Canonical BFS numbering from the base, letters in fixed order. A
+    # state's targets are numbered by the time its row is written, and
+    # each row lists its letters in that same order.
+    letter_order = [x for i in range(1, rank + 1) for x in (i, -i)]
+    number = {base: 0}
+    order = [base]
+    words: list[Word] = [()]
+    transitions = []
+    for s in order:
+        out, word = rows[s], words[len(transitions)]
+        row = {}
+        for letter in letter_order:
+            t = out.get(letter)  # type: ignore[union-attr]
+            if t is not None:
+                if t not in number:
+                    number[t] = len(order)
+                    order.append(t)
+                    words.append(word + (letter,))
+                row[letter] = number[t]
+        transitions.append(row)
+    return tuple(transitions), tuple(words)
 
 
 class _FoldGraph:
@@ -199,30 +243,22 @@ class SubgroupAutomaton:
     """Folded Stallings automaton of a finitely generated H <= F_k, with its
     canonical core form built when first read."""
 
-    __slots__ = (
-        "rank",
-        "_rows",
-        "_base",
-        "_canonical",
-        "_tree_words",
-    )
+    __slots__ = ("rank", "_rows", "_base", "_form")
 
     def __init__(
         self,
         rank: int,
         rows: Sequence[dict[int, int] | None],
         base: int,
-        canonical: tuple[dict[int, int], ...] | None = None,
+        form: tuple[tuple[dict[int, int], ...], tuple[Word, ...]] | None = None,
     ):
         # Internal: callers go through from_generators / from_text / the
         # algebraic operations. rows and base are a folded graph, which the
-        # automaton owns from here on; canonical, when given, is its
-        # canonical form.
+        # automaton owns from here on; form, when given, is its core form.
         self.rank = rank
         self._rows = rows
         self._base = base
-        self._canonical = canonical
-        self._tree_words: tuple[Word, ...] | None = None
+        self._form = form
 
     # --- construction -----------------------------------------------------
 
@@ -240,60 +276,23 @@ class SubgroupAutomaton:
             graph.attach_path(gen, 0, 0)
         return graph.fold()
 
-    @classmethod
-    def _from_folded(cls, rank: int, rows: list[dict[int, int] | None], base: int) -> "SubgroupAutomaton":
-        """The canonical automaton of folded rows (None for merged-away
-        states): trim them to the core in place and number the states the
-        base reaches."""
-        # Core trim: drop non-base states of degree <= 1 until none remain.
-        # Dropping a state lowers only its neighbour's degree, so a worklist
-        # of such states visits each edge once.
-        hairs = [s for s, row in enumerate(rows) if row is not None and len(row) <= 1 and s != base]
-        while hairs:
-            s = hairs.pop()
-            row = rows[s]
-            rows[s] = None
-            for letter, t in row.items():  # type: ignore[union-attr]
-                out = rows[t]
-                del out[-letter]  # type: ignore[union-attr]
-                if t != base and len(out) == 1:  # type: ignore[arg-type]
-                    hairs.append(t)
-
-        # Canonical BFS numbering from the base, letters in fixed order. A
-        # state's targets are numbered by the time its row is written, and
-        # each row lists its letters in that same order.
-        letter_order = [x for i in range(1, rank + 1) for x in (i, -i)]
-        number = {base: 0}
-        order = [base]
-        transitions = []
-        for s in order:
-            out = rows[s]
-            row = {}
-            for letter in letter_order:
-                t = out.get(letter)
-                if t is not None:
-                    if t not in number:
-                        number[t] = len(order)
-                        order.append(t)
-                    row[letter] = number[t]
-            transitions.append(row)
-        canonical = tuple(transitions)
-        return cls(rank, canonical, 0, canonical)
-
     # --- structure --------------------------------------------------------
+
+    def _core(self) -> tuple[tuple[dict[int, int], ...], tuple[Word, ...]]:
+        """Build and cache the core form from a copy of the folded rows. A
+        reader writes `self._form or self._core()`: a cached read is no call."""
+        rows = [None if row is None else dict(row) for row in self._rows]
+        self._form = _core_form(self.rank, rows, self._base)
+        return self._form
 
     @property
     def transitions(self) -> tuple[dict[int, int], ...]:
-        """The canonical rows, built from a copy of the folded rows on first
-        use and cached. The folded rows stay as they are."""
-        if self._canonical is None:
-            rows = [None if row is None else dict(row) for row in self._rows]
-            self._canonical = self._from_folded(self.rank, rows, self._base)._canonical
-        return self._canonical  # type: ignore[return-value]
+        """The canonical rows."""
+        return (self._form or self._core())[0]
 
     @property
     def n_states(self) -> int:
-        return len(self._canonical or self.transitions)
+        return len((self._form or self._core())[0])
 
     def __eq__(self, other):
         # Canonical rows list their letters in the fixed order, so equal
@@ -331,26 +330,9 @@ class SubgroupAutomaton:
             return len(live)
         return math.inf
 
-    def _tree(self) -> tuple[Word, ...]:
-        """Canonical spanning-tree words base -> state (BFS, letter order).
-
-        States are numbered in BFS discovery order, so one pass over the
-        rows in state order is that BFS, and each state's word is a shortest
-        path: its length is the state's graph distance to the base.
-        """
-        if self._tree_words is None:
-            words: list[Word | None] = [None] * self.n_states
-            words[0] = ()
-            for s, row in enumerate(self.transitions):
-                for letter, t in row.items():
-                    if words[t] is None:
-                        words[t] = words[s] + (letter,)  # type: ignore[operator]
-            self._tree_words = tuple(words)  # type: ignore[assignment]
-        return self._tree_words  # type: ignore[return-value]
-
     def word_to_state(self, state: int) -> Word:
         """A reduced word reading from the base to the given state."""
-        return self._tree()[state]
+        return (self._form or self._core())[1][state]
 
     def distance_to_orbit(self, word: Sequence[int]) -> int:
         """Tree distance from the vertex to the orbit {h : h in H}.
@@ -361,8 +343,7 @@ class SubgroupAutomaton:
         at most that far from w, and the decomposition of a nearest h along
         its common prefix with w attains the minimum.
         """
-        tree = self._tree()
-        rows = self.transitions
+        rows, tree = self._form or self._core()
         best = len(word)
         state = 0
         for i, letter in enumerate(word):
@@ -487,5 +468,6 @@ class SubgroupAutomaton:
                 raise AutomatonError(f"edge {line!r} breaks determinism")
             adj[s][letter] = t  # type: ignore[index]
             adj[t][-letter] = s  # type: ignore[index]
-        return cls._from_folded(rank, adj, 0)
+        form = _core_form(rank, adj, 0)
+        return cls(rank, form[0], 0, form)
 

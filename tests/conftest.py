@@ -4,6 +4,7 @@ import hypothesis
 from hypothesis import strategies as st
 
 import hypmix
+from hypmix import stallings
 from hypmix.freegroup import FreeContext, reduce_word
 from hypmix.stallings import SubgroupAutomaton
 
@@ -58,11 +59,9 @@ class StuckGenerator:
 
 
 def count_canonical_forms(monkeypatch):
-    """Patch SubgroupAutomaton._from_folded, the one function that trims and
-    numbers an automaton, to log each call; returns the log."""
+    """Patch stallings._core_form, the one function that trims and numbers
+    an automaton, to log each call; returns the log."""
     calls = []
-    from_folded = SubgroupAutomaton._from_folded.__func__
-    monkeypatch.setattr(
-        SubgroupAutomaton, "_from_folded", classmethod(lambda cls, *args: calls.append(1) or from_folded(cls, *args))
-    )
+    core_form = stallings._core_form
+    monkeypatch.setattr(stallings, "_core_form", lambda *args: calls.append(1) or core_form(*args))
     return calls

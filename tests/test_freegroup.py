@@ -190,8 +190,9 @@ class TestContext:
         assert len(F2.ball(4)) == 161
 
     def test_ball_is_shortlex_sorted(self):
-        ball = F2.ball(3)
-        assert ball == sorted(ball, key=shortlex_key)
+        for ball in (F2.ball(3), FreeContext(3).ball(4)):
+            assert ball == sorted(ball, key=shortlex_key)
+            assert len(set(ball)) == len(ball)
 
     def test_geodesic_vertices_endpoints(self):
         verts = geodesic_vertices(w("ab"), w("aB"))

@@ -589,12 +589,21 @@ class TestCli:
             (("drift", "--n", "10", "--trials", "3", "--bogus", "1"), "usage"),
             (("run",), "usage"),
             ((), "usage"),
+            # Refused by the library, named by the harness.
+            (("drift", "--measure", "uniform: a A", "--n", "10", "--trials", "3"), "params.measure"),
+            (("mix", "--H", "a b", "--K", "b", "--n-list", "10", "--trials", "3"), "params.h"),
+            (("freeprod", "--H", "a b", "--n", "10", "--trials", "3"), "params.h"),
+            (("transverse", "--targets", "a b", "--g", "ab"), "params.targets"),
+            (("cantor", "--qn", "--p-letter", "1/2", "--n-list", "10", "--trials", "3"), "params.p_letter"),
+            (("cantor", "--claim", "1", "--u", "xx"), "params.u"),
         ],
         ids=[
             "transience-ignores-qn-flags", "two-modes", "claim-and-qn", "targets-and-subgroups",
             "n-not-int", "n-missing", "n-twice", "seed-not-int", "rank-not-int", "selftest-threads",
             "subgroups-unreadable", "drift-out", "selftest-out", "certificate-out", "json-timing",
             "format-xml", "claim-4", "unknown-flag", "run-without-config", "no-command",
+            "measure-not-generating", "mix-finite-index", "freeprod-finite-index", "transverse-finite-index",
+            "p-letter-too-big", "cone-without-z",
         ],
     )
     def test_bad_command_line_exit_code(self, tmp_path, argv, field):

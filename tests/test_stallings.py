@@ -5,16 +5,22 @@ from hypothesis import given, strategies as st
 
 from hypmix import rng, stallings
 from hypmix.freegroup import FreeContext, invert, multiply, power, reduce_word
+from hypmix.selftest import _two_letter_automaton, core_maps
 from hypmix.stallings import AutomatonError, SubgroupAutomaton
 
 from conftest import F2, F3, count_canonical_forms, letters, live_states, nontrivial_words, words
-from reference import basis, is_folded, read
+from reference import basis, follow, is_folded, read
 
 A, B = (1,), (2,)
 
 
 def sub(*texts, rank=2):
     return SubgroupAutomaton.from_generators(rank, [F2.parse(t) for t in texts])
+
+
+def core_form(h):
+    """(canonical rows, tree words) of h, read through its public members."""
+    return h.transitions, tuple(map(h.word_to_state, range(h.n_states)))
 
 
 def closure_membership(generators, word_cap, prefix_cap, budget=300_000):
@@ -146,7 +152,10 @@ class TestRankIndex:
                 adj[pa[s]][-1] = s
                 adj[s][2] = pb[s]
                 adj[pb[s]][-2] = s
-            auto = SubgroupAutomaton._from_folded(2, adj, 0)
+            # The core form keeps the states the base reaches, so index()
+            # counts n only when the permutations act transitively.
+            form = stallings._core_form(2, adj, 0)
+            auto = SubgroupAutomaton(2, form[0], 0, form)
             if auto.index() != n:
                 continue  # not transitive: reachable part is smaller
             built += 1
@@ -433,7 +442,7 @@ class TestFoldBuilder:
             adj.append({-letter: state})
             adj[state][letter] = len(adj) - 1
             state = len(adj) - 1
-        assert SubgroupAutomaton._from_folded(2, adj, 0) == h
+        assert stallings._core_form(2, adj, 0) == core_form(h)
 
 
 @st.composite
@@ -713,3 +722,38 @@ class TestFoldedForm:
         # Reads of the numbering use the cached form.
         assert read(a, 0, A) == 1 and a.distance_to_orbit(()) == 0 and len(b.word_to_state(b.n_states - 1)) > 0
         assert len(calls) == 2
+
+
+class TestCoreForm:
+    """The one breadth-first pass that numbers the core and spells each
+    state's tree word."""
+
+    def test_tree_words_are_breadth_first_paths(self):
+        # Every core automaton of F2 with at most 3 states, read from text:
+        # each tree word is reduced, reads from the base to its state and is
+        # as long as that state's breadth-first distance, computed here.
+        for a, b in core_maps(3):
+            h = _two_letter_automaton(a, b)
+            rows = h.transitions
+            dist = {0: 0}
+            queue = [0]
+            for s in queue:
+                for t in rows[s].values():
+                    if t not in dist:
+                        dist[t] = dist[s] + 1
+                        queue.append(t)
+            assert len(dist) == h.n_states
+            for q in range(h.n_states):
+                word = h.word_to_state(q)
+                assert reduce_word(word) == word
+                assert follow(rows, 0, word) == q
+                assert len(word) == dist[q]
+
+    def test_text_and_fold_build_one_form(self):
+        # A subgroup read from its text and folded from a free basis has
+        # one form: the same rows and the same tree words.
+        for a, b in core_maps(3):
+            h = _two_letter_automaton(a, b)
+            folded = SubgroupAutomaton.from_generators(2, basis(h))
+            assert folded._form is None
+            assert core_form(folded) == core_form(h)

@@ -22,7 +22,9 @@ keeps private, only that module reads.
 Every private top-level function, class and constant of src/hypmix, and
 every private method of its classes, is loaded somewhere in src/hypmix
 outside its own definition, so a helper whose last caller is gone is
-deleted with it. A top-level function that selftest's `@_criterion(...)`
+deleted with it. Every private attribute a class stores on self or lists
+in __slots__ is loaded somewhere in src/hypmix too, so a cache nothing
+reads any more is deleted with its last reader. A top-level function that selftest's `@_criterion(...)`
 registers counts as used; any other decorator, such as a memo, does not.
 """
 
@@ -305,13 +307,13 @@ def test_private_read_check_sees_one():
         "    cantor._children(obj)\n"
         "    rng.__name__\n"
         "    w._reduce\n"
-        "    SubgroupAutomaton._from_folded(2, [], 0)\n"
+        "    SubgroupAutomaton._core(obj)\n"
         "    obj._rows\n"
     )
     assert _private_reads(ast.parse(text), {"cantor", "rng", "stallings", "walks"}) == [
         "line 15: cantor._children",
         "line 17: w._reduce",
-        "line 18: SubgroupAutomaton._from_folded",
+        "line 18: SubgroupAutomaton._core",
         "line 19: obj._rows",
     ]
 
@@ -324,10 +326,28 @@ def _registered(node):
     )
 
 
+def _private_attributes(cls):
+    """{name: node} of each private attribute a class stores on self or
+    lists in __slots__; the node stores the name and loads nothing."""
+    found = {}
+    for node in ast.walk(cls):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and _is_private(node.attr)
+        ):
+            found.setdefault(node.attr, node)
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+            found.update({e.value: e for e in ast.walk(node.value) if _is_str(e) and _is_private(e.value)})
+    return found
+
+
 def _private_definitions(tree):
     """(label, name, node) for each private top-level definition of a module
-    that `@_criterion(...)` does not register, and each private method of
-    its classes."""
+    that `@_criterion(...)` does not register, and each private method and
+    attribute of its classes."""
     found = []
     for node in tree.body:
         name = _defined_name(node)
@@ -339,6 +359,7 @@ def _private_definitions(tree):
                 for member in node.body
                 if isinstance(member, ast.FunctionDef) and _is_private(member.name)
             )
+            found.extend((f"{node.name}.{name}", name, attr) for name, attr in _private_attributes(node).items())
     return found
 
 
@@ -366,7 +387,7 @@ def _unloaded_private(trees):
 def test_every_private_helper_is_loaded():
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
     unloaded = _unloaded_private(trees)
-    assert not unloaded, f"private helpers nothing in src/hypmix loads: {unloaded}"
+    assert not unloaded, f"private helpers and attributes nothing in src/hypmix loads: {unloaded}"
 
 
 def test_private_helper_check_sees_one():
@@ -378,10 +399,18 @@ def test_private_helper_check_sees_one():
         "@functools.lru_cache(maxsize=8)\ndef _memo(x):\n    return x\n"
         "_TABLE = {1: _live}\n"
         "_Kept()._used()\n"
+        "class Cached:\n"
+        "    __slots__ = ('_rows', '_cache', '_dead_cache', '_dead_slot', 'public')\n"
+        "    def __init__(self, rows):\n        self._rows = rows\n        self._dead_cache = None\n"
+        "    def fill(self, other):\n        self._cache = len(self._rows)\n        other._elsewhere = 1\n"
+        "    def get(self):\n        return self._cache\n"
     )
     assert _unloaded_private({"m.py": ast.parse(text)}) == [
+        "m.py: Cached._dead_cache",
+        "m.py: Cached._dead_slot",
         "m.py: _Kept._unused",
         "m.py: _TABLE",
         "m.py: _dead",
         "m.py: _memo",
     ]
+
