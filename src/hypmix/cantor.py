@@ -59,7 +59,7 @@ from .freegroup import FreeContext, Word
 from .stats import proportion_ci95
 
 X, Y, Z = 1, 2, 3
-_LETTERS = (1, -1, 2, -2, 3, -3)  # the fixed order x < x^-1 < y < y^-1 < z < z^-1
+_LETTERS = tuple(FreeContext(3).letters())  # the fixed order x < x^-1 < y < y^-1 < z < z^-1
 _LETTER_NAMES = {1: "x", -1: "X", 2: "y", -2: "Y", 3: "z", -3: "Z"}
 _NAME_LETTERS = {v: k for k, v in _LETTER_NAMES.items()}
 _ALPHABET = frozenset(_LETTERS)

@@ -10,8 +10,9 @@ products are half-integers and are kept as Fractions, never floats.
 Serialization: generators are the ASCII letters a, b, c, ... and inverses the
 corresponding uppercase letters; the empty word prints as "1".
 
-TREE_CONSTANTS records how the hyperbolicity-dependent constants of the
-general theory specialize at delta = 0:
+The hyperbolicity-dependent constants of the general theory specialize at
+delta = 0 as below; TREE_CONSTANTS holds the last three, the ones
+broken_geodesic_check reads:
 
   delta                      0    (geodesic triangles are 0-slim: tripods)
   quadrangle_slim            0    (2*delta)
@@ -33,9 +34,6 @@ from typing import Iterable, Sequence
 Word = tuple[int, ...]
 
 TREE_CONSTANTS = {
-    "delta": 0,
-    "quadrangle_slim": 0,
-    "thin_triangle": 0,
     "broken_geodesic_c0_min": 0,
     "broken_geodesic_c1_factor": 12,
     "broken_geodesic_bound": 2,
@@ -206,11 +204,7 @@ class FreeContext:
 
     def letters(self) -> list[int]:
         """All 2k letters in the order a < a^-1 < b < b^-1 < ..."""
-        out = []
-        for i in range(1, self.rank + 1):
-            out.append(i)
-            out.append(-i)
-        return out
+        return [x for i in range(1, self.rank + 1) for x in (i, -i)]
 
     def parse(self, text: str) -> Word:
         """Parse the a..z / A..Z word grammar; "1" denotes the empty word."""
@@ -250,13 +244,15 @@ class FreeContext:
             out += sphere
         return out
 
+    def ball_size(self, radius: int) -> int:
+        """len(self.ball(radius)) in closed form, without building the ball."""
+        return (self.rank * (2 * self.rank - 1) ** radius - 1) // (self.rank - 1)
+
     def random_word(self, gen, length: int) -> Word:
-        """Uniformly random reduced word of exactly the given length."""
-        if length == 0:
-            return ()
-        letters = self.letters()
-        word = [letters[int(gen.integers(0, len(letters)))]]
+        """Uniformly random reduced word of exactly the given length: one
+        integers draw per letter, among the letters that do not cancel."""
+        letters, word = self.letters(), []
         while len(word) < length:
-            choices = [x for x in letters if x != -word[-1]]
+            choices = [x for x in letters if not word or x != -word[-1]]
             word.append(choices[int(gen.integers(0, len(choices)))])
         return tuple(word)

@@ -260,6 +260,20 @@ def _context(params: Params) -> FreeContext:
         raise ConfigError("params.rank", str(exc))
 
 
+# The most words a ball built from a radius param may hold; the largest the
+# suite builds, ball(8) of F2, holds 13,121.
+BALL_BUDGET = 100_000
+
+
+def _read_radius(params: Params, key: str, ctx: FreeContext, default: int, least: int) -> int:
+    """A radius param whose ball in ctx holds at most BALL_BUDGET words, checked
+    before any ball is built (a ball holds more words than its radius)."""
+    radius = params.read(key, int, default, least=least)
+    if radius >= BALL_BUDGET or ctx.ball_size(radius) > BALL_BUDGET:
+        raise ConfigError(f"params.{key}", f"the radius-{radius} ball of F{ctx.rank} holds over {BALL_BUDGET} words")
+    return radius
+
+
 def default_measure(params: dict) -> str:
     """The flag forms' measure when none is given: uniform on the letters of
     the rank the raw params name. An invalid rank is refused as params.rank,
@@ -343,7 +357,7 @@ def _run_mix(config: ExperimentConfig, params: Params) -> _Outcome:
     measure = parse_measure(params, ctx)
     h = parse_subgroup(ctx, params.read("h"), "h")
     k = parse_subgroup(ctx, params.read("k"), "k")
-    radius = params.read("window_radius", int, 2, least=0)
+    radius = _read_radius(params, "window_radius", ctx, 2, 0)
     trials = params.read("trials", int, least=1)
     n_list = params.read("n_list", _int_list, least=0)
     params.done()
@@ -467,7 +481,7 @@ def _run_cantor(config: ExperimentConfig, params: Params) -> _Outcome:
     if mode == "transience":
         trials = params.read("trials", int, 100_000, least=1)
         horizon = params.read("horizon", int, 10_000, least=1)
-        radius = params.read("radius", int, 8, least=1)
+        radius = _read_radius(params, "radius", FreeContext(2), 8, 1)
         params.done()
         exact = cantor.hit_probability_exact()
         p, lo, hi = cantor.simulate_hit_probability(trials, horizon, config.seed)

@@ -43,8 +43,9 @@ from .walks import StepMeasure, drift_estimate
 MASTER_SEED = 20260808
 
 F2 = FreeContext(2)
-UNIFORM_F2 = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
-UNIFORM_F3 = StepMeasure.uniform_on(3, [(i,) for i in (1, -1, 2, -2, 3, -3)])
+F3 = FreeContext(3)
+UNIFORM_F2 = StepMeasure.uniform_on(2, [(x,) for x in F2.letters()])
+UNIFORM_F3 = StepMeasure.uniform_on(3, [(x,) for x in F3.letters()])
 
 # Golden values frozen from the pilot run (seed MASTER_SEED). Criterion 8
 # reproduces these success counts bit for bit; criterion 9 its count.
@@ -624,11 +625,7 @@ def _criterion_11(threads: int = 1):
 
     def random_z_label(length):
         while True:
-            word = []
-            for _ in range(length):
-                choices = [l for l in (1, -1, 2, -2, 3, -3) if not word or l != -word[-1]]
-                word.append(choices[int(gen.integers(0, len(choices)))])
-            word = tuple(word)
+            word = F3.random_word(gen, length)
             if any(abs(l) == 3 for l in word):
                 return word
 
@@ -651,7 +648,7 @@ def _criterion_11(threads: int = 1):
         # fixity on 100 sampled points of the other cones at depth n + 3
         others = [
             w
-            for first in (1, -1, 2, -2, 3, -3)
+            for first in F3.letters()
             for w in cantor.order_cones((first,), n - 1)
             if w not in (u, pivot)
         ]

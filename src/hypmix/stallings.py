@@ -21,9 +21,9 @@ b^-1 < ..., each state's row listing its letters in that order, and each
 state's spanning-tree word, spelled as the numbering first meets the state.
 `transitions` returns the rows, and everything that reads state numbers
 goes through the form (n_states, the tree words, text, equality, hashing,
-and transverse's power-conjugacy scan), so two automata of one subgroup have equal rows and equality of subgroups is
-equality of objects, compared row by row. All instances are immutable;
-every operation returns a fresh automaton.
+and transverse's power-conjugacy scan), so two automata of one subgroup have
+equal rows and equality of subgroups is equality of objects, compared row by
+row. All instances are immutable; every operation returns a fresh automaton.
 
 One fold builder makes every automaton from words and automata, and keeps
 its graph folded as it grows (Kapovich & Myasnikov, "Stallings foldings and
@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .freegroup import FreeContext, Word, WordError, invert, reduce_word
+from .freegroup import FreeContext, Word, WordError, cyclic_reduce, invert, reduce_word
 
 
 class AutomatonError(ValueError):
@@ -191,10 +191,7 @@ class _FoldGraph:
         middle = word[lo:hi]
         # On a closed path the unread middle may not be cyclically reduced:
         # its first and last k letters then spell one stem out of p.
-        k = 0
-        if p == q:
-            while middle[k] == -middle[-1 - k]:
-                k += 1
+        k = len(cyclic_reduce(middle)[1]) if p == q else 0
         nodes = [p, *self.add_states(len(middle) - k - 1)]
         nodes.extend(reversed(nodes[1 : k + 1]))
         nodes.append(q)
@@ -337,24 +334,23 @@ class SubgroupAutomaton:
     def distance_to_orbit(self, word: Sequence[int]) -> int:
         """Tree distance from the vertex to the orbit {h : h in H}.
 
-        Equals min over readable prefixes w[:i] (ending at state q) of
-        (|w| - i) + dist(q, base), where dist(q, base) is the length of q's
-        spanning-tree word: the candidate h = w[:i] * (tree word of q)^-1 is
-        at most that far from w, and the decomposition of a nearest h along
-        its common prefix with w attains the minimum.
+        Equals min over readable prefixes w[:i], ending at state q_i, of
+        (|w| - i) + depth(q_i), where depth(q_i) is the length of q_i's
+        spanning-tree word: the candidate h = w[:i] * tree(q_i)^-1 is at
+        most that far from w, and the decomposition of a nearest h along
+        its common prefix with w attains the minimum. The longest prefix
+        that reads attains it: a letter read lowers |w| - i by one, and the
+        two ends of an edge of a breadth-first tree differ in depth by at
+        most one, so the candidate never increases along the read.
         """
         rows, tree = self._form or self._core()
-        best = len(word)
-        state = 0
-        for i, letter in enumerate(word):
+        state = read = 0
+        for letter in word:
             nxt = rows[state].get(letter)
             if nxt is None:
                 break
-            state = nxt
-            value = (len(word) - i - 1) + len(tree[state])
-            if value < best:
-                best = value
-        return best
+            state, read = nxt, read + 1
+        return len(word) - read + len(tree[state])
 
     # --- algebra ------------------------------------------------------------
 
@@ -447,20 +443,18 @@ class SubgroupAutomaton:
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         if len(lines) < 2 or lines[1] != "base=0":
             raise AutomatonError("expected a state count line then 'base=0'")
-        try:
-            n = int(lines[0])
-        except ValueError as exc:
-            raise AutomatonError(f"bad state count {lines[0]!r}") from exc
+        n = int(lines[0]) if lines[0].isdecimal() else 0
+        if n < 1:  # the base state 0 must exist
+            raise AutomatonError(f"bad state count {lines[0]!r}")
         adj: list[dict[int, int] | None] = [dict() for _ in range(n)]
         for line in lines[2:]:
-            parts = line.split()
-            if len(parts) != 3:
-                raise AutomatonError(f"bad edge line {line!r}")
-            src, label, dst = parts
-            word = ctx.parse(label)
+            try:  # a wrong part count, a bad label (WordError) or a bad state index
+                src, label, dst = line.split()
+                word, s, t = ctx.parse(label), int(src), int(dst)
+            except ValueError as exc:
+                raise AutomatonError(f"bad edge line {line!r}") from exc
             if len(word) != 1 or word[0] < 0:
                 raise AutomatonError(f"edge label must be a single generator, got {label!r}")
-            s, t = int(src), int(dst)
             if not (0 <= s < n and 0 <= t < n):
                 raise AutomatonError(f"edge {line!r} references a missing state")
             letter = word[0]

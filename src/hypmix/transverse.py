@@ -185,11 +185,7 @@ def overlap_bound(
     powers = [power(f, m) for m in m_range]
     for v in ctx.ball(radius):
         v_inv = invert(v)
-        count = 0
-        for word in powers:
-            if h.distance_to_orbit(multiply(v_inv, word)) <= e_bound:
-                count += 1
-        per[v] = count
+        per[v] = sum(h.distance_to_orbit(multiply(v_inv, word)) <= e_bound for word in powers)
     return per
 
 

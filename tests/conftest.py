@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import hypothesis
 from hypothesis import strategies as st
@@ -15,19 +17,18 @@ hypothesis.settings.load_profile("suite")
 
 F2 = FreeContext(2)
 F3 = FreeContext(3)
+A, B = (1,), (2,)
 
 
-def letters(rank):
-    out = []
-    for i in range(1, rank + 1):
-        out.extend((i, -i))
-    return out
+def sub(*texts):
+    """The subgroup of F2 generated by the words spelled in texts."""
+    return SubgroupAutomaton.from_generators(2, [F2.parse(t) for t in texts])
 
 
 def words(rank=2, max_len=8):
     """Strategy for freely reduced words."""
     return st.lists(
-        st.sampled_from(letters(rank)), min_size=0, max_size=max_len
+        st.sampled_from(FreeContext(rank).letters()), min_size=0, max_size=max_len
     ).map(reduce_word)
 
 
@@ -44,6 +45,14 @@ def src_env():
     """The environment for a subprocess that must import this checkout's hypmix."""
     src = os.path.dirname(os.path.dirname(hypmix.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_optimized(script):
+    """Run a script under python -O with this checkout's hypmix; its stdout,
+    once it has exited with 0."""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class StuckGenerator:

@@ -1,6 +1,4 @@
 import inspect
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
 
@@ -38,12 +36,13 @@ from hypmix.cantor import (
     superharmonic_check,
     _xi,
 )
+from hypmix.freegroup import FreeContext
 
-from conftest import StuckGenerator, src_env
+from conftest import StuckGenerator, run_optimized
 from reference import advance_reference, hit_count, merge_antichain_reference, proper_prefix_pairs
 
 X, Y, Z = 1, 2, 3
-ALL_LETTERS = (1, -1, 2, -2, 3, -3)
+ALL_LETTERS = tuple(FreeContext(3).letters())
 
 
 def lab(text):
@@ -60,11 +59,7 @@ def full_partition(depth):
 def random_z_label(gen, length):
     """Random reduced label of the given length containing a z-letter."""
     while True:
-        word = []
-        for _ in range(length):
-            choices = [l for l in ALL_LETTERS if not word or l != -word[-1]]
-            word.append(choices[int(gen.integers(0, len(choices)))])
-        word = tuple(word)
+        word = FreeContext(3).random_word(gen, length)
         if any(abs(l) == Z for l in word):
             return word
 
@@ -538,14 +533,7 @@ class TestCertification:
                         pass
             """
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=src_env(),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+        run_optimized(script)
 
 
 class TestClaimTwo:

@@ -188,6 +188,8 @@ class TestContext:
         assert len(F2.ball(1)) == 5
         assert len(F2.ball(2)) == 17
         assert len(F2.ball(4)) == 161
+        for ctx in (F2, FreeContext(3), FreeContext(4)):
+            assert [ctx.ball_size(r) for r in range(5)] == [len(ctx.ball(r)) for r in range(5)]
 
     def test_ball_is_shortlex_sorted(self):
         for ball in (F2.ball(3), FreeContext(3).ball(4)):

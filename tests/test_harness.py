@@ -514,6 +514,34 @@ class TestCli:
         assert res.stdout.startswith("# [experiment]")
         assert "\nexperiment,params,metric" in res.stdout
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["mix", "--H", "a", "--K", "b", "--n-list", "10", "--trials", "3", "--window-radius", "30"], "params.window_radius"),
+            (["mix", "--rank", "3", "--H", "a", "--K", "b", "--n-list", "10", "--trials", "3", "--window-radius", "7"], "params.window_radius"),
+            (["cantor", "--transience", "--trials", "1", "--horizon", "1", "--radius", "30"], "params.radius"),
+            (["cantor", "--transience", "--trials", "1", "--horizon", "1", "--radius", str(10**30)], "params.radius"),
+        ],
+    )
+    def test_radius_over_the_ball_budget_exits_1(self, monkeypatch, capsys, argv, field):
+        # In-process, with FreeContext.ball refusing to run: a radius that
+        # got past the guard fails here at once instead of allocating.
+        def no_ball(ctx, radius):
+            raise AssertionError(f"built the radius-{radius} ball of {ctx}")
+
+        monkeypatch.setattr(FreeContext, "ball", no_ball)
+        assert cli.main(argv) == 1
+        assert f"[{field}]" in capsys.readouterr().err
+
+    def test_radius_budget_boundary(self):
+        # F2's ball(9) holds 39,365 words and ball(10) 118,097; F3's ball(6)
+        # holds 23,437 and ball(7) 117,187.
+        read = lambda rank, radius: harness._read_radius(Params({"r": str(radius)}), "r", FreeContext(rank), 2, 0)
+        assert read(2, 9) == 9 and read(3, 6) == 6
+        for rank, radius in ((2, 10), (3, 7)):
+            with pytest.raises(ConfigError, match=r"^\[params\.r\]"):
+                read(rank, radius)
+
     def test_validation_error_exit_code(self):
         res = self._hypmix("drift", "--n", "100", "--trials", "20", "--measure", "uniform: a q")
         assert res.returncode == 1

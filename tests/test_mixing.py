@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 import textwrap
 
 import pytest
@@ -17,22 +15,16 @@ from hypmix.mixing import (
     joint_mixing,
     witness_subgroup,
 )
+from hypmix.selftest import UNIFORM_F2 as UNIFORM, UNIFORM_F3
 from hypmix.stallings import SubgroupAutomaton
 from hypmix.walks import StepMeasure
 
-from conftest import F2, count_canonical_forms, live_states, nontrivial_words, src_env, words
+from conftest import A, B, F2, count_canonical_forms, live_states, nontrivial_words, run_optimized, sub, words
 from reference import read, sample_walk
 
-UNIFORM = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
-UNIFORM_F3 = StepMeasure.uniform_on(3, [(i,) for i in (1, -1, 2, -2, 3, -3)])
-A, B = (1,), (2,)
 # The radius-2 window and a^5: at gap mu <= 2 the word a^5 is longer than
 # 2 mu, so those endpoints take the read route.
 LONG_WINDOW = frozenset(F2.ball(2)) | {(1,) * 5}
-
-
-def sub(*texts):
-    return SubgroupAutomaton.from_generators(2, [F2.parse(t) for t in texts])
 
 
 class TestWitnessSubgroup:
@@ -259,11 +251,7 @@ class TestFlagB:
             print(kept.success, before.joint.successes, skipped.trace_h, skipped.success, result.joint.successes)
             """
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["True", "2", "False", "False", "1"]
+        assert run_optimized(script).split() == ["True", "2", "False", "False", "1"]
 
 
 class Fixed:
@@ -403,11 +391,7 @@ class TestSeparationRule:
             print(ruled == read, ruled_folds, read_folds)
             """
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        same, ruled_folds, read_folds = proc.stdout.split()
+        same, ruled_folds, read_folds = run_optimized(script).split()
         assert same == "True"
         assert int(ruled_folds) < int(read_folds) == 3 * 4 * 100
 

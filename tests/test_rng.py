@@ -11,8 +11,9 @@ import pytest
 from hypmix import rng
 from hypmix.cantor import ConeCertificationError, estimate_qn
 from hypmix.mixing import joint_mixing
+from hypmix.selftest import UNIFORM_F2 as UNIFORM
 from hypmix.stallings import SubgroupAutomaton
-from hypmix.walks import StepMeasure, drift_estimate
+from hypmix.walks import drift_estimate
 
 from conftest import StuckGenerator, src_env
 
@@ -239,9 +240,6 @@ def test_trial_stream_in_worker_processes(two_workers):
     assert len({pids[0], pids[200], os.getpid()}) == 3
     for seed, path in REKEY_CASES:
         assert mixed_draws(rng.trial_stream(seed, *path)) == mixed_draws(rng.substream(seed, *path))
-
-
-UNIFORM = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
 
 
 def _witness_run(threads):

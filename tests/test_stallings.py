@@ -5,43 +5,16 @@ from hypothesis import given, strategies as st
 
 from hypmix import rng, stallings
 from hypmix.freegroup import FreeContext, invert, multiply, power, reduce_word
-from hypmix.selftest import _two_letter_automaton, core_maps
+from hypmix.selftest import _closure_membership, _two_letter_automaton, core_maps
 from hypmix.stallings import AutomatonError, SubgroupAutomaton
 
-from conftest import F2, F3, count_canonical_forms, letters, live_states, nontrivial_words, words
+from conftest import A, B, F2, F3, count_canonical_forms, live_states, nontrivial_words, sub, words
 from reference import basis, follow, is_folded, read
-
-A, B = (1,), (2,)
-
-
-def sub(*texts, rank=2):
-    return SubgroupAutomaton.from_generators(rank, [F2.parse(t) for t in texts])
 
 
 def core_form(h):
     """(canonical rows, tree words) of h, read through its public members."""
     return h.transitions, tuple(map(h.word_to_state, range(h.n_states)))
-
-
-def closure_membership(generators, word_cap, prefix_cap, budget=300_000):
-    """Ball-restricted closure of <generators>: the set of elements reachable
-    by generator multiplications without ever leaving the prefix_cap ball.
-    Independent of the folding machinery. Returns None when the enumeration
-    exceeds the node budget (dense subgroups), so callers can skip."""
-    gens = [tuple(g) for g in generators if g]
-    steps = gens + [invert(g) for g in gens]
-    seen = {()}
-    frontier = [()]
-    while frontier:
-        cur = frontier.pop()
-        for s in steps:
-            nxt = multiply(cur, s)
-            if len(nxt) <= prefix_cap and nxt not in seen:
-                if len(seen) >= budget:
-                    return None
-                seen.add(nxt)
-                frontier.append(nxt)
-    return {w for w in seen if len(w) <= word_cap}
 
 
 class TestFromGenerators:
@@ -108,7 +81,7 @@ class TestMembership:
                 F2.random_word(gen, int(gen.integers(1, 7)))
                 for _ in range(int(gen.integers(1, 4)))
             ]
-            oracle = closure_membership(gens, 6, 6 + 2 * max(map(len, gens)), budget=50_000)
+            oracle = _closure_membership(gens, 6, 6 + 2 * max(map(len, gens)), budget=50_000)
             if oracle is None:
                 continue
             done += 1
@@ -200,18 +173,42 @@ class TestDistanceToOrbit:
             h = SubgroupAutomaton.from_generators(
                 2, [F2.random_word(gen, int(gen.integers(1, 5))) for _ in range(2)]
             )
-            elements = closure_membership(basis(h), 14, 16, budget=50_000)
+            elements = _closure_membership(basis(h), 14, 16, budget=50_000)
             if elements is None:
                 continue
             done += 1
             for w in ball:
                 brute = min(len(multiply(invert(e), w)) for e in elements)
                 assert h.distance_to_orbit(w) == brute
+        # A few core automata read from text, shapes the draws above never
+        # fold. The identity is in H, so w's nearest orbit point is within
+        # 2|w| of the base: ball(6) holds it for every w of ball(3).
+        ball6 = F2.ball(6)
+        for a, b in core_maps(3)[::40]:
+            h = _two_letter_automaton(a, b)
+            elements = [e for e in ball6 if h.contains(e)]
+            for w in F2.ball(3):
+                brute = min(len(multiply(invert(e), w)) for e in elements)
+                assert h.distance_to_orbit(w) == brute
+
+    @given(st.sampled_from(core_maps(3)), words(2, 10))
+    def test_candidate_never_increases_along_the_read(self, maps, word):
+        # The lemma behind the one read: the candidate (|w| - i) + depth(q_i)
+        # never increases while w[:i] reads, so the last one is the distance.
+        h = _two_letter_automaton(*maps)
+        rows, state, candidates = h.transitions, 0, [len(word)]
+        for i, letter in enumerate(word, 1):
+            state = rows[state].get(letter)
+            if state is None:
+                break
+            candidates.append(len(word) - i + len(h.word_to_state(state)))
+        assert candidates == sorted(candidates, reverse=True)
+        assert h.distance_to_orbit(word) == candidates[-1]
 
     def test_left_invariance(self):
         gen = rng.substream(37)
         h = sub("ab", "ba")
-        hs = [x for x in closure_membership(basis(h), 8, 10)][:20]
+        hs = [x for x in _closure_membership(basis(h), 8, 10, budget=300_000)][:20]
         for _ in range(30):
             w = F2.random_word(gen, int(gen.integers(0, 7)))
             d = h.distance_to_orbit(w)
@@ -270,7 +267,7 @@ class TestFreeProductCertificate:
         certified = h.certify_free_product(g)
         # Independent oracle: no alternating word h_1 g^{n_1} ... of bounded
         # complexity reduces to the identity.
-        hs = [w for w in closure_membership(basis(h), 8, 10) if w]
+        hs = [w for w in _closure_membership(basis(h), 8, 10, budget=300_000) if w]
         powers = [power(g, n) for n in (-2, -1, 1, 2)]
         trivial_found = False
         for h1 in hs:
@@ -308,8 +305,16 @@ class TestSerialization:
         assert h.to_text() == sub("bb", "ab", "aa").to_text()
 
     def test_bad_label(self):
-        with pytest.raises(AutomatonError):
-            SubgroupAutomaton.from_text("1\nbase=0\n0 ab 0\n", 2)
+        # A bad label, state count or edge line is refused by name.
+        for text, named in [
+            ("1\nbase=0\n0 ab 0\n", "single generator, got 'ab'"),
+            ("0\nbase=0\n", "bad state count '0'"),
+            ("-2\nbase=0\n", "bad state count '-2'"),
+            ("1\nbase=0\n0 b x\n", "bad edge line '0 b x'"),
+            ("1\nbase=0\n0 q 0\n", "bad edge line '0 q 0'"),
+        ]:
+            with pytest.raises(AutomatonError, match=named):
+                SubgroupAutomaton.from_text(text, 2)
 
     def test_format_shape(self):
         text = sub("a").to_text()
@@ -622,7 +627,7 @@ def read_in_cases(draw, rank):
     else:
         g = draw(words(rank, 8))
     loops = [multiply(prefix(h_gens), invert(prefix(h_gens))) for _ in range(draw(st.integers(0, 2)))]
-    loops += draw(st.lists(st.lists(st.sampled_from(letters(rank)), max_size=6).map(tuple), max_size=2))
+    loops += draw(st.lists(st.lists(st.sampled_from(FreeContext(rank).letters()), max_size=6).map(tuple), max_size=2))
     return h_gens, k_gens, g, loops
 
 

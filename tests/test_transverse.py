@@ -1,6 +1,4 @@
 import importlib.util
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
@@ -23,7 +21,7 @@ from hypmix.transverse import (
     power_conjugate_into,
 )
 
-from conftest import F2, src_env
+from conftest import A, B, F2, run_optimized, sub
 from reference import (
     all_core_automata,
     brute_min_m,
@@ -32,12 +30,6 @@ from reference import (
     minimal_power_in,
     overlap_count,
 )
-
-A, B = (1,), (2,)
-
-
-def sub(*texts):
-    return SubgroupAutomaton.from_generators(2, [F2.parse(t) for t in texts])
 
 
 def brute_power_conjugate(h, f, m_cap, v_ball):
@@ -306,10 +298,7 @@ class TestCertification:
             sys.exit("no CertificateError raised")
             """
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
+        run_optimized(script)
 
 
 class TestOverlap:

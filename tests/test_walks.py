@@ -1,5 +1,3 @@
-import subprocess
-import sys
 import textwrap
 import tracemalloc
 from fractions import Fraction
@@ -9,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypmix import rng, walks
-from hypmix.freegroup import invert, reduce_word
-from hypmix.selftest import GOLDEN_MIXING_SCHEDULE
+from hypmix.freegroup import FreeContext, invert, reduce_word
+from hypmix.selftest import GOLDEN_MIXING_SCHEDULE, UNIFORM_F2, UNIFORM_F3
 from hypmix.walks import (
     MAX_PASSES,
     SHORT_WALK,
@@ -20,15 +18,13 @@ from hypmix.walks import (
     drift_estimate,
 )
 
-from conftest import F2, F3, letters, src_env
+from conftest import F2, run_optimized
 from reference import convolve, sample_walk, step_indices
 
 # Frozen golden endpoint for sample_walk(uniform F2, n=3, seed=42).
 GOLDEN_WALK_42 = (-2, -2, 1)
 
-UNIFORM_F2 = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)])
-UNIFORM_F3 = StepMeasure.uniform_on(3, [(i,) for i in (1, -1, 2, -2, 3, -3)])
-UNIFORM_F4 = StepMeasure.uniform_on(4, [(x,) for x in letters(4)])
+UNIFORM_F4 = StepMeasure.uniform_on(4, [(x,) for x in FreeContext(4).letters()])
 # Multi-letter steps and identity steps (blank rows of the letter table).
 LAZY_PAIRS = StepMeasure.uniform_on(
     2, [F2.parse(t) for t in ("a", "A", "b", "B", "ab", "BA")], identity_mass=Fraction(1, 2)
@@ -406,10 +402,7 @@ class TestDrift:
             sys.exit("no DriftRangeError raised")
             """
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
+        run_optimized(script)
 
     def test_uniform_f2_short(self):
         est = drift_estimate(UNIFORM_F2, 2000, 200, 11)
