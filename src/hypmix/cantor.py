@@ -419,7 +419,7 @@ def antichain_meets_cone(antichain: Iterable[Word], cone: Word) -> bool:
 
 
 def _case_step(u: Word) -> tuple[int, tuple]:
-    """One recursion step: a letter a and a permutation sigma with
+    """One standardizing step: a letter a and a permutation sigma with
     (a^-1 sigma)[Cone(u)] = Cone(u'), |u'| = |u| - 1, and z^-n -> z^-(n-1)."""
     u2 = u[:2]
     if in_f2_part(u2):
@@ -437,10 +437,10 @@ def _case_step(u: Word) -> tuple[int, tuple]:
 def standardizing_element(u: Sequence[int]) -> GElement:
     """An element sending Cone(u) to Cone(z^2) and Cone(z^-n) to Cone(z^-2).
 
-    Requires |u| = n >= 2, u containing a z-letter, u != z^-n. Recursive:
-    a length-2 u needs one permutation; otherwise a permutation and one
-    letter shorten u and z^-n in lockstep. The returned word has one
-    permutation and at most one letter per level.
+    Requires |u| = n >= 2, u containing a z-letter, u != z^-n. One loop:
+    a permutation and one letter shorten the label and z^-n in lockstep
+    down to length 2, where one permutation finishes. The returned word has
+    one permutation and at most one letter per level; it is certified once.
     """
     u = _check_label(u)
     n = len(u)
@@ -450,16 +450,17 @@ def standardizing_element(u: Sequence[int]) -> GElement:
         raise ConeError("label must contain a z-letter")
     if u == (-Z,) * n:
         raise ConeError("label z^-n is the partner cone, not a valid source")
-    if n == 2:
-        sigma = from_assignments({u: CONE_Z2, CONE_ZM2: CONE_ZM2})
-        element: GElement = (sigma,)
-    else:
-        a, sigma = _case_step(u)
+    element: GElement = ()
+    label = u
+    while len(label) > 2:
+        a, sigma = _case_step(label)
         step: GElement = (-a, sigma)
-        u_next = apply_element(step, u)
-        if u_next is NEEDS_REFINEMENT or len(u_next) != n - 1:
-            raise ConeCertificationError("recursion step did not shorten the label by one")
-        element = standardizing_element(u_next) + step
+        shorter, left = _advance(step, label, 2)
+        if left or len(shorter) != len(label) - 1:
+            raise ConeCertificationError("a step did not shorten the label by one")
+        element = step + element
+        label = shorter
+    element = (from_assignments({label: CONE_Z2, CONE_ZM2: CONE_ZM2}),) + element
     _verify_standardizing(element, u)
     return element
 
@@ -494,12 +495,7 @@ def cone_transposition(u: Sequence[int]) -> GElement:
     of Cone(z^2) and Cone(z^-2) by a standardizing element for u.
     """
     u = _check_label(u)
-    n = len(u)
-    if n < 2:
-        raise ConeError("need a label of length >= 2")
-    if in_f2_part(u):
-        raise ConeError("label must contain a z-letter")
-    if u == (-Z,) * n:
+    if len(u) >= 2 and u == (-Z,) * len(u):
         return ()
     f = standardizing_element(u)
     tau = from_assignments({CONE_Z2: CONE_ZM2, CONE_ZM2: CONE_Z2})

@@ -768,9 +768,10 @@ def criterion_14(first_pass: dict[int, CriterionResult], threads: int = 2):
 def selftest(criteria: Iterable[int] = range(1, 15), threads: int = 1) -> list[CriterionResult]:
     """Run the given criteria in id order at this worker count.
 
-    Criterion 14 reruns the other criteria of this call at 2 workers, or all
-    of 1-13 when it is the only id given. An unknown id raises ConfigError
-    before any criterion runs.
+    Criterion 14 reruns the other criteria of this call, or all of 1-13 when
+    it is the only id given, at another worker count: 2 after a 1-worker
+    pass, 1 otherwise. An unknown id raises ConfigError before any
+    criterion runs.
     """
     wanted = sorted(set(criteria))
     unknown = [cid for cid in wanted if cid not in CRITERIA and cid != 14]
@@ -780,7 +781,7 @@ def selftest(criteria: Iterable[int] = range(1, 15), threads: int = 1) -> list[C
     first = {cid: CRITERIA[cid](threads=threads) for cid in first_ids}
     results = list(first.values())
     if 14 in wanted:
-        results.append(criterion_14(first))
+        results.append(criterion_14(first, threads=2 if threads == 1 else 1))
     return results
 
 

@@ -249,12 +249,12 @@ def construct_transverse(targets: Sequence[SubgroupAutomaton], g: Sequence[int])
                         return True
         return False
 
+    # One sphere at a time, in shortlex order: the search stops at its first hit.
     ctx = FreeContext(rank)
-    avoided: Word | None = None
-    for a in ctx.ball(AVOID_RADIUS_CAP):
-        if not excluded(a):
-            avoided = a
-            break
+    avoided = next(
+        (a for r in range(AVOID_RADIUS_CAP + 1) for a in ctx.ball(r) if len(a) == r and not excluded(a)),
+        None,
+    )
     if avoided is None:
         raise TransversalityError(
             f"no avoided element within radius {AVOID_RADIUS_CAP}"

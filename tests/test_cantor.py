@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import textwrap
 from fractions import Fraction
@@ -451,6 +452,18 @@ def bent(advance):
     return bent_advance
 
 
+def unfinished_steps(advance):
+    """The action `advance`, except that a two-atom element, one step of a
+    standardizing element, reports one atom left unapplied. Its image is
+    the true one, so only the step's own check can catch it."""
+
+    def unfinished_advance(atoms, label, i):
+        label, left = advance(atoms, label, i)
+        return label, left or int(len(atoms) == 2)
+
+    return unfinished_advance
+
+
 class TestCertification:
     def test_non_positional_action_raises(self, monkeypatch):
         monkeypatch.setattr(cantor, "_advance", bent(cantor._advance))
@@ -458,7 +471,7 @@ class TestCertification:
             standardizing_element(lab("xzx"))
 
     def test_failed_recursion_step_raises(self, monkeypatch):
-        monkeypatch.setattr(cantor, "apply_element", lambda g, label: NEEDS_REFINEMENT)
+        monkeypatch.setattr(cantor, "_advance", unfinished_steps(cantor._advance))
         with pytest.raises(ConeCertificationError):
             standardizing_element(lab("xzx"))
 
@@ -474,8 +487,9 @@ class TestCertification:
             estimate_qn(Fraction(1, 8), 10, 5, 1)
 
     def test_checks_run_under_optimize_flag(self):
-        # bent is defined first, from this module's source.
-        script = "import sys\nfrom hypmix import cantor\n\n" + inspect.getsource(bent) + textwrap.dedent(
+        # bent and unfinished_steps are defined first, from this module's source.
+        helpers = inspect.getsource(bent) + inspect.getsource(unfinished_steps)
+        script = "import sys\nfrom hypmix import cantor\n\n" + helpers + textwrap.dedent(
             """
             if __debug__:
                 sys.exit("not running under -O")
@@ -486,6 +500,13 @@ class TestCertification:
                 sys.exit("non-positional action accepted")
             except cantor.ConeCertificationError:
                 pass
+            cantor._advance = unfinished_steps(advance)
+            try:
+                cantor.standardizing_element((1, 3, 1))
+                sys.exit("a step that left an atom unapplied was accepted")
+            except cantor.ConeCertificationError as exc:
+                if "did not shorten the label by one" not in str(exc):
+                    sys.exit(f"the step check did not fire: {exc}")
             cantor._advance = advance
             cantor.math.isqrt = lambda value: 1
             try:
@@ -628,6 +649,37 @@ class TestClaimThree:
             g = cone_routing_element(pairs, n)
             for u, v in pairs:
                 assert image_antichain(g, [u]) == (v,)
+
+
+def built(build, *args):
+    """repr of the element that build returns, or its refusal message."""
+    try:
+        return repr(build(*args))
+    except ConeError as exc:
+        return f"ConeError: {exc}"
+
+
+class TestElementPin:
+    # Recorded from the recursive standardizing_element, which checked
+    # every intermediate element: the one-loop construction must build the
+    # same atoms and refuse the same labels with the same messages.
+    DIGEST = "169bb00950ccc74fcf8f72d5078d160d0de9d1f8dbcbd32eed2e7c5bcc56d9ad"
+
+    def test_elements_match_the_recorded_digest(self):
+        gen = rng.substream(32)
+        digest = hashlib.sha256()
+        labels = [random_z_label(gen, n) for n in range(2, 151)]
+        labels += [(-Z,) * 2, (-Z,) * 7, (Z,), (X, Y), (X, -X, Z), (Z, 7), ()]
+        for u in labels:
+            for build in (standardizing_element, cone_transposition):
+                digest.update(f"{u} {built(build, u)}\n".encode())
+        for depth in range(2, 8):
+            for k in range(1, 6):
+                us = {random_z_label(gen, depth) for _ in range(k)}
+                vs = {random_z_label(gen, depth) for _ in range(len(us))}
+                pairs = list(zip(sorted(us), sorted(vs)))
+                digest.update(f"{pairs} {built(cone_routing_element, pairs, depth)}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestTransience:

@@ -21,7 +21,7 @@ from hypmix.harness import (
 )
 from hypmix.freegroup import FreeContext
 from hypmix.walks import StepMeasure
-from hypmix.selftest import CRITERIA, report_rows
+from hypmix.selftest import CRITERIA, CriterionResult, report_rows, selftest
 
 from conftest import src_env
 
@@ -745,6 +745,17 @@ class TestCli:
         assert res.returncode == 0
         assert "verified" in res.stdout
 
+    @pytest.mark.parametrize("claim", ["1", "2"])
+    def test_claim_on_a_1500_letter_label(self, capsys, claim):
+        # In process, under the default recursion limit: the standardizing
+        # element is built in one loop, whatever the length of the label.
+        u = "z" + "x" * 1499
+        assert cli.main(["cantor", "--claim", claim, "--u", u]) == 0
+        captured = capsys.readouterr()
+        assert f"\ncantor_claim{claim},u={u};" in captured.out
+        assert ",verified,1.0," in captured.out
+        assert f"Cone({u})" in captured.err
+
     @pytest.mark.parametrize("argv", sorted(PINNED_TRANSCRIPTS))
     def test_claim_transcript_pinned(self, argv):
         res = self._hypmix("cantor", *argv)
@@ -836,6 +847,19 @@ class TestCli:
             ("criterion_14", "bit-identical reruns at any thread count", 1.0),
             ("criterion_14", "reruns=1;threads=2", 0.0),
         ]
+
+    @pytest.mark.parametrize("threads, reruns_at", [(1, 2), (2, 1), (3, 1)])
+    def test_criterion_14_reruns_at_another_worker_count(self, monkeypatch, threads, reruns_at):
+        seen = []
+
+        def stub(threads):
+            seen.append(threads)
+            return CriterionResult(2, "stub", True, "", [], 0.0)
+
+        monkeypatch.setitem(CRITERIA, 2, stub)
+        results = selftest([2, 14], threads=threads)
+        assert seen == [threads, reruns_at]
+        assert results[-1].rows[0].params == f"reruns=1;threads={reruns_at}"
 
     def test_selftest_unknown_criterion(self):
         res = self._hypmix("selftest", "--criteria", "99")

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from hypmix import rng
-from hypmix.freegroup import WordError, cyclic_reduce, invert, multiply, power
+from hypmix.freegroup import FreeContext, WordError, cyclic_reduce, invert, multiply, power
+from hypmix.harness import ExperimentConfig, run
 from hypmix.selftest import _map_rows, _table_min_powers, _two_letter_automaton, core_maps
 from hypmix.stallings import SubgroupAutomaton
 from hypmix.transverse import (
@@ -386,6 +387,25 @@ class TestConstructTransverse:
     def test_identity_rejected(self):
         with pytest.raises(TransversalityError):
             construct_transverse([sub("a")], ())
+
+    def test_rank_5_run_stops_at_the_first_avoided_element(self, monkeypatch):
+        # F5's ball of radius AVOID_RADIUS_CAP = 8 holds about 5 * 10^7
+        # words; the avoided element lies within radius 1, so no ball past
+        # radius 3 may be built.
+        ball = FreeContext.ball
+
+        def small_ball(ctx, radius):
+            if radius > 3:
+                raise AssertionError(f"built the radius-{radius} ball of rank {ctx.rank}")
+            return ball(ctx, radius)
+
+        monkeypatch.setattr(FreeContext, "ball", small_ball)
+        cfg = ExperimentConfig.from_text(
+            "[experiment]\nkind = transverse\nseed = 1\n[params]\nrank = 5\ntargets = a | b\ng = ab\n"
+        )
+        rows = run(cfg)
+        assert [r.params for r in rows if r.metric == "exponent"] == ["rank=5;g=ab;f=aba;a=a"]
+        assert [r.value for r in rows if r.metric == "certified_transverse"] == [1.0, 1.0]
 
     def test_random_targets(self):
         gen = rng.substream(61)
