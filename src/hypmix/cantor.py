@@ -32,7 +32,8 @@ cancel a length-1 label), the intermediate label splits into its five
 children and the computation resumes at that same atom. The atoms already
 applied act on the source cone as the positional bijection onto the
 intermediate cone, so these children are exactly the images of the source
-label's children. A depth cap counts the depth of the source label.
+label's children. Only estimate_qn takes a depth cap, counted in the depth
+of the source label.
 
 The non-mixing mechanism: permutations fix all points with F(x, y)-prefixes
 of length 2, so the cone of x^2 can only be entered through the F(x, y)
@@ -55,7 +56,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import rng
-from .freegroup import FreeContext, Word
+from .freegroup import FreeContext, Word, shortlex_key
 from .stats import proportion_ci95
 
 X, Y, Z = 1, 2, 3
@@ -66,7 +67,6 @@ _ALPHABET = frozenset(_LETTERS)
 
 # Allowed extension letters after a given last letter, in order.
 _ALLOWED = {last: tuple(l for l in _LETTERS if l != -last) for last in _LETTERS}
-_LETTER_RANK = {l: i for i, l in enumerate(_LETTERS)}
 _ALLOWED_RANK = {
     last: {l: i for i, l in enumerate(allowed)} for last, allowed in _ALLOWED.items()
 }
@@ -253,10 +253,6 @@ def _xi(u: Word, v: Word, w: Word) -> Word:
 # --- the action ---------------------------------------------------------------
 
 
-# The cap on the source depth of image_antichain and of the constructors'
-# checks; estimate_qn takes a cap of its own.
-DEPTH_CAP = 64
-
 # Returned when an action is not determined at the current label depth.
 # Labels are nonempty tuples, so None cannot be mistaken for one.
 NEEDS_REFINEMENT = None
@@ -340,7 +336,8 @@ def _merge_antichain(labels: Iterable[Word]) -> tuple[Word, ...]:
     pass in tuple order merges: labels between two siblings extend their
     parent, so four labels of a label's length on top of the stack, the
     lowest its sibling, complete its family. They give way to the parent,
-    which may complete a family with the labels below it.
+    which may complete a family with the labels below it and sorts after
+    all of them, so the result stays in tuple order.
     """
     ordered = sorted(set(labels))
     _check_antichain(ordered)
@@ -357,7 +354,6 @@ def _merge_antichain(labels: Iterable[Word]) -> tuple[Word, ...]:
         merged.append(label)
     if len(merged) < len(ordered):
         _check_antichain(merged)
-    merged.sort(key=_shortlex_key)
     return tuple(merged)
 
 
@@ -371,23 +367,20 @@ def _check_antichain(ordered: list[Word]) -> None:
             raise AssertionError("antichain invariant broken")
 
 
-def _shortlex_key(label: Word) -> tuple:
-    """The order of freegroup.shortlex_key, read from a rank table."""
-    return (len(label), bytes(map(_LETTER_RANK.__getitem__, label)))
-
-
 def image_antichain(g: GElement, labels: Iterable[Sequence[int]]) -> tuple[Word, ...]:
-    """Exact image of a disjoint union of cones under g, as an antichain.
+    """Exact image of a disjoint union of cones under g, as an antichain
+    in tuple order.
 
     Atoms act right to left. When the next atom cannot act on the current
     intermediate label, that label splits into its five children and each
     resumes at the same atom: the atoms already applied map the source cone
     positionally onto the intermediate one, so the children are the images
-    of the source label's children. The cap counts source depth:
-    DepthCapExceeded is raised when a source label of depth >= DEPTH_CAP
-    would have to split.
+    of the source label's children. No depth cap applies. The labels
+    waiting at one atom are disjoint cones, so at most six of them are one
+    letter long, and only those split: an element of k atoms makes at most
+    30k children.
     """
-    return _image(_check_element(g), [_check_label(label) for label in labels], DEPTH_CAP)
+    return _image(_check_element(g), [_check_label(label) for label in labels], math.inf)
 
 
 def _image(atoms: tuple, labels: Iterable[Word], depth_cap: int) -> tuple[Word, ...]:
@@ -474,9 +467,9 @@ def _verify_standardizing(element: GElement, u: Word):
     atoms = _check_element(element)
     n = len(u)
     zmn = (-Z,) * n
-    if _image(atoms, [u], DEPTH_CAP) != (CONE_Z2,):
+    if _image(atoms, [u], math.inf) != (CONE_Z2,):
         raise ConeCertificationError("cone equation for u failed")
-    if _image(atoms, [zmn], DEPTH_CAP) != (CONE_ZM2,):
+    if _image(atoms, [zmn], math.inf) != (CONE_ZM2,):
         raise ConeCertificationError("cone equation for z^-n failed")
     # Pointwise, two levels deeper: the action must be the positional map.
     for source, target in ((u, CONE_Z2), (zmn, CONE_ZM2)):
@@ -525,7 +518,7 @@ def cone_routing_element(pairs: Sequence[tuple], depth: int) -> GElement:
     if len(set(us)) != len(us) or len(set(vs)) != len(vs):
         raise ConeError("sources and targets must each be distinct")
 
-    support = sorted(set(us) | set(vs) | {pivot}, key=_shortlex_key)
+    support = sorted(set(us) | set(vs) | {pivot}, key=shortlex_key)
     perm = dict(zip(us, vs))
     remaining_src = [s for s in support if s not in perm]
     remaining_dst = [t for t in support if t not in set(vs)]
@@ -625,8 +618,7 @@ def simulate_hit_probability(
         if hit or dist.max() > remaining:
             hits += hit
             dist = dist[(dist != 0) & (dist <= remaining)]
-    p, lo, hi = proportion_ci95(hits, trials)
-    return p, lo, hi
+    return proportion_ci95(hits, trials)
 
 
 def superharmonic_check(radius: int) -> bool:

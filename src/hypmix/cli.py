@@ -62,10 +62,10 @@ class _Parser(argparse.ArgumentParser):
 
 class _Carry(argparse.Action):
     """Carries a flag's raw string to its dest: `<section>.<key>` for a kind
-    flag, the bare name for --out, --format, --emit-certificate and
-    --config. A mode flag (--claim, --qn, --transience, --skip-determinism)
-    carries its const instead, with --claim's number appended. A kind flag
-    not given sets nothing. A dest given twice is refused, as a config file
+    flag, the bare name for --out, --format, --emit-certificate,
+    --subgroups and --config. A mode flag (--claim, --qn, --transience,
+    --skip-determinism) carries its const instead, with --claim's number
+    appended. A kind flag not given sets nothing. A dest given twice is refused, as a config file
     refuses a repeated key: the namespace's `given` set records each dest
     carried."""
 
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tv = _kind(sub, "transverse", "construct a certified transverse element", "--rank", "--targets", "--g")
     p_tv.add_argument(
         "--subgroups",
-        default=argparse.SUPPRESS,
+        action=_Carry,
         help="file with one subgroup per line (whitespace-separated generators)",
     )
     p_tv.add_argument("--emit-certificate", action=_Carry, default=None)

@@ -327,7 +327,7 @@ def proper_prefix_pairs(labels: Iterable[tuple]) -> list[tuple[tuple, tuple]]:
 def merge_antichain_reference(antichain: Iterable[tuple]) -> tuple[tuple, ...]:
     """cantor._merge_antichain on an antichain: each pass replaces every full
     family of five siblings by its parent, until a pass finds none, and the
-    result is listed in shortlex order. AssertionError if some label has one
+    result is listed in tuple order. AssertionError if some label has one
     of its own proper prefixes among the labels."""
     current = set(antichain)
     if any(label[:j] in current for label in current for j in range(1, len(label))):
@@ -344,8 +344,7 @@ def merge_antichain_reference(antichain: Iterable[tuple]) -> tuple[tuple, ...]:
         for parent in full:
             current.difference_update(families[parent])
             current.add(parent)
-    rank = {l: r for r, l in enumerate((1, -1, 2, -2, 3, -3))}
-    return tuple(sorted(current, key=lambda label: (len(label), [rank[l] for l in label])))
+    return tuple(sorted(current))
 
 
 def hit_count(trials: int, horizon: int, seed: int) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import math
 import textwrap
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from hypmix.cantor import (
     CONE_Z,
     CONE_Z2,
     CONE_ZM2,
-    DEPTH_CAP,
     NEEDS_REFINEMENT,
     OMEGA,
     SIGMA,
@@ -189,7 +189,7 @@ class TestImageAntichain:
 
     def test_permutation_partition_bijectivity(self):
         gen = rng.substream(3)
-        six_cones = tuple((l,) for l in ALL_LETTERS)
+        six_cones = tuple(sorted((l,) for l in ALL_LETTERS))
         for depth in (2, 3, 4):
             sigma = tuple(int(i) for i in gen.permutation(18))
             image = image_antichain((sigma,), full_partition(depth))
@@ -244,7 +244,7 @@ def random_element(gen, n, p_letter):
 class TestImageAntichainReference:
     # Resuming a split at the atom that could not act must give exactly what
     # restarting each child from the rightmost atom gives, cap outcome
-    # included; _image takes the cap that image_antichain fixes at DEPTH_CAP.
+    # included; _image takes the cap that image_antichain leaves unbounded.
 
     def test_matches_restart_refinement(self):
         outcomes = set()
@@ -269,6 +269,40 @@ class TestImageAntichainReference:
             return "capped"
         assert cantor._image(g, sources, cap) == want
         return "refined" if any(advance_reference(g, u, len(g))[1] for u in sources) else "direct"
+
+
+class TestNoDepthCap:
+    # image_antichain takes no depth cap: a chain of splits splits at most
+    # once per atom, and only labels of one letter split.
+
+    def test_deep_split_chain(self):
+        # x^-70 on Cone(x): the source cone x^k cancels at the k-th atom and
+        # splits, so the split chain reaches source depth 70.
+        g = (-X,) * 70
+        assert image_antichain(g, [(X,)]) == restart_image_antichain(g, [(X,)], math.inf)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(st.sampled_from((X, -X, Y, -Y)), st.permutations(range(18)).map(tuple)),
+                    max_size=60).map(tuple), st.sets(st.sampled_from(ALL_LETTERS), min_size=1))
+    @example((-X,) * 70, {X})
+    # A letter that cancels the label, then a permutation that needs two
+    # letters: both split at every other atom.
+    @example((-X, tuple(range(18))) * 30, {X})
+    def test_at_most_thirty_children_per_atom(self, g, firsts):
+        # The labels waiting at one atom are disjoint cones, so at most six
+        # of them have one letter, and each makes five children.
+        children = cantor._children
+        made = []
+
+        def counted(label):
+            kids = children(label)
+            made.append(len(kids))
+            return kids
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cantor, "_children", counted)
+            cantor._image(g, [(l,) for l in firsts], math.inf)
+        assert sum(made) <= 30 * len(g)
 
 
 def reduced_word(first, ranks):
@@ -361,6 +395,20 @@ class TestMergeAntichain:
         with pytest.raises(AssertionError, match="antichain invariant broken"):
             cantor._merge_antichain(labels)
 
+    def test_checks_the_labels_after_merging(self):
+        # Merging full families keeps an antichain, so no input trips the
+        # second check: it guards the stack pass itself, and runs on the
+        # merged labels exactly when some family merged.
+        seen = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cantor, "_check_antichain", lambda labels: seen.append(list(labels)))
+            merged = cantor._merge_antichain([(Y,)] + order_cones((X,), 1))
+            assert merged == ((X,), (Y,))
+            assert seen == [sorted([(Y,)] + order_cones((X,), 1)), [(X,), (Y,)]]
+            seen.clear()
+            cantor._merge_antichain([(Y,), (X, X)])
+            assert seen == [[(X, X), (Y,)]]
+
     @settings(max_examples=200)
     @given(st.lists(st.integers(0, 10**6), max_size=12), st.integers(0, 2**32))
     # The 25 grandchildren of (X,) merge to its five children, then to (X,).
@@ -391,7 +439,7 @@ class TestRawAtoms:
     @given(mixed_elements(), disjoint_sources())
     @example((X,), [(-X,)])  # full cancellation: the label splits
     def test_raw_path_matches_public_path(self, g, sources):
-        assert cantor._image(g, sources, DEPTH_CAP) == image_antichain(g, sources)
+        assert cantor._image(g, sources, math.inf) == image_antichain(g, sources)
 
 
 class TestClaimOne:

@@ -661,10 +661,11 @@ class TestCli:
             (("drift", "--n", "10", "--trials", "3", "--format", "csv", "--format", "json"), "format"),
             (("transverse", "--targets", "a", "--g", "ab", "--emit-certificate", "a", "--emit-certificate", "b"),
              "emit_certificate"),
+            (("transverse", "--subgroups", "a.txt", "--subgroups", "b.txt", "--g", "ab"), "subgroups"),
         ],
         ids=[
             "criteria", "skip-determinism-and-criteria", "selftest-out", "config", "run-out", "format",
-            "emit-certificate",
+            "emit-certificate", "subgroups",
         ],
     )
     def test_repeated_flag_refused(self, tmp_path, monkeypatch, capsys, argv, field):
