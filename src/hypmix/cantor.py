@@ -706,8 +706,7 @@ def estimate_qn(
     identity = np.arange(18)
 
     def one(trial: int) -> tuple[bool, bool]:
-        gen = rng.trial_stream(seed, trial)
-        draws = rng.draw_below(gen, den, n)
+        gen, draws = rng.trial_draw(seed, trial, den, n)
         k = int(np.count_nonzero(draws >= letter_bound))
         rows = gen.permuted(np.tile(identity, (k, 1)), axis=1)
         # Checked once per trial, explicitly, so it also runs under -O.

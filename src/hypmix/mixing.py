@@ -219,9 +219,8 @@ def _witness_trial(pairs: list[WitnessPair], measure, ns, seed, trial) -> list[l
     around K and H. The rule's comparisons are explicit too, so they also
     run under python -O.
     """
-    gen = rng.trial_stream(seed, trial)
     outcomes = []
-    for w in measure.positions(ns, gen):
+    for w in measure.trial_positions(ns, seed, trial):
         at_w = []
         for pair in pairs:
             gap = pair.h.join_gap(w, pair.k)

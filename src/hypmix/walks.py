@@ -13,28 +13,31 @@ reduced word unless it undoes the last letter.
 Sampling is exact: increments are drawn by scaling the probabilities to a
 common denominator D and drawing unbiased integers below D from the trial's
 Philox substream, so walk endpoints are reproducible bit for bit from
-(measure, n, seed) alone. Every walk draws through rng.draw_below, which
-gives the values of integers(0, D) and reads a power-of-two D from raw
-bits. For D <= 2^16 the measure keeps a step table of D rows, each support
-word's padded letters repeated by its numerator, so draw u steps by row u;
-a larger D maps u to the support through the cumulative thresholds.
-Either way the steps of a seed are the same.
+(measure, n, seed) alone. Every walk draws through rng.draw_below or
+rng.trial_draw, which give the values of integers(0, D) and read a
+power-of-two D from raw bits. For D <= 2^16 the measure keeps a step table
+of D rows, each support word's padded letters repeated by its numerator,
+so draw u steps by row u; a larger D maps u to the support through the
+cumulative thresholds. Either way the steps of a seed are the same.
 
 Walk endpoints are reduced without the trajectory. The draws are one call
-per trial schedule: positions draws max(ns) steps once and returns w_n for
-each n of an ascending schedule. The schedule cuts the walk into segments,
-the steps between two of its lengths. Consecutive short segments (under
-SHORT_WALK padded letters each) are listed once and pushed through one
-stack, which holds w_n at each n: no numpy call and no seam join per
-segment. A long segment is reduced by whole-array numpy passes, each
-deleting the first adjacent inverse pair of every run of them, for at most
-MAX_PASSES passes; what is left finishes in freegroup.reduce_word, and the
-result joins the previous endpoint with multiply, which cancels only at the
-seam. Free reduction is confluent, so the endpoint is the same either way.
-Bounded Philox draws are prefix-stable (the first n of N draws are the n
-draws of a size-n call on the same stream), so each w_n is the endpoint of
-a walk of n steps drawn alone, bit for bit.
-final_position is the schedule of one length.
+per trial schedule, through one of two entries of one walk body: positions
+draws max(ns) steps from any generator, trial_positions from a trial's
+fresh stream through rng.trial_draw, which skips draw_below's state read;
+either returns w_n for each n of an ascending schedule. The schedule cuts
+the walk into segments, the steps between two of its lengths. The letters
+of a run of consecutive short segments (under SHORT_WALK padded letters
+each) become one list, walked slice by slice through one stack, which
+holds w_n at each n: no numpy call and no seam join per segment. A long
+segment is reduced by whole-array numpy passes, each deleting the first
+adjacent inverse pair of every run of them, for at most MAX_PASSES passes;
+what is left finishes in freegroup.reduce_word, and the result joins the
+previous endpoint with multiply, which cancels only at the seam. Free
+reduction is confluent, so the endpoint is the same either way. Bounded
+Philox draws are prefix-stable (the first n of N draws are the n draws of
+a size-n call on the same stream), so each w_n is the endpoint of a walk
+of n steps drawn alone, bit for bit. final_position is the schedule of
+one length.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby, islice
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -109,6 +112,7 @@ class StepMeasure:
         self._table = None
         if denom <= STEP_TABLE_MAX:
             self._table = np.repeat(self._letters, numerators, axis=0)
+        self._padded = min(map(len, self.entries)) < self.max_step_length()
 
     @classmethod
     def uniform_on(
@@ -174,24 +178,42 @@ class StepMeasure:
 
     def positions(self, ns: Sequence[int], gen: np.random.Generator) -> list[Word]:
         """Endpoints w_n after each n of an ascending schedule, from one draw
-        of max(ns) steps, without storing the trajectory. One take maps
-        the draws to the padded letters of the steps: through the step
-        table, or above STEP_TABLE_MAX through the support index that the
-        thresholds give.
+        of max(ns) steps from gen, without storing the trajectory.
 
-        The schedule cuts the walk into segments, the steps between two of
-        its lengths. A run of consecutive short segments, each under
-        SHORT_WALK padded letters, is listed once and pushed through one
-        stack, snapshot at each n of the run: no numpy call and no seam
-        join per segment. A long segment is reduced by _reduce and joined
-        to the previous endpoint with multiply, which cancels only at the
-        seam; a run of short segments after it starts its stack from that
-        endpoint.
+        positions and trial_positions are the two entries of one walk
+        body, _walk: this one draws from any generator through
+        rng.draw_below, trial_positions from a trial's fresh stream through
+        rng.trial_draw. The draws are the same, and so are the endpoints.
         """
         require_schedule(ns)
         if not ns:
             return []
-        u = rng.draw_below(gen, self._denominator, ns[-1])
+        return self._walk(ns, rng.draw_below(gen, self._denominator, ns[-1]))
+
+    def trial_positions(self, ns: Sequence[int], seed: int, trial: int) -> list[Word]:
+        """positions(ns, rng.substream(seed, trial)), drawn through
+        rng.trial_draw from the process's re-keyed trial stream."""
+        require_schedule(ns)
+        if not ns:
+            return []
+        _, u = rng.trial_draw(seed, trial, self._denominator, ns[-1])
+        return self._walk(ns, u)
+
+    def _walk(self, ns: Sequence[int], u: np.ndarray) -> list[Word]:
+        """The endpoints after each n of a non-empty ascending schedule,
+        from the draws u of max(ns) steps. One take maps the draws to the
+        padded letters of the steps: through the step table, or above
+        STEP_TABLE_MAX through the support index that the thresholds give.
+
+        The schedule cuts the walk into segments, the steps between two of
+        its lengths. The letters of a run of consecutive short segments,
+        each under SHORT_WALK padded letters, become one list, walked slice
+        by slice through one stack, snapshot at each n of the run: no numpy
+        call and no seam join per segment. A long segment is reduced by
+        _reduce and joined to the previous endpoint with multiply, which
+        cancels only at the seam; a run of short segments after it starts
+        its stack from that endpoint.
+        """
         if self._table is None:
             steps = self._letters.take(np.searchsorted(self._thresholds, u, side="right"), axis=0)
         else:
@@ -199,25 +221,33 @@ class StepMeasure:
         width = steps.shape[1]
         ends: list[Word] = []
         w: Word = ()
-        spans = zip([0, *ns], ns)
-        for short, run in groupby(spans, key=lambda span: (span[1] - span[0]) * width < SHORT_WALK):
-            run = list(run)
-            if not short:
-                for a, b in run:
-                    w = multiply(w, self._reduce(steps[a:b]))
-                    ends.append(w)
-                continue
-            letters = iter(steps[run[0][0] : run[-1][1]].ravel().tolist())
-            stack = list(w)
-            for a, b in run:
-                # filter drops the 0 padding.
-                for x in filter(None, islice(letters, (b - a) * width)):
-                    if stack and stack[-1] == -x:
-                        stack.pop()
-                    else:
-                        stack.append(x)
-                w = tuple(stack)
+        walked, i = 0, 0
+        while i < len(ns):
+            if (ns[i] - walked) * width >= SHORT_WALK:
+                w = multiply(w, self._reduce(steps[walked : ns[i]]))
                 ends.append(w)
+                walked, i = ns[i], i + 1
+                continue
+            run = i + 1
+            while run < len(ns) and (ns[run] - ns[run - 1]) * width < SHORT_WALK:
+                run += 1
+            letters = steps[walked : ns[run - 1]].ravel().tolist()
+            # The 0 at the bottom is no letter, so no letter cancels it.
+            stack = [0, *w]
+            push, pop = stack.append, stack.pop
+            at = 0
+            for n in ns[i:run]:
+                segment = letters[at : (n - walked) * width]
+                # filter drops the 0 padding.
+                for x in filter(None, segment) if self._padded else segment:
+                    if stack[-1] == -x:
+                        pop()
+                    else:
+                        push(x)
+                w = tuple(stack)[1:]
+                ends.append(w)
+                at = (n - walked) * width
+            walked, i = ns[run - 1], run
         return ends
 
     def final_position(self, n: int, gen: np.random.Generator) -> Word:

@@ -260,7 +260,7 @@ class Fixed:
     def __init__(self, *ends):
         self.ends = list(ends)
 
-    def positions(self, ns, gen):
+    def trial_positions(self, ns, seed, trial):
         return self.ends
 
 

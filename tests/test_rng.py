@@ -10,7 +10,8 @@ import pytest
 
 from hypmix import rng
 from hypmix.cantor import ConeCertificationError, estimate_qn
-from hypmix.mixing import joint_mixing
+from hypmix.freegroup import FreeContext
+from hypmix.mixing import WitnessPair, _witness_trial, joint_mixing
 from hypmix.selftest import UNIFORM_F2 as UNIFORM
 from hypmix.stallings import SubgroupAutomaton
 from hypmix.walks import drift_estimate
@@ -220,6 +221,163 @@ def test_trial_stream_state_is_a_new_philox():
         assert got["state"]["counter"].tolist() == [0, 0, 0, 0] == want["state"]["counter"].tolist()
         assert (got["buffer_pos"], got["has_uint32"], got["uinteger"]) == (4, 0, 0)
         assert (want["buffer_pos"], want["has_uint32"], want["uinteger"]) == (4, 0, 0)
+
+
+# Block keys: seeds masked to the same word, and indices at both ends of a
+# block and far past the first; fallback paths: indices outside [0, 2^63),
+# a two-part path and no path at all.
+BLOCK_SEEDS = (0, 1, -1, 2**64 - 1, 2**64 + 3, 20260808)
+BLOCK_TRIALS = (0, 255, 256, 257, 2**20 + 1)
+FALLBACK_PATHS = ((-1,), (2**63,), (2**64 - 1,), (2**64 + 5,), (3, 5), ())
+
+
+def keyed(monkeypatch, seed, path) -> tuple[int, int]:
+    """(the key trial_stream(seed, *path) sets, as one 128-bit integer, the
+    number of substream_key calls it makes)."""
+    calls = []
+    substream_key = rng.substream_key
+    monkeypatch.setattr(rng, "substream_key", lambda *a: calls.append(a) or substream_key(*a))
+    lo, hi = rng.trial_stream(seed, *path).bit_generator.state["state"]["key"].tolist()
+    monkeypatch.setattr(rng, "substream_key", substream_key)
+    return (hi << 64) | lo, len(calls)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_block_keys_match_substream_key(monkeypatch, warm):
+    for seed in BLOCK_SEEDS:
+        for t in BLOCK_TRIALS:
+            rng._key_block.cache_clear()
+            if warm:
+                rng.trial_stream(seed, t)
+            before = rng._key_block.cache_info()
+            assert keyed(monkeypatch, seed, (t,)) == (rng.substream_key(seed, t), 0), (seed, t)
+            after = rng._key_block.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == ((1, 0) if warm else (0, 1))
+        for path in FALLBACK_PATHS:
+            rng._key_block.cache_clear()
+            if warm:
+                rng.trial_stream(seed, *path)
+            assert keyed(monkeypatch, seed, path) == (rng.substream_key(seed, *path), 1), (seed, path)
+            assert rng._key_block.cache_info().currsize == 0
+
+
+def bit_state(gen: np.random.Generator) -> dict:
+    """The generator's Philox state, its arrays as lists."""
+    state = gen.bit_generator.state
+    return {
+        "counter": state["state"]["counter"].tolist(),
+        "key": state["state"]["key"].tolist(),
+        "buffer": state["buffer"].tolist(),
+        "buffer_pos": state["buffer_pos"],
+        "has_uint32": state["has_uint32"],
+        "uinteger": state["uinteger"],
+    }
+
+
+def drawn_and_after(gen: np.random.Generator, draws: np.ndarray) -> tuple:
+    """A draw's dtype and values, the state it left, and the rows of a
+    following batched permutation."""
+    state = bit_state(gen)
+    rows = gen.permuted(np.tile(np.arange(18), (5, 1)), axis=1).tolist()
+    return draws.dtype, draws.tolist(), state, rows
+
+
+def live(after: tuple) -> tuple:
+    """drawn_and_after's record without uinteger when no half-word is
+    stashed: a spent half-word that no later draw reads."""
+    dtype, values, state, rows = after
+    if not state["has_uint32"]:
+        state = dict(state, uinteger=None)
+    return dtype, values, state, rows
+
+
+TRIAL_DRAW_BOUNDS = [2**b for b in range(1, 33)] + [3, 6, 12, 2**33, 2**63 - 1]
+TRIAL_DRAW_SIZES = [0, 1, 2, 3, 159, 160, 161]
+
+
+@pytest.mark.parametrize("bound", TRIAL_DRAW_BOUNDS)
+def test_trial_draw_matches_draw_below(bound):
+    # The draws, the state left behind (has_uint32 and uinteger included)
+    # and the next permuted rows are draw_below's on the re-keyed stream.
+    # The draws and the rows are also integers' on a new substream; its
+    # state may differ only in uinteger, a spent half-word that an even
+    # count of 32-bit draws leaves behind and no later draw reads. The
+    # process's generator last drew an odd-sized integers call, so a
+    # half-word is stashed before each re-key.
+    changed = []
+    for trial in (0, 1, 300):
+        for size in TRIAL_DRAW_SIZES:
+            rng.trial_stream(SEED, 9).integers(0, 8)
+            got = drawn_and_after(*rng.trial_draw(SEED, trial, bound, size))
+            gen = rng.trial_stream(SEED, trial)
+            below = drawn_and_after(gen, rng.draw_below(gen, bound, size))
+            gen = rng.substream(SEED, trial)
+            integers = drawn_and_after(gen, gen.integers(0, bound, size=size, dtype=np.uint64))
+            if got != below or live(got) != live(integers):
+                changed.append((trial, size))
+    assert not changed, f"trial_draw({bound}) differs from draw_below at {changed[:5]}"
+
+
+class StateReads:
+    """A bit generator stand-in that logs each read of its state."""
+
+    def __init__(self, bit_generator, reads):
+        self._bit_generator = bit_generator
+        self._reads = reads
+
+    @property
+    def state(self):
+        self._reads.append(1)
+        return self._bit_generator.state
+
+    def __getattr__(self, name):
+        return getattr(self._bit_generator, name)
+
+
+class ReadCounting:
+    """A generator stand-in whose bit generator logs its state reads."""
+
+    def __init__(self, gen, reads):
+        self.integers = gen.integers
+        self.permuted = gen.permuted
+        self.bit_generator = StateReads(gen.bit_generator, reads)
+
+
+def count_state_reads(monkeypatch) -> tuple[list, list]:
+    """(the trial streams opened, the state reads made through them) from
+    here on."""
+    opened, reads = [], []
+    trial_stream = rng.trial_stream
+    monkeypatch.setattr(
+        rng, "trial_stream", lambda *path: opened.append(path) or ReadCounting(trial_stream(*path), reads)
+    )
+    return opened, reads
+
+
+def _mix_trials(trials):
+    # The mix workload's instance: H = <a>, K = <b>, the ball of radius 2.
+    h, k = (SubgroupAutomaton.from_generators(2, [g]) for g in ((1,), (2,)))
+    pair = WitnessPair.of(h, k, FreeContext(2).ball(2))
+    return [_witness_trial([pair], UNIFORM, [10, 20, 40, 80, 160], SEED, t) for t in range(trials)]
+
+
+def _qn_trials(trials):
+    return estimate_qn(Fraction(1, 8), 10, trials, SEED)
+
+
+@pytest.mark.parametrize("run", [_mix_trials, _qn_trials], ids=["mix", "estimate_qn"])
+def test_a_trial_reads_no_state(monkeypatch, run):
+    # A trial's first draw is from a stream trial_stream has just re-keyed,
+    # which holds no stashed half-word, so nothing reads the state back.
+    # The results are those of unwrapped streams.
+    want = run(12)
+    opened, reads = count_state_reads(monkeypatch)
+    assert run(12) == want
+    assert len(opened) == 12
+    assert reads == []
+    # The proxy sees the read draw_below makes on a stream of unknown state.
+    rng.draw_below(rng.trial_stream(SEED, 0), 4, 160)
+    assert reads == [1]
 
 
 def uneven_draws(gen: np.random.Generator, t: int) -> list:

@@ -1,6 +1,7 @@
 import textwrap
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from hypmix.selftest import GOLDEN_MIXING_SCHEDULE, UNIFORM_F2, UNIFORM_F3
 from hypmix.walks import (
     MAX_PASSES,
     SHORT_WALK,
+    STEP_TABLE_MAX,
     DriftRangeError,
     MeasureError,
     StepMeasure,
@@ -330,6 +332,16 @@ LAZY_65537 = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)], identity_mass
 # D = 2^19: through the thresholds, on the raw route.
 LAZY_2_19 = StepMeasure.uniform_on(2, [(1,), (-1,), (2,), (-2,)], identity_mass=Fraction(1, 2**17))
 
+# trial_positions against positions: both table kinds, padding, rank 3 and
+# steps of 40 letters.
+MEASURES = {
+    "uniform_f2": UNIFORM_F2,
+    "uniform_f3": UNIFORM_F3,
+    "lazy_pairs": LAZY_PAIRS,
+    "powers_40": POWERS_40,
+    "lazy_65537": LAZY_65537,
+}
+
 
 def reduced_walk(measure: StepMeasure, n: int, seed: int):
     """The endpoint of the n-step walk, from the reference's step draws and
@@ -363,6 +375,57 @@ class TestStepTable:
         walk = sample_walk(measure, ns[-1], seed)
         assert measure.positions(ns, rng.substream(seed)) == [walk.positions[n] for n in ns]
         assert measure.final_position(10_000, rng.substream(seed)) == reduced_walk(measure, 10_000, seed)
+
+
+class TestTrialPositions:
+    # trial_positions draws through rng.trial_draw on the process's
+    # re-keyed stream and walks the same body as positions.
+
+    @given(
+        measure=st.sampled_from(sorted(MEASURES)),
+        segments=st.lists(
+            st.one_of(
+                st.sampled_from([0, 0, 1, SHORT_WALK - 1, SHORT_WALK, SHORT_WALK + 1]),
+                st.integers(0, 40),
+                st.integers(SHORT_WALK // 32, 2 * SHORT_WALK),
+            ),
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**64 - 1),
+        trial=st.integers(0, 600),
+    )
+    def test_matches_positions(self, measure, segments, seed, trial):
+        measure = MEASURES[measure]
+        ns = list(accumulate(segments))
+        want = measure.positions(ns, rng.substream(seed, trial))
+        rng.trial_stream(seed, trial + 1).integers(0, 8)
+        assert measure.trial_positions(ns, seed, trial) == want
+
+    @pytest.mark.parametrize("measure", sorted(MEASURES))
+    def test_every_segment_kind(self, monkeypatch, measure):
+        # Zero-length, short and long segments on each measure: the padded
+        # lazy table with identity mass 1/2, the thresholds past 2^16 and
+        # rank 3 among them.
+        measure = MEASURES[measure]
+        width = measure.max_step_length()
+        steps = {"long": -(-SHORT_WALK // width), "short": SHORT_WALK // width - 1}
+        ns = list(accumulate(steps.get(kind, kind) for kind in TestPositions.SEGMENTS["every kind"]))
+        want = measure.positions(ns, rng.substream(7, 300))
+        calls = TestPositions.count_routes(monkeypatch)
+        assert measure.trial_positions(ns, 7, 300) == want
+        assert calls["_reduce"] == 2
+
+    def test_measures_cover_each_table(self):
+        assert LAZY_PAIRS._padded and LAZY_PAIRS.entries[()] == Fraction(1, 2)
+        assert LAZY_65537._table is None and LAZY_65537._denominator > STEP_TABLE_MAX
+        assert UNIFORM_F3.rank == 3 and not UNIFORM_F3._padded
+
+    def test_bad_schedule_named(self):
+        with pytest.raises(MeasureError, match="ascending"):
+            UNIFORM_F2.trial_positions([20, 10], 42, 0)
+
+    def test_empty_schedule(self):
+        assert UNIFORM_F2.trial_positions([], 42, 0) == []
 
 
 class TestDrift:
